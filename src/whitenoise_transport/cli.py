@@ -77,6 +77,18 @@ def _merge(template, override):
     return out
 
 
+# counts that loops step or divide by: each must be a JSON integer >= 1
+_POSITIVE_COUNTS = (("mc", "n_traj"), ("mc", "batch_size"), ("time", "record_every"),
+                    ("evolve", "record_every"))
+
+
+def _check_counts(cfg):
+    for section, key in _POSITIVE_COUNTS:
+        val = cfg[section][key]
+        if isinstance(val, bool) or not isinstance(val, int) or val < 1:
+            raise ConfigError(f"config.{section}.{key}: must be a positive integer, got {val!r}")
+
+
 def load_config(path) -> dict:
     """Parse and validate a config file against the known key tree."""
     try:
@@ -87,7 +99,9 @@ def load_config(path) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     _check_keys(raw, DEFAULT_CONFIG)
-    return _merge(DEFAULT_CONFIG, raw)
+    cfg = _merge(DEFAULT_CONFIG, raw)
+    _check_counts(cfg)
+    return cfg
 
 
 def save_config(cfg: dict, path):

@@ -17,6 +17,7 @@ compensated summation.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ from .analytic_continuum import MomentSeries, Provenance, msd_closed_form
 from .core_model import ModelParams, Space
 from .errors import BoxSizeError, InputError, StabilityError
 from .noise_field import ColoredKernel, ColoredStream, FieldGrid, spectral_amplitude, _filter_white_batch
-from .rng import KIND_CLASSICAL, KIND_FIELD, SeedInfo
+from .rng import KIND_CLASSICAL, KIND_FIELD, normals
 
 __all__ = [
     "EnsembleResult",
@@ -134,6 +135,13 @@ def _kinetic_multipliers(grid: FieldGrid, params: ModelParams, dt: float):
     return half, half * half
 
 
+def _check_counts(**counts):
+    """Reject trajectory, batch and record counts that are not positive integers."""
+    for name, val in counts.items():
+        if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < 1:
+            raise InputError(f"{name} must be a positive integer, got {val!r}")
+
+
 def _record_steps(n_steps: int, record_every: int) -> np.ndarray:
     steps = np.arange(0, n_steps + 1, record_every)
     if steps[-1] != n_steps:
@@ -213,14 +221,16 @@ def _simulate_batch(traj_indices, grid, psi0, corr, params, dt, n_steps, record_
     boundary_max = 0.0
     probes = None
 
+    # potential phase exp(-i dW / hbar), written in place once per step
+    phase = np.empty_like(psi) if scheme == SCHEME_STRATONOVICH else None
+
     stream = None
     if colored is not None:
         stream = ColoredStream(grid, corr, params, colored, dt, seed, traj_indices, amplitude=amplitude)
 
     def draw_white(step):
-        rows = [SeedInfo(seed, traj, step, kind=KIND_FIELD).generator().standard_normal(grid.shape)
-                for traj in traj_indices]
-        return _filter_white_batch(np.stack(rows), amplitude) * root_dt
+        xi = normals(seed, KIND_FIELD, traj_indices, step, grid.shape)
+        return _filter_white_batch(xi, amplitude) * root_dt
 
     def record(pos):
         nonlocal boundary_max, probes
@@ -257,7 +267,10 @@ def _simulate_batch(traj_indices, grid, psi0, corr, params, dt, n_steps, record_
             stream.advance()
             w_field = 0.5 * (v_now + stream.current()) * dt
         if scheme == SCHEME_STRATONOVICH:
-            psi = psi * np.exp(-1j * inv_hbar * w_field)
+            w_field *= -inv_hbar
+            np.cos(w_field, out=phase.real)
+            np.sin(w_field, out=phase.imag)
+            psi *= phase
         elif scheme == SCHEME_ITO_EULER:
             psi = psi * (1.0 - 1j * inv_hbar * w_field)
         else:
@@ -280,6 +293,7 @@ def _run_quantum(grid, psi0, corr, params, t_max, dt, n_traj, seed, record_every
                  scheme, threads, batch_size, probe_k, colored):
     if dt <= 0 or t_max <= 0:
         raise InputError("t_max and dt must be positive")
+    _check_counts(n_traj=n_traj, batch_size=batch_size, record_every=record_every)
     n_steps = int(round(t_max / dt))
     record_steps = _record_steps(n_steps, record_every)
     amplitude = spectral_amplitude(grid, corr, params)
@@ -376,6 +390,7 @@ def run_classical(dim, corr, params: ModelParams, v0_init, t_max, dt, n_traj, se
     """
     if dt <= 0 or t_max <= 0:
         raise InputError("t_max and dt must be positive")
+    _check_counts(n_traj=n_traj, batch_size=batch_size, record_every=record_every)
     if grid is None:
         length = 16.0 * corr.correlation_length()
         n = 256 if dim == 1 else 64
@@ -386,8 +401,14 @@ def run_classical(dim, corr, params: ModelParams, v0_init, t_max, dt, n_traj, se
     amplitude = spectral_amplitude(grid, corr, params)
     n = grid.points_per_side
     freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
-    kaxes = np.meshgrid(*[freqs] * dim, indexing="ij")
-    root_dt = math.sqrt(dt)
+    # the Nyquist mode has no partner of opposite wavenumber, so it carries
+    # no real gradient; zeroing it keeps each gradient spectrum Hermitian
+    freqs[n // 2] = 0.0
+    kaxes = np.meshgrid(*[freqs] * (dim - 1), freqs[: n // 2 + 1], indexing="ij")
+    half_amp = amplitude[..., : n // 2 + 1]
+    # real-FFT multipliers taking unit white noise to each component of the
+    # gradient of the field increment
+    grad_filters = [1j * k * half_amp * math.sqrt(dt) for k in kaxes]
 
     batches = [list(range(b, min(b + batch_size, n_traj))) for b in range(0, n_traj, batch_size)]
     results = [None] * len(batches)
@@ -436,10 +457,8 @@ def run_classical(dim, corr, params: ModelParams, v0_init, t_max, dt, n_traj, se
             pos = 1
         fft_axes = tuple(range(1, dim + 1))
         for step in range(n_steps):
-            rows = [SeedInfo(seed, traj, step, kind=KIND_CLASSICAL).generator().standard_normal(grid.shape)
-                    for traj in trajs]
-            spec = np.fft.fftn(np.stack(rows), axes=fft_axes) * amplitude
-            grads = [np.fft.ifftn(1j * kaxes[j] * spec, axes=fft_axes).real * root_dt for j in range(dim)]
+            spec = np.fft.rfftn(normals(seed, KIND_CLASSICAL, trajs, step, grid.shape), axes=fft_axes)
+            grads = [np.fft.irfftn(spec * f, s=grid.shape, axes=fft_axes) for f in grad_filters]
             gq = interp_gradient(grads, q)
             v = v - gq / params.mass
             q = q + v * dt

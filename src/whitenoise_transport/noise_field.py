@@ -25,7 +25,7 @@ import numpy as np
 
 from .core_model import ModelParams
 from .errors import CovarianceError, InputError, ResolutionError
-from .rng import KIND_FIELD_COLORED, SeedInfo
+from .rng import KIND_FIELD_COLORED, SeedInfo, normals
 
 __all__ = [
     "FieldGrid",
@@ -131,12 +131,6 @@ def spectral_amplitude(grid: FieldGrid, corr, params: ModelParams, neg_tol=1e-8)
     return np.sqrt(spec)
 
 
-def _filter_white(xi: np.ndarray, amplitude: np.ndarray) -> np.ndarray:
-    """Filter unit white noise so its covariance DFT equals amplitude**2."""
-    field = np.fft.ifftn(np.fft.fftn(xi) * amplitude)
-    return field.real
-
-
 def sample_white_increment(grid: FieldGrid, corr, params: ModelParams, dt: float, seed_info: SeedInfo,
                            amplitude=None) -> NoiseIncrement:
     """Draw one white-in-time increment with covariance v0^2 g(.) dt.
@@ -149,8 +143,8 @@ def sample_white_increment(grid: FieldGrid, corr, params: ModelParams, dt: float
         raise InputError(f"dt must be positive, got {dt}")
     if amplitude is None:
         amplitude = spectral_amplitude(grid, corr, params)
-    xi = seed_info.generator().standard_normal(grid.shape)
-    values = _filter_white(xi, amplitude) * math.sqrt(dt)
+    xi = normals(seed_info.seed, seed_info.kind, [seed_info.traj], seed_info.step, grid.shape)
+    values = _filter_white_batch(xi, amplitude)[0] * math.sqrt(dt)
     return NoiseIncrement(values=values, dt=dt, seed_info=seed_info)
 
 
@@ -199,31 +193,16 @@ def sample_colored_path(grid: FieldGrid, corr, params: ModelParams, kernel: Colo
     Covariance: ``v0^2 g(x - x') h_nu(t - t')``.  The path is stationary
     from t = 0 (warm-up increments are drawn at negative step indices).
     The underlying white increments depend only on (seed, traj, absolute
-    step), so paths with different ``nu`` share their noise source.
+    step), so paths with different ``nu`` share their noise source.  The
+    path is the one-trajectory :class:`ColoredStream`.
     """
-    if amplitude is None:
-        amplitude = spectral_amplitude(grid, corr, params)
-    q = kernel.width_steps(dt)
-    root_dt = math.sqrt(dt)
-
-    def increment(step_index):
-        # colored draws live on their own purpose lane so that paths with
-        # different nu (and the streaming variant) share increments
-        info = SeedInfo(seed_info.seed, seed_info.traj, step_index + _COLORED_STEP_OFFSET,
-                        kind=KIND_FIELD_COLORED)
-        xi = info.generator().standard_normal(grid.shape)
-        return _filter_white(xi, amplitude) * root_dt
-
-    window = [increment(j) for j in range(-q, 0)]
-    acc = np.sum(window, axis=0)
+    stream = ColoredStream(grid, corr, params, kernel, dt, seed_info.seed, [seed_info.traj],
+                           amplitude=amplitude)
     out = np.empty((n_steps,) + grid.shape)
     for n in range(n_steps):
-        out[n] = acc / kernel.nu
+        out[n] = stream.current()[0]
         if n < n_steps - 1:
-            new = increment(n)
-            acc = acc + new - window[0]
-            window.append(new)
-            window.pop(0)
+            stream.advance()
     return out
 
 
@@ -232,9 +211,10 @@ class ColoredStream:
 
     Keeps the box-filter window of white increments in memory (q arrays of
     shape ``(batch,) + grid.shape``) and yields the potential at successive
-    sample times.  Increment indexing matches :func:`sample_colored_path`,
-    so a streamed path is bit-identical to the batch of per-trajectory
-    paths.
+    sample times.  The white increments come from their own purpose lane
+    at absolute step indices, so each trajectory's path does not depend on
+    the batch it is streamed in, and streams with different ``nu`` share
+    their noise source.
     """
 
     def __init__(self, grid, corr, params, kernel: ColoredKernel, dt, seed, traj_indices,
@@ -253,11 +233,8 @@ class ColoredStream:
         self._next_step = 0
 
     def _increment(self, step_index):
-        rows = []
-        for traj in self._trajs:
-            info = SeedInfo(self._seed, traj, step_index + _COLORED_STEP_OFFSET, kind=self._kind)
-            rows.append(info.generator().standard_normal(self._grid.shape))
-        xi = np.stack(rows)
+        xi = normals(self._seed, self._kind, self._trajs, step_index + _COLORED_STEP_OFFSET,
+                     self._grid.shape)
         return _filter_white_batch(xi, self._amp) * self._root_dt
 
     def current(self) -> np.ndarray:
@@ -273,9 +250,16 @@ class ColoredStream:
 
 
 def _filter_white_batch(xi: np.ndarray, amplitude: np.ndarray) -> np.ndarray:
-    """Batched version of :func:`_filter_white`; leading axis is the batch."""
+    """Filter a batch of unit white fields (leading axis: the batch) so each
+    field's covariance DFT equals ``amplitude**2``.
+
+    ``amplitude`` is even (see :func:`spectral_amplitude`), so the filtered
+    spectrum of a real field is Hermitian and the real-FFT pair over the
+    last-axis half of the modes gives the real field directly.
+    """
     axes = tuple(range(1, xi.ndim))
-    return np.fft.ifftn(np.fft.fftn(xi, axes=axes) * amplitude, axes=axes).real
+    half = amplitude[..., : amplitude.shape[-1] // 2 + 1]
+    return np.fft.irfftn(np.fft.rfftn(xi, axes=axes) * half, s=xi.shape[1:], axes=axes)
 
 
 _MAGIC = b"QTNF"

@@ -5,6 +5,11 @@ Every random draw in the package comes from a Philox generator keyed by
 lanes.  Streams are therefore pure functions of their coordinates: the same
 coordinates give bit-identical draws regardless of thread scheduling,
 batching, or call order.
+
+A batch of trajectories drawn at one step shares one generator: Philox is
+counter-based, so re-keying its counter to each trajectory's coordinates
+gives exactly the draws of a freshly built generator, without the cost of
+building one per trajectory.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.random import Generator, Philox
 
-__all__ = ["stream", "SeedInfo", "KIND_FIELD", "KIND_FIELD_COLORED", "KIND_CLASSICAL"]
+__all__ = ["stream", "normals", "SeedInfo", "KIND_FIELD", "KIND_FIELD_COLORED", "KIND_CLASSICAL"]
 
 # purpose lanes; distinct purposes never share a stream
 KIND_FIELD = 0
@@ -31,6 +36,31 @@ def stream(seed: int, kind: int = KIND_FIELD, traj: int = 0, step: int = 0) -> G
     key = np.array([seed & _MASK, kind & _MASK], dtype=np.uint64)
     counter = np.array([0, 0, step & _MASK, traj & _MASK], dtype=np.uint64)
     return Generator(Philox(key=key, counter=counter))
+
+
+def normals(seed: int, kind: int, trajs, step: int, shape) -> np.ndarray:
+    """Standard normals of shape ``(len(trajs),) + shape`` at one step.
+
+    Row ``i`` is bit-identical to
+    ``stream(seed, kind, trajs[i], step).standard_normal(shape)``.  One
+    generator is built per call and its counter is reset for each
+    trajectory; nothing is kept between calls, so concurrent callers never
+    share a generator.
+    """
+    trajs = list(trajs)
+    out = np.empty((len(trajs),) + tuple(shape))
+    if not trajs:
+        return out
+    gen = stream(seed, kind, trajs[0], step)
+    bitgen = gen.bit_generator
+    # the fresh state: empty output buffer, no cached half word
+    state = bitgen.state
+    counter = state["state"]["counter"]
+    for row, traj in zip(out.reshape(len(trajs), -1), trajs):
+        counter[3] = traj & _MASK
+        bitgen.state = state
+        gen.standard_normal(out=row)
+    return out
 
 
 class SeedInfo:

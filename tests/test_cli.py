@@ -138,6 +138,17 @@ def test_main_config_error_exit_code(tmp_path):
     assert main(["analytic-msd", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("section, key", [("mc", "batch_size"), ("time", "record_every"),
+                                          ("mc", "n_traj")])
+def test_zero_counts_are_config_errors(tmp_path, capsys, section, key):
+    path = write_cfg(tmp_path, **{section: {key: 0}}, out_dir=str(tmp_path / "o"))
+    with pytest.raises(ConfigError, match=f"config.{section}.{key}"):
+        load_config(path)
+    assert main(["mc-continuum", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config.{section}.{key}" in err and "Traceback" not in err
+
+
 def test_fit_subcommand(tmp_path, capsys):
     t = np.linspace(1, 30, 50)
     series = MomentSeries(times=t, msd=2.5 * t**3)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from whitenoise_transport import (BoxSizeError, FieldGrid, GaussianCorrelation,
-                                  GaussianPureState, ModelParams, Space, gaussian_wavepacket,
-                                  kernel_hat, msd_closed_form, point_state, run_classical,
-                                  run_continuum, run_lattice)
+from whitenoise_transport import (BoxSizeError, ColoredKernel, FieldGrid, GaussianCorrelation,
+                                  GaussianPureState, InputError, ModelParams, Space,
+                                  gaussian_wavepacket, kernel_hat, msd_closed_form, point_state,
+                                  run_classical, run_continuum, run_lattice)
 from whitenoise_transport.mc_simulator import SCHEME_ITO_EULER, colored_noise_convergence_study
 
 from conftest import ols_line
@@ -65,6 +65,14 @@ class TestContinuum:
         np.testing.assert_array_equal(a.per_traj_msd, b.per_traj_msd)
         np.testing.assert_array_equal(a.msd_mean, b.msd_mean)
 
+    def test_colored_bit_reproducible_across_thread_counts_and_batches(self, small_grid, packet):
+        kw = dict(t_max=0.3, dt=0.0125, n_traj=12, seed=5, record_every=4,
+                  colored=ColoredKernel(0.05))
+        a = run_continuum(small_grid, packet, CORR, P, threads=1, batch_size=12, **kw)
+        b = run_continuum(small_grid, packet, CORR, P, threads=2, batch_size=5, **kw)
+        np.testing.assert_array_equal(a.per_traj_msd, b.per_traj_msd)
+        np.testing.assert_array_equal(a.msd_mean, b.msd_mean)
+
     def test_stderr_scaling_with_ensemble_size(self, small_grid, packet):
         kw = dict(t_max=1.0, dt=0.02, record_every=25)
         small = run_continuum(small_grid, packet, CORR, P, n_traj=60, seed=9, **kw)
@@ -110,6 +118,14 @@ class TestLattice:
         z = (res.msd_mean[mask] - exact[mask]) / res.msd_stderr[mask]
         assert np.max(np.abs(z)) < 3.5
 
+    def test_bit_reproducible_across_thread_counts_and_batches(self):
+        grid = FieldGrid.lattice(1, 128)
+        kw = dict(t_max=2.0, dt=0.05, n_traj=20, seed=29, record_every=4)
+        a = run_lattice(grid, point_state(grid), SHARP, P_LAT, threads=1, batch_size=20, **kw)
+        b = run_lattice(grid, point_state(grid), SHARP, P_LAT, threads=2, batch_size=3, **kw)
+        np.testing.assert_array_equal(a.per_traj_msd, b.per_traj_msd)
+        np.testing.assert_array_equal(a.msd_mean, b.msd_mean)
+
 
 class TestClassical:
     def test_free_particle_exact(self):
@@ -134,6 +150,28 @@ class TestClassical:
         mask = res.times >= 2.0
         fit = fit_power_law(res.times[mask], res.msd_mean[mask])
         assert 2.8 <= fit.exponent <= 3.2
+
+    def test_bit_reproducible_across_thread_counts_and_batches(self):
+        kw = dict(t_max=0.2, dt=0.01, n_traj=30, seed=31, record_every=5)
+        a = run_classical(1, CORR, P, [0.0], threads=1, batch_size=500, **kw)
+        b = run_classical(1, CORR, P, [0.0], threads=2, batch_size=7, **kw)
+        np.testing.assert_array_equal(a.per_traj_msd, b.per_traj_msd)
+        np.testing.assert_array_equal(a.vvar_mean, b.vvar_mean)
+
+
+@pytest.mark.parametrize("key", ["batch_size", "record_every", "n_traj"])
+def test_zero_counts_raise_input_error(small_grid, packet, key):
+    kw = dict(t_max=0.1, dt=0.01, n_traj=2, seed=1, record_every=5, batch_size=2)
+    kw[key] = 0
+    lattice = FieldGrid.lattice(1, 64)
+    calls = [
+        lambda: run_continuum(small_grid, packet, CORR, P, **kw),
+        lambda: run_lattice(lattice, point_state(lattice), SHARP, P_LAT, **kw),
+        lambda: run_classical(1, CORR, P, [0.0], **kw),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match=key):
+            call()
 
 
 def test_colored_study_smoke(small_grid, packet):

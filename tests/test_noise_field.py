@@ -3,10 +3,10 @@ import time
 import numpy as np
 import pytest
 
-from whitenoise_transport import (ColoredKernel, CovarianceError, FieldGrid, InputError,
-                                  ModelParams, ResolutionError, SeedInfo, TabulatedCorrelation,
-                                  read_field, sample_colored_path, sample_white_increment,
-                                  spectral_amplitude, write_field)
+from whitenoise_transport import (ColoredKernel, CovarianceError, FieldGrid, GaussianCorrelation,
+                                  InputError, ModelParams, ResolutionError, SeedInfo,
+                                  TabulatedCorrelation, read_field, sample_colored_path,
+                                  sample_white_increment, spectral_amplitude, write_field)
 from whitenoise_transport.noise_field import ColoredStream, _filter_white_batch
 
 
@@ -160,6 +160,22 @@ def test_colored_stream_matches_path(grid, gaussian_corr, params, amp):
         for b in range(2):
             np.testing.assert_array_equal(cur[b], paths[b][n])
         stream.advance()
+
+
+@pytest.mark.parametrize("grid2, matrix", [
+    (FieldGrid.continuum(1, 256, 25.6), [[1.0]]),
+    (FieldGrid.continuum(1, 1024, 192.0), [[1.0]]),
+    (FieldGrid.lattice(1, 256), [[40.0]]),
+    (FieldGrid.continuum(2, 64, 16.0), [[1.0, 0.3], [0.3, 2.0]]),
+])
+def test_real_fft_filter_matches_complex_filter(grid2, matrix, params):
+    amp2 = spectral_amplitude(grid2, GaussianCorrelation(matrix), params)
+    xi = np.random.default_rng(3).standard_normal((5,) + grid2.shape)
+    axes = tuple(range(1, xi.ndim))
+    reference = np.fft.ifftn(np.fft.fftn(xi, axes=axes) * amp2, axes=axes).real
+    filtered = _filter_white_batch(xi, amp2)
+    assert filtered.shape == xi.shape
+    assert np.max(np.abs(filtered - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 def test_sampling_cost_scales_like_n_log_n(gaussian_corr, params):
