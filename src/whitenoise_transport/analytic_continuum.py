@@ -38,7 +38,6 @@ from .errors import InputError, NumericalError
 __all__ = [
     "PhaseQuery",
     "GaussianPureState",
-    "TabulatedInitialKernel",
     "Provenance",
     "MomentSeries",
     "phase",
@@ -170,29 +169,6 @@ class GaussianPureState:
         t = np.asarray(t, dtype=float)
         c = (params.hbar / (2 * params.mass * self.sigma)) ** 2
         return self.trace * (np.sum(self.sigma**2) + np.sum(c) * t**2)
-
-
-class TabulatedInitialKernel:
-    """Initial kernel given by an arbitrary sampler K(k, Y, 0).
-
-    The sampler must decay in Y (the characteristic solution pulls the
-    kernel along Y = -(2 hbar t / m) k); out-of-range samplers should
-    return 0 beyond their tabulated region.
-    """
-
-    def __init__(self, sampler, dim, trace=1.0, second_moment_value=None):
-        self._sampler = sampler
-        self.dim = dim
-        self.trace = float(trace)
-        self._second_moment = second_moment_value
-
-    def kernel_at(self, k, Y) -> complex:
-        return complex(self._sampler(np.atleast_1d(k), np.atleast_1d(Y)))
-
-    def second_moment(self) -> float:
-        if self._second_moment is None:
-            raise InputError("tabulated initial kernel has no declared finite second moment")
-        return float(self._second_moment)
 
 
 def phase(query: PhaseQuery, corr, params: ModelParams, quad_tol=1e-10) -> float:

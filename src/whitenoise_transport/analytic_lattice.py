@@ -110,10 +110,6 @@ class LatticeMomentInputs:
         data = LatticeCorrelationData.from_correlation(corr, params)
         return cls(c1=params.hbar / params.mass, r000=1.0, gamma=data.gamma, gamma2=data.gamma2)
 
-    @classmethod
-    def from_lattice_data(cls, data: LatticeCorrelationData, params: ModelParams, r000=1.0, **probes):
-        return cls(c1=params.hbar / params.mass, r000=r000, gamma=data.gamma, gamma2=data.gamma2, **probes)
-
 
 def laplace_msd(s, inputs: LatticeMomentInputs) -> complex:
     """-sum_m d^2/dk_m^2 of the transformed kernel at (k, Y) = (0, 0).
@@ -149,7 +145,6 @@ class LatticeMSDLaw:
 
     cd: float
     gamma: np.ndarray
-    trace_factor: float = 1.0
     zero_tol: float = field(default=1e-14)
 
     def __post_init__(self):
@@ -182,7 +177,7 @@ def msd_inverse_laplace_closed_form(t, law: LatticeMSDLaw):
             out = out + 0.5 * t**2  # ballistic channel
         else:
             out = out + np.exp(-g * t) / g**2 + t / g - 1.0 / g**2
-    result = law.cd * law.trace_factor * out
+    result = law.cd * out
     return result if np.ndim(t) else float(result)
 
 

@@ -77,9 +77,10 @@ def _merge(template, override):
     return out
 
 
-# counts that loops step or divide by: each must be a JSON integer >= 1
+# counts that loops step or divide by, and array sizes: each must be a JSON integer >= 1
 _POSITIVE_COUNTS = (("mc", "n_traj"), ("mc", "batch_size"), ("time", "record_every"),
-                    ("evolve", "record_every"))
+                    ("evolve", "record_every"), ("grid", "points"), ("lattice_box", "sites"),
+                    ("evolve", "y_box"))
 
 
 def _check_counts(cfg):
@@ -87,6 +88,17 @@ def _check_counts(cfg):
         val = cfg[section][key]
         if isinstance(val, bool) or not isinstance(val, int) or val < 1:
             raise ConfigError(f"config.{section}.{key}: must be a positive integer, got {val!r}")
+
+
+def _check_evolve_times(cfg):
+    dt, t_max = cfg["evolve"]["dt"], cfg["evolve"]["t_max"]
+    for key, val in (("dt", dt), ("t_max", t_max)):
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            raise ConfigError(f"config.evolve.{key}: must be a number, got {val!r}")
+    if not dt > 0:
+        raise ConfigError(f"config.evolve.dt: must be positive, got {dt!r}")
+    if not t_max >= dt:
+        raise ConfigError(f"config.evolve.t_max: must be at least evolve.dt = {dt!r}, got {t_max!r}")
 
 
 def load_config(path) -> dict:
@@ -101,6 +113,7 @@ def load_config(path) -> dict:
     _check_keys(raw, DEFAULT_CONFIG)
     cfg = _merge(DEFAULT_CONFIG, raw)
     _check_counts(cfg)
+    _check_evolve_times(cfg)
     return cfg
 
 
@@ -482,6 +495,8 @@ _ROUTES = {
 
 def run(config_path, route=None, seed=None, out_dir=None, threads=1) -> int:
     """Execute a route from a config file; returns the process exit code."""
+    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
+        raise ConfigError(f"--threads: must be a positive integer, got {threads!r}")
     cfg = load_config(config_path)
     route = route or cfg.get("route")
     if route not in _ROUTES:

@@ -149,6 +149,28 @@ def test_zero_counts_are_config_errors(tmp_path, capsys, section, key):
     assert f"config.{section}.{key}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("grid", "points", "abc"), ("lattice_box", "sites", 0), ("evolve", "y_box", 2.5),
+    ("evolve", "dt", 0), ("evolve", "dt", -0.01), ("evolve", "t_max", 0.001)])
+def test_bad_sizes_and_evolve_times_are_config_errors(tmp_path, capsys, section, key, value):
+    path = write_cfg(tmp_path, **{section: {key: value}}, out_dir=str(tmp_path / "o"))
+    with pytest.raises(ConfigError, match=f"config.{section}.{key}"):
+        load_config(path)
+    assert main(["evolve-lattice", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config.{section}.{key}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_are_rejected(tmp_path, capsys, threads):
+    path = write_cfg(tmp_path, out_dir=str(tmp_path / "o"))
+    assert main(["analytic-msd", "--config", str(path), "--threads", threads]) == 2
+    err = capsys.readouterr().err
+    assert "--threads" in err and "Traceback" not in err
+    with pytest.raises(ConfigError, match="--threads"):
+        run(path, route="analytic-msd", threads=int(threads))
+
+
 def test_fit_subcommand(tmp_path, capsys):
     t = np.linspace(1, 30, 50)
     series = MomentSeries(times=t, msd=2.5 * t**3)
