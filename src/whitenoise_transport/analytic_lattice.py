@@ -111,27 +111,34 @@ class LatticeMomentInputs:
         return cls(c1=params.hbar / params.mass, r000=1.0, gamma=data.gamma, gamma2=data.gamma2)
 
 
-def laplace_msd(s, inputs: LatticeMomentInputs) -> complex:
+def laplace_msd(s, inputs: LatticeMomentInputs):
     """-sum_m d^2/dk_m^2 of the transformed kernel at (k, Y) = (0, 0).
 
     Assembled exactly from the closed moment chain; the leading small-s
     behaviour is (2 c1)^2 / s^2 * sum_m 1/h(e_m, s) * K(0,0,0) and the
     O(1/s) remainder from the initial-kernel probes is kept explicitly.
     Real at real s for Hermitian inputs.  Poles: s = 0, s = -gamma values.
+
+    ``s`` may be a scalar, which gives a ``complex``, or an array of any
+    shape, which gives a complex array of that shape: each point is
+    broadcast against the per-axis arrays of ``inputs`` and summed over the
+    axes.  A pole at any point raises :class:`PoleError`.
     """
-    s = complex(s)
+    s = np.asarray(s, dtype=complex)
+    s_col = s[..., np.newaxis]  # trailing axis runs over the lattice axes m
     c1 = inputs.c1
-    h1 = s + inputs.gamma
-    h2 = s + inputs.gamma2
-    if s == 0 or np.any(h1 == 0) or np.any(h2 == 0):
-        raise PoleError(f"laplace_msd evaluated at a pole: s={s}, gamma={inputs.gamma}")
+    h1 = s_col + inputs.gamma
+    h2 = s_col + inputs.gamma2
+    pole = (s == 0) | np.any(h1 == 0, axis=-1) | np.any(h2 == 0, axis=-1)
+    if np.any(pole):
+        raise PoleError(f"laplace_msd evaluated at a pole: s={s[pole][0]}, gamma={inputs.gamma}")
 
     # first-derivative difference M1_m(e_m) - M1_m(-e_m), axis-wise
-    m1_diff = (c1 * ((inputs.r_2e + inputs.r_minus_2e) / h2 - 2.0 * inputs.r000 / s)
+    m1_diff = (c1 * ((inputs.r_2e + inputs.r_minus_2e) / h2 - 2.0 * inputs.r000 / s_col)
                + (inputs.d1_e - inputs.d1_minus_e)) / h1
     s_m2 = 2.0 * c1 * m1_diff + inputs.d2_zero
-    total = np.sum(s_m2) / s
-    return complex(-total)
+    total = -(np.sum(s_m2, axis=-1) / s)
+    return complex(total) if total.ndim == 0 else total
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ import numpy as np
 from . import __version__
 from .analytic_continuum import (GaussianPureState, MomentSeries, Provenance, cubic_coefficient,
                                  msd_closed_form)
-from .analytic_lattice import (BallisticFlag, LatticeMSDLaw, LatticeMomentInputs,
-                               diffusion_constant, msd_inverse_laplace_closed_form)
+from .analytic_lattice import (LatticeMSDLaw, LatticeMomentInputs, law_to_json,
+                               msd_inverse_laplace_closed_form)
 from .core_model import (GaussianCorrelation, ModelParams, Space, laplacian_g_at_zero,
                          load_correlation_csv, validate_hypotheses)
 from .errors import ConfigError, Error, InputError, NumericalError
@@ -90,15 +90,16 @@ def _check_counts(cfg):
             raise ConfigError(f"config.{section}.{key}: must be a positive integer, got {val!r}")
 
 
-def _check_evolve_times(cfg):
-    dt, t_max = cfg["evolve"]["dt"], cfg["evolve"]["t_max"]
+def _check_step_times(cfg, section):
+    """``section.dt`` a positive number and ``section.t_max >= section.dt``."""
+    dt, t_max = cfg[section]["dt"], cfg[section]["t_max"]
     for key, val in (("dt", dt), ("t_max", t_max)):
         if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"config.evolve.{key}: must be a number, got {val!r}")
+            raise ConfigError(f"config.{section}.{key}: must be a number, got {val!r}")
     if not dt > 0:
-        raise ConfigError(f"config.evolve.dt: must be positive, got {dt!r}")
+        raise ConfigError(f"config.{section}.dt: must be positive, got {dt!r}")
     if not t_max >= dt:
-        raise ConfigError(f"config.evolve.t_max: must be at least evolve.dt = {dt!r}, got {t_max!r}")
+        raise ConfigError(f"config.{section}.t_max: must be at least {section}.dt = {dt!r}, got {t_max!r}")
 
 
 def load_config(path) -> dict:
@@ -113,7 +114,8 @@ def load_config(path) -> dict:
     _check_keys(raw, DEFAULT_CONFIG)
     cfg = _merge(DEFAULT_CONFIG, raw)
     _check_counts(cfg)
-    _check_evolve_times(cfg)
+    _check_step_times(cfg, "evolve")
+    _check_step_times(cfg, "time")
     return cfg
 
 
@@ -221,20 +223,16 @@ def _route_lattice_law(cfg, out_dir, threads):
     corr = _build_correlation(cfg, params)
     inputs = _lattice_inputs(cfg, params, corr)
     law = LatticeMSDLaw.from_inputs(inputs)
-    d = diffusion_constant(inputs, trace=1.0)
-    payload = {
-        "Cd": law.cd,
-        "gamma": [float(g) for g in inputs.gamma],
-        "D": "ballistic" if isinstance(d, BallisticFlag) else d,
-    }
+    text = law_to_json(law, inputs, 1.0, indent=2, sort_keys=True)
     with open(out_dir / "law.json", "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write(text)
         fh.write("\n")
     times = _time_grid(cfg)
     mask = times >= 0
     series = MomentSeries(times=times[mask], msd=msd_inverse_laplace_closed_form(times[mask], law),
                           provenance=Provenance.CLOSED_FORM)
     series.to_csv(out_dir / "msd_lattice_law.csv")
+    payload = json.loads(text)
     print(f"Cd {law.cd:.6g}, gamma {payload['gamma']}, D {payload['D']}")
     return 0
 

@@ -121,16 +121,20 @@ def point_state(grid: FieldGrid) -> np.ndarray:
     return psi
 
 
-def _kinetic_multipliers(grid: FieldGrid, params: ModelParams, dt: float):
-    """exp(-i H0 dt / (2 hbar)) per Fourier mode (half step), and its square."""
+def _h0_multiplier(grid: FieldGrid, params: ModelParams) -> np.ndarray:
+    """Kinetic energy H0 per Fourier mode of ``grid`` (``fftn`` ordering)."""
     n = grid.points_per_side
     freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
     axes = np.meshgrid(*[freqs] * grid.dim, indexing="ij")
     if params.space is Space.CONTINUUM:
-        h0 = params.hbar**2 * sum(a**2 for a in axes) / (2.0 * params.mass)
-    else:
-        # neighbour-sum Laplacian: H0 multiplier -(hbar^2/m) sum_j cos(theta_j)
-        h0 = -(params.hbar**2 / params.mass) * sum(np.cos(a * grid.spacing) for a in axes)
+        return params.hbar**2 * sum(a**2 for a in axes) / (2.0 * params.mass)
+    # neighbour-sum Laplacian: H0 multiplier -(hbar^2/m) sum_j cos(theta_j)
+    return -(params.hbar**2 / params.mass) * sum(np.cos(a * grid.spacing) for a in axes)
+
+
+def _kinetic_multipliers(grid: FieldGrid, params: ModelParams, dt: float):
+    """exp(-i H0 dt / (2 hbar)) per Fourier mode (half step), and its square."""
+    h0 = _h0_multiplier(grid, params)
     half = np.exp(-1j * h0 * dt / (2.0 * params.hbar))
     return half, half * half
 
@@ -157,13 +161,8 @@ class _Observables:
         self.w = grid.spacing**grid.dim
         axes = np.meshgrid(*[grid.axis_coords()] * grid.dim, indexing="ij")
         self.r2 = sum(a**2 for a in axes)
+        self.h0 = _h0_multiplier(grid, params)
         n = grid.points_per_side
-        freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
-        kaxes = np.meshgrid(*[freqs] * grid.dim, indexing="ij")
-        if params.space is Space.CONTINUUM:
-            self.h0 = params.hbar**2 * sum(a**2 for a in kaxes) / (2.0 * params.mass)
-        else:
-            self.h0 = -(params.hbar**2 / params.mass) * sum(np.cos(a * grid.spacing) for a in kaxes)
         edge = max(1, n // 128) if edge_cells is None else edge_cells
         coords1 = grid.axis_coords()
         lim = (n // 2 - edge + 1) * grid.spacing
@@ -293,6 +292,8 @@ def _run_quantum(grid, psi0, corr, params, t_max, dt, n_traj, seed, record_every
                  scheme, threads, batch_size, probe_k, colored):
     if dt <= 0 or t_max <= 0:
         raise InputError("t_max and dt must be positive")
+    if t_max < dt:
+        raise InputError(f"t_max must be at least dt = {dt!r}, got {t_max!r}")
     _check_counts(n_traj=n_traj, batch_size=batch_size, record_every=record_every)
     n_steps = int(round(t_max / dt))
     record_steps = _record_steps(n_steps, record_every)
@@ -390,6 +391,8 @@ def run_classical(dim, corr, params: ModelParams, v0_init, t_max, dt, n_traj, se
     """
     if dt <= 0 or t_max <= 0:
         raise InputError("t_max and dt must be positive")
+    if t_max < dt:
+        raise InputError(f"t_max must be at least dt = {dt!r}, got {t_max!r}")
     _check_counts(n_traj=n_traj, batch_size=batch_size, record_every=record_every)
     if grid is None:
         length = 16.0 * corr.correlation_length()

@@ -9,7 +9,8 @@ from whitenoise_transport import (GaussianCorrelation, GaussianPureState, InputE
                                   MomentSeries, PhaseQuery, cubic_coefficient, fit_power_law,
                                   kernel_hat, laplace_kernel_1d, laplace_transform_numeric,
                                   msd_by_kernel_differences, msd_closed_form, phase)
-from whitenoise_transport.analytic_continuum import Provenance
+from whitenoise_transport.analytic_continuum import Provenance, _fd_base_step, _laplacian_k
+from whitenoise_transport.core_model import laplacian_g_at_zero
 
 
 @pytest.fixture
@@ -128,6 +129,44 @@ class TestMsdClosedForm:
         series = msd_closed_form(ts, init2, corr, p2)
         exact = 2 * (1 + ts**2 / 4) + 2.0 * ts**3  # B = (1/3) * 6 = 2
         np.testing.assert_allclose(series.msd, exact, rtol=1e-9)
+
+
+def _msd_per_time(times, init, corr, params, fd_base_step=None):
+    """Per-time reference for msd_closed_form: one _laplacian_k stencil per time."""
+    d = params.dim
+    k000 = init.kernel_at(np.zeros(d), np.zeros(d)).real
+    rate = params.coupling * (2.0 * params.hbar / params.mass) ** 2 * laplacian_g_at_zero(corr) / 3.0
+    c = 2.0 * params.hbar / params.mass
+    out = []
+    for t in times:
+        base = fd_base_step if fd_base_step is not None else _fd_base_step(params, t, times.max())
+        lap_w = _laplacian_k(lambda k: init.kernel_at(k, -(c * t) * k), d, base).real
+        out.append(-(rate * t**3 * k000 + lap_w) / 2.0 ** (d + 2))
+    return np.array(out)
+
+
+class TestMsdClosedFormArrays:
+    @pytest.mark.parametrize("dim, fd_base_step", [(1, None), (2, None), (3, None), (1, 0.01), (2, 0.003)])
+    def test_matches_per_time_stencil(self, dim, fd_base_step):
+        params = ModelParams(v0=0.8, mass=1.3, dim=dim)
+        corr = GaussianCorrelation(np.diag([1.0, 0.6, 1.7][:dim]))
+        init = GaussianPureState([0.7, 1.0, 1.4][:dim], trace=0.9)
+        ts = np.linspace(0.0, 120.0, 37)
+        got = msd_closed_form(ts, init, corr, params, fd_base_step=fd_base_step).msd
+        ref = _msd_per_time(ts, init, corr, params, fd_base_step)
+        # same operations per element; only the last bit of t**3 and h**2
+        # may differ between array and scalar powers
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+
+    def test_kernel_at_stacked_points(self):
+        init = GaussianPureState([0.7, 1.3], trace=0.5)
+        k = np.array([[[0.1, -0.2], [0.0, 0.3]], [[1.0, 0.5], [-0.4, 0.0]]])
+        Y = np.array([[0.5, 0.0], [-1.0, 2.0]])  # broadcast over the leading axis
+        got = init.kernel_at(k, Y)
+        assert got.shape == (2, 2)
+        for i in range(2):
+            for j in range(2):
+                assert got[i, j] == init.kernel_at(k[i, j], Y[j])
 
 
 class TestLaplaceKernel1d:

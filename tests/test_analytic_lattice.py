@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,33 @@ class TestLaplaceMsd:
             laplace_msd(0.0, point_inputs)
         with pytest.raises(PoleError):
             laplace_msd(-1.0, point_inputs)  # s = -gamma
+
+    @pytest.mark.parametrize("inputs", [
+        LatticeMomentInputs(c1=1.3, r000=0.9, gamma=[0.7], gamma2=[1.1], r_e=[0.3 + 0.7j],
+                            r_minus_e=[0.3 - 0.7j], r_2e=[-0.1 + 0.2j], r_minus_2e=[0.05 - 0.3j],
+                            d1_e=[0.05 + 0.4j], d1_minus_e=[-0.2 + 0.1j], d2_zero=[-0.3 + 0.05j]),
+        LatticeMomentInputs(c1=0.8, r000=1.2, gamma=[0.7, 1.9], gamma2=[1.1, 2.5],
+                            r_e=[0.3 + 0.7j, -0.2j], r_minus_e=[0.3 - 0.7j, 0.4], r_2e=[-0.1 + 0.2j, 0.6],
+                            r_minus_2e=[0.05 - 0.3j, 0.1 + 0.1j], d1_e=[0.05 + 0.4j, -0.3],
+                            d1_minus_e=[-0.2 + 0.1j, 0.7j], d2_zero=[-0.3 + 0.05j, 0.2 - 0.1j]),
+    ], ids=["1d", "2d"])
+    def test_array_equals_scalar_calls(self, inputs):
+        s = np.array([[0.1, 1.0 + 2.0j, 17.3, -0.2 + 0.5j],
+                      [3.0 - 1.0j, 0.05j, 2.5, 40.0 + 40.0j],
+                      [-0.69, 1e-3, 1e3, 0.4 - 0.3j]])
+        got = laplace_msd(s, inputs)
+        assert got.shape == s.shape and got.dtype == complex
+        ref = np.array([laplace_msd(complex(v), inputs) for v in s.ravel()]).reshape(s.shape)
+        np.testing.assert_array_equal(got, ref)
+        assert type(laplace_msd(0.1, inputs)) is complex
+
+    def test_pole_anywhere_in_array(self):
+        inputs = LatticeMomentInputs(c1=1.0, r000=1.0, gamma=[0.7, 1.9], gamma2=[1.1, 2.5])
+        # s = 0, and one axis's h(e_m, s) or h(2 e_m, s) vanishing
+        for pole in (0.0, -1.9, -1.1):
+            s = np.array([0.5, 1.0 + 1.0j, pole, 2.0])
+            with pytest.raises(PoleError, match=re.escape(f"s={complex(pole)},")):
+                laplace_msd(s, inputs)
 
     def test_r000_must_be_positive(self):
         with pytest.raises(InputError):

@@ -85,9 +85,11 @@ def test_lattice_law_route(tmp_path):
                     time={"t_max": 50.0, "n_points": 120},
                     out_dir=str(tmp_path / "law"))
     assert run(cfg, route="lattice-law") == 0
-    law = json.loads((tmp_path / "law" / "law.json").read_text())
+    text = (tmp_path / "law" / "law.json").read_text()
+    law = json.loads(text)
     assert law["Cd"] == pytest.approx(4.0)
     assert law["D"] == pytest.approx(4.0)
+    assert text == json.dumps(law, indent=2, sort_keys=True) + "\n"
 
 
 def test_evolve_and_compare_lattice(tmp_path):
@@ -159,6 +161,19 @@ def test_bad_sizes_and_evolve_times_are_config_errors(tmp_path, capsys, section,
     assert main(["evolve-lattice", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert f"config.{section}.{key}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("time, key", [
+    ({"dt": 1.0, "t_max": 0.4}, "t_max"), ({"dt": 0}, "dt"), ({"dt": -0.01}, "dt"),
+    ({"dt": "fast"}, "dt"), ({"t_max": None}, "t_max")])
+def test_time_step_longer_than_run_is_config_error(tmp_path, capsys, time, key):
+    path = write_cfg(tmp_path, time=time, out_dir=str(tmp_path / "o"))
+    with pytest.raises(ConfigError, match=f"config.time.{key}"):
+        load_config(path)
+    assert main(["mc-continuum", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config.time.{key}" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

@@ -174,6 +174,19 @@ def test_zero_counts_raise_input_error(small_grid, packet, key):
             call()
 
 
+def test_time_step_longer_than_run_raises_input_error(small_grid, packet):
+    kw = dict(t_max=0.4, dt=1.0, n_traj=2, seed=1, record_every=1, batch_size=2)
+    lattice = FieldGrid.lattice(1, 64)
+    calls = [
+        lambda: run_continuum(small_grid, packet, CORR, P, **kw),
+        lambda: run_lattice(lattice, point_state(lattice), SHARP, P_LAT, **kw),
+        lambda: run_classical(1, CORR, P, [0.0], **kw),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match="t_max must be at least dt"):
+            call()
+
+
 def test_colored_study_smoke(small_grid, packet):
     # per-trajectory deviations are skewed, so the smoke run needs a
     # moderate ensemble for the z-statistics to mean anything

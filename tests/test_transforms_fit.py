@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whitenoise_transport import (InputError, TruncationError, fit_power_law,
+from whitenoise_transport import (InputError, NumericalError, TruncationError, fit_power_law,
                                   inverse_laplace_numeric, laplace_transform_numeric)
 
 
@@ -136,3 +138,77 @@ class TestInverseLaplace:
         for s in (0.3, 0.7, 1.5, 3.0):
             got = laplace_transform_numeric((tg, fv), s, tail_tol=1e-8)
             assert abs(got - F(s)) / abs(F(s)) < 1e-6
+
+
+def _talbot_at(F, t, M):
+    """Fixed Talbot rule at one time, one node per call of ``F``."""
+    r = 2.0 * M / (5.0 * t)
+    theta = np.pi * np.arange(1, M) / M
+    cot = 1.0 / np.tan(theta)
+    s = r * theta * (cot + 1j)
+    sigma = theta + (theta * cot - 1.0) * cot
+    Fs = np.array([F(np.array([si]))[0] for si in s])
+    terms = np.exp(t * s) * Fs * (1.0 + 1j * sigma)
+    head = 0.5 * np.exp(r * t) * F(np.array([complex(r)]))[0].real
+    return (r / M) * math.fsum([head] + list(terms.real))
+
+
+def _talbot_per_time(F, ts, rtol, atol, n_nodes=24, max_doublings=2):
+    """Per-time reference for inverse_laplace_numeric: value and doublings used."""
+    out, doublings = [], []
+    for t in ts:
+        M = n_nodes
+        coarse, fine = _talbot_at(F, t, max(M - 8, 8)), _talbot_at(F, t, M)
+        best_val, best_gap = fine, abs(fine - coarse)
+        converged = abs(fine - coarse) - rtol * abs(fine) - atol <= 0
+        used = 0
+        while not converged and used < max_doublings:
+            M *= 2
+            used += 1
+            coarse, fine = fine, _talbot_at(F, t, M)
+            if abs(fine - coarse) < best_gap:
+                best_val, best_gap = fine, abs(fine - coarse)
+            converged = abs(fine - coarse) - rtol * abs(fine) - atol <= 0
+        assert converged or best_gap <= rtol * abs(best_val) + atol
+        out.append(fine if converged else best_val)
+        doublings.append(used)
+    return np.array(out), doublings
+
+
+class TestInverseLaplaceArrays:
+    # 4 (1 - cos(t/2)): 16 and 24 nodes agree to 1e-6 up to t = 10, while
+    # t = 15 and 20 need one doubling to 48 nodes
+    F = staticmethod(lambda s: 1 / (s * (s * s + 0.25)))
+    TS = np.array([0.5, 2.0, 5.0, 10.0, 15.0, 20.0])
+
+    def test_mixed_doublings_match_per_time_reference(self):
+        ref, doublings = _talbot_per_time(self.F, self.TS, rtol=1e-6, atol=0.0)
+        assert doublings == [0, 0, 0, 0, 1, 1]
+        sizes = []
+
+        def counted(s):
+            sizes.append(s.shape)
+            return self.F(s)
+
+        got = inverse_laplace_numeric(counted, self.TS, rtol=1e-6, atol=0.0)
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+        # one call per node count; only the two unconverged times are doubled
+        assert sizes == [(6 * 16,), (6 * 24,), (2 * 48,)]
+        np.testing.assert_allclose(got, 4 * (1 - np.cos(self.TS / 2)), rtol=1e-8)
+
+    def test_scalar_time_gives_float(self):
+        got = inverse_laplace_numeric(self.F, 5.0, rtol=1e-6, atol=0.0)
+        assert isinstance(got, float)
+        assert got == pytest.approx(_talbot_per_time(self.F, [5.0], 1e-6, 0.0)[0][0], rel=1e-14)
+
+    def test_first_failing_time_is_named(self):
+        # exp(-t) at t = 30 and 40 sits below the contour's roundoff floor
+        with pytest.raises(NumericalError, match=r"t=40 ") as err:
+            inverse_laplace_numeric(lambda s: 1 / (s + 1.0), [1.0, 40.0, 30.0], atol=0.0)
+        assert err.value.achieved > 0
+
+    @pytest.mark.parametrize("F", [lambda s: 1.0, lambda s: (1 / s)[:-1], lambda s: (1 / s).reshape(-1, 1)],
+                             ids=["scalar", "short", "column"])
+    def test_wrong_result_shape_is_input_error(self, F):
+        with pytest.raises(InputError, match="one value per node"):
+            inverse_laplace_numeric(F, [1.0, 2.0])
