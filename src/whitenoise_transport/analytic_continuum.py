@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core_model import ModelParams, laplacian_g_at_zero
 from .errors import InputError, NumericalError
@@ -196,6 +195,8 @@ def phase(query: PhaseQuery, corr, params: ModelParams, quad_tol=1e-10) -> float
     def integrand(s):
         return float(corr.g(k0 - (c * s) * k))
 
+    from scipy.integrate import quad
+
     val, err = quad(integrand, 0.0, t, epsabs=quad_tol, epsrel=1e-12, limit=400)
     if err > max(quad_tol * 10, 1e-8 * abs(val)):
         raise NumericalError(f"phase quadrature reached only abs error {err:.3e}", achieved=err)
@@ -332,6 +333,8 @@ def laplace_kernel_1d(k, s, init, corr, params: ModelParams, quad_tol=1e-10) -> 
     def f(z):
         ph = phase(PhaseQuery(k=np.array([k]), t=z), corr, params, quad_tol=quad_tol)
         return np.exp(-s * z + ph) * init.kernel_at(np.array([k]), np.array([-c * k * z]))
+
+    from scipy.integrate import quad
 
     upper = min(60.0 / s.real, np.inf)
     re, re_err = quad(lambda z: f(z).real, 0.0, upper, epsabs=quad_tol, epsrel=1e-11, limit=400)

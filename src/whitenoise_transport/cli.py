@@ -4,7 +4,8 @@ One JSON config file describes the model, correlation, grids, time
 stepping, Monte Carlo settings and fit windows; subcommands select the
 route.  Unknown config keys are hard errors (silent misconfiguration of
 physics parameters is worse than noise).  Every output directory receives
-``manifest.json`` with the full resolved config, seed and package version,
+``manifest.json`` with the full resolved config, seed, the package,
+Python, numpy and scipy versions and the random-stream version,
 sufficient to re-run the experiment exactly; outputs carry no timestamps
 so identical config + seed produce byte-identical files.
 
@@ -15,8 +16,10 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import math
+import platform
 import sys
 from pathlib import Path
 
@@ -34,6 +37,7 @@ from .evolve_lattice import LatticeInitialData, evolve_hierarchy
 from .mc_simulator import (colored_noise_convergence_study, gaussian_wavepacket, point_state,
                            run_classical, run_continuum, run_lattice)
 from .noise_field import FieldGrid
+from .rng import STREAM_VERSION
 from .transforms_fit import FitResult, fit_power_law
 
 __all__ = ["DEFAULT_CONFIG", "load_config", "save_config", "run", "emit_plot_data", "main"]
@@ -155,12 +159,25 @@ def _build_initial(cfg, params):
     raise ConfigError(f"config.initial.kind: unknown kind {ini['kind']!r}")
 
 
+@functools.cache
+def _scipy_version() -> str:
+    # read from the installed metadata, without importing scipy; cached,
+    # because the lookup scans sys.path (a few ms) on every call
+    from importlib.metadata import version
+
+    return version("scipy")
+
+
 def _write_manifest(out_dir: Path, cfg, route):
     manifest = {
         "config": cfg,
         "route": route,
         "seed": cfg["seed"],
         "package_version": __version__,
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
+        "scipy_version": _scipy_version(),
+        "rng_stream_version": STREAM_VERSION,
         "rerun": f"wnt {route} --config config.json --seed {cfg['seed']}",
     }
     with open(out_dir / "manifest.json", "w", newline="\n") as fh:

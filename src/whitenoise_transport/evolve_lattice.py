@@ -36,7 +36,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .analytic_continuum import MomentSeries, Provenance
 from .core_model import ModelParams
@@ -109,6 +108,8 @@ class LatticeState:
 def _shift_operator(side: int, dim: int, axis: int, direction: int):
     """Sparse S with (S y)[Y] = y[Y + direction e_axis] on the C-order
     flattened periodic box."""
+    import scipy.sparse as sp
+
     n = side**dim
     cols = np.roll(np.arange(n).reshape((side,) * dim), -direction, axis=axis).ravel()
     return sp.csr_matrix((np.ones(n), (np.arange(n), cols)), shape=(n, n))
@@ -121,6 +122,8 @@ def _hierarchy_generator(gamma: np.ndarray, c1: float):
 
     with D_j = S_j(+1) - S_j(-1) the symmetric Y-difference along axis j.
     """
+    import scipy.sparse as sp
+
     d, side = gamma.ndim, gamma.shape[0]
     decay = sp.diags(-gamma.ravel())
     blocks = [[None] * (2 * d + 1) for _ in range(2 * d + 1)]
@@ -137,6 +140,8 @@ def _hierarchy_generator(gamma: np.ndarray, c1: float):
 def _kernel_generator(gamma: np.ndarray, c: float, mult_plus, mult_minus, diag: float):
     """Complex generator of the transformed kernel at fixed k over the flattened box:
     -(gamma + i c diag) - i c sum_j [mult_plus_j S_j(+1) + mult_minus_j S_j(-1)]."""
+    import scipy.sparse as sp
+
     d, side = gamma.ndim, gamma.shape[0]
     A = sp.diags(-(gamma.ravel() + 1j * c * diag))
     for j in range(d):
@@ -150,6 +155,8 @@ class _StepOperator:
     powers P^r (binary squaring) cached per step gap r."""
 
     def __init__(self, A, dt: float):
+        import scipy.sparse as sp
+
         eye = sp.identity(A.shape[0], dtype=A.dtype, format="csr")
         hA = dt * A
         P = eye + hA / 4.0

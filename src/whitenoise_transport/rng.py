@@ -6,18 +6,25 @@ lanes.  Streams are therefore pure functions of their coordinates: the same
 coordinates give bit-identical draws regardless of thread scheduling,
 batching, or call order.
 
-A batch of trajectories drawn at one step shares one generator: Philox is
-counter-based, so re-keying its counter to each trajectory's coordinates
+Each thread keeps one generator for all its batch draws: Philox is
+counter-based, so setting its key and counter to a draw's coordinates
 gives exactly the draws of a freshly built generator, without the cost of
-building one per trajectory.
+building one per trajectory or per call.
 """
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 from numpy.random import Generator, Philox
 
-__all__ = ["stream", "normals", "SeedInfo", "KIND_FIELD", "KIND_FIELD_COLORED", "KIND_CLASSICAL"]
+__all__ = ["stream", "normals", "SeedInfo", "KIND_FIELD", "KIND_FIELD_COLORED", "KIND_CLASSICAL",
+           "STREAM_VERSION"]
+
+#: version of the mapping from draw coordinates to numbers, recorded in every
+#: manifest; it changes whenever a seed would give different draws
+STREAM_VERSION = 1
 
 # purpose lanes; distinct purposes never share a stream
 KIND_FIELD = 0
@@ -38,24 +45,33 @@ def stream(seed: int, kind: int = KIND_FIELD, traj: int = 0, step: int = 0) -> G
     return Generator(Philox(key=key, counter=counter))
 
 
+# per thread: one generator and the state of a freshly built Philox (empty
+# output buffer, no cached half word) that re-keys it
+_local = threading.local()
+
+
 def normals(seed: int, kind: int, trajs, step: int, shape) -> np.ndarray:
     """Standard normals of shape ``(len(trajs),) + shape`` at one step.
 
     Row ``i`` is bit-identical to
-    ``stream(seed, kind, trajs[i], step).standard_normal(shape)``.  One
-    generator is built per call and its counter is reset for each
-    trajectory; nothing is kept between calls, so concurrent callers never
-    share a generator.
+    ``stream(seed, kind, trajs[i], step).standard_normal(shape)``.  The
+    calling thread's generator is reset to the fresh state at each
+    trajectory's key and counter, so no generator is built per call and
+    concurrent callers never share one.
     """
     trajs = list(trajs)
     out = np.empty((len(trajs),) + tuple(shape))
     if not trajs:
         return out
-    gen = stream(seed, kind, trajs[0], step)
+    try:
+        gen, state = _local.gen, _local.state
+    except AttributeError:
+        gen = _local.gen = stream(0)
+        state = _local.state = gen.bit_generator.state
     bitgen = gen.bit_generator
-    # the fresh state: empty output buffer, no cached half word
-    state = bitgen.state
+    state["state"]["key"][:] = (seed & _MASK, kind & _MASK)
     counter = state["state"]["counter"]
+    counter[2] = step & _MASK
     for row, traj in zip(out.reshape(len(trajs), -1), trajs):
         counter[3] = traj & _MASK
         bitgen.state = state

@@ -1,4 +1,6 @@
+import importlib.metadata
 import json
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -58,6 +60,10 @@ def test_analytic_route_artifacts(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["route"] == "analytic-msd"
     assert manifest["seed"] == DEFAULT_CONFIG["seed"]
+    assert manifest["python_version"] == platform.python_version()
+    assert manifest["numpy_version"] == np.__version__
+    assert manifest["scipy_version"] == importlib.metadata.version("scipy")
+    assert manifest["rng_stream_version"] == 1
     assert (out / "config.json").exists()
 
 

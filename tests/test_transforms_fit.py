@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from whitenoise_transport import (InputError, NumericalError, TruncationError, fit_power_law,
@@ -122,6 +122,7 @@ class TestInverseLaplace:
 
     @settings(max_examples=15, deadline=None)
     @given(st.floats(min_value=0.2, max_value=2.0), st.floats(min_value=0.2, max_value=8.0))
+    @example(a=2.0, t=8.0)
     def test_exponential_pairs(self, a, t):
         # a*t kept moderate: double-precision Talbot cannot resolve values
         # below its exp(2M/5)*eps roundoff floor
@@ -154,46 +155,47 @@ def _talbot_at(F, t, M):
 
 
 def _talbot_per_time(F, ts, rtol, atol, n_nodes=24, max_doublings=2):
-    """Per-time reference for inverse_laplace_numeric: value and doublings used."""
-    out, doublings = [], []
+    """Per-time reference for inverse_laplace_numeric: per time the best
+    value, its gap, the doublings used and whether the gap is in tolerance."""
+    out = []
     for t in ts:
         M = n_nodes
-        coarse, fine = _talbot_at(F, t, max(M - 8, 8)), _talbot_at(F, t, M)
-        best_val, best_gap = fine, abs(fine - coarse)
-        converged = abs(fine - coarse) - rtol * abs(fine) - atol <= 0
+        val = _talbot_at(F, t, M)
+        gap = abs(val - _talbot_at(F, t, M - 4))
         used = 0
-        while not converged and used < max_doublings:
+        while gap > rtol * abs(val) + atol and used < max_doublings:
             M *= 2
             used += 1
-            coarse, fine = fine, _talbot_at(F, t, M)
-            if abs(fine - coarse) < best_gap:
-                best_val, best_gap = fine, abs(fine - coarse)
-            converged = abs(fine - coarse) - rtol * abs(fine) - atol <= 0
-        assert converged or best_gap <= rtol * abs(best_val) + atol
-        out.append(fine if converged else best_val)
-        doublings.append(used)
-    return np.array(out), doublings
+            new = _talbot_at(F, t, M)
+            if not abs(new - val) < gap:
+                break
+            val, gap = new, abs(new - val)
+        out.append((val, gap, used, gap <= rtol * abs(val) + atol))
+    return out
 
 
 class TestInverseLaplaceArrays:
-    # 4 (1 - cos(t/2)): 16 and 24 nodes agree to 1e-6 up to t = 10, while
-    # t = 15 and 20 need one doubling to 48 nodes
+    # 4 (1 - cos(t/2)): 20 and 24 nodes agree to 1e-6 up to t = 15, while
+    # t = 20 needs one doubling to 48 nodes
     F = staticmethod(lambda s: 1 / (s * (s * s + 0.25)))
     TS = np.array([0.5, 2.0, 5.0, 10.0, 15.0, 20.0])
 
-    def test_mixed_doublings_match_per_time_reference(self):
-        ref, doublings = _talbot_per_time(self.F, self.TS, rtol=1e-6, atol=0.0)
-        assert doublings == [0, 0, 0, 0, 1, 1]
-        sizes = []
-
+    @staticmethod
+    def _counted(F, sizes):
         def counted(s):
             sizes.append(s.shape)
-            return self.F(s)
+            return F(s)
+        return counted
 
-        got = inverse_laplace_numeric(counted, self.TS, rtol=1e-6, atol=0.0)
-        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
-        # one call per node count; only the two unconverged times are doubled
-        assert sizes == [(6 * 16,), (6 * 24,), (2 * 48,)]
+    def test_mixed_doublings_match_per_time_reference(self):
+        ref = _talbot_per_time(self.F, self.TS, rtol=1e-6, atol=0.0)
+        assert [r[2] for r in ref] == [0, 0, 0, 0, 0, 1]
+        assert all(r[3] for r in ref)
+        sizes = []
+        got = inverse_laplace_numeric(self._counted(self.F, sizes), self.TS, rtol=1e-6, atol=0.0)
+        np.testing.assert_allclose(got, [r[0] for r in ref], rtol=1e-14, atol=0.0)
+        # one call per node count; only the unconverged time is doubled
+        assert sizes == [(6 * 20,), (6 * 24,), (1 * 48,)]
         np.testing.assert_allclose(got, 4 * (1 - np.cos(self.TS / 2)), rtol=1e-8)
 
     def test_scalar_time_gives_float(self):
@@ -201,11 +203,35 @@ class TestInverseLaplaceArrays:
         assert isinstance(got, float)
         assert got == pytest.approx(_talbot_per_time(self.F, [5.0], 1e-6, 0.0)[0][0], rel=1e-14)
 
+    def test_doubling_stops_when_the_gap_grows(self):
+        # t = 20 at rtol 1e-9: the gap shrinks from 5.8e-3 (20/24 nodes) to
+        # 2.1e-6 (24/48) and grows to 0.24 (48/96): the best gap is the 24/48 one
+        ref = _talbot_per_time(self.F, [2.0, 20.0], rtol=1e-9, atol=0.0)
+        assert [r[2] for r in ref] == [0, 2] and [r[3] for r in ref] == [True, False]
+        sizes = []
+        with pytest.raises(NumericalError, match=r"t=20 ") as err:
+            inverse_laplace_numeric(self._counted(self.F, sizes), [2.0, 20.0], rtol=1e-9, atol=0.0)
+        assert err.value.achieved == pytest.approx(ref[1][1], rel=1e-12)
+        assert 1e-6 < err.value.achieved < 1e-5
+        assert sizes == [(2 * 20,), (2 * 24,), (1 * 48,), (1 * 96,)]
+
     def test_first_failing_time_is_named(self):
-        # exp(-t) at t = 30 and 40 sits below the contour's roundoff floor
+        # exp(-t) at t = 30 and 40 sits below the contour's roundoff floor:
+        # their 20/24-node gaps (~1e-13) exceed atol = 0 and the one doubling
+        # to 48 nodes only widens the gap, so neither goes on to 96 nodes
+        F = lambda s: 1 / (s + 1.0)
+        ts = [1.0, 40.0, 30.0]
+        ref = _talbot_per_time(F, ts, rtol=1e-9, atol=0.0)
+        assert [r[2:] for r in ref] == [(0, True), (1, False), (1, False)]
+        sizes = []
         with pytest.raises(NumericalError, match=r"t=40 ") as err:
-            inverse_laplace_numeric(lambda s: 1 / (s + 1.0), [1.0, 40.0, 30.0], atol=0.0)
-        assert err.value.achieved > 0
+            inverse_laplace_numeric(self._counted(F, sizes), ts, atol=0.0)
+        assert err.value.achieved == pytest.approx(ref[1][1], rel=1e-12)
+        assert sizes == [(3 * 20,), (3 * 24,), (2 * 48,)]
+
+    def test_too_few_nodes_is_input_error(self):
+        with pytest.raises(InputError, match="n_nodes"):
+            inverse_laplace_numeric(self.F, [1.0], n_nodes=6)
 
     @pytest.mark.parametrize("F", [lambda s: 1.0, lambda s: (1 / s)[:-1], lambda s: (1 / s).reshape(-1, 1)],
                              ids=["scalar", "short", "column"])
