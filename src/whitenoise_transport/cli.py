@@ -31,7 +31,7 @@ from .analytic_continuum import (GaussianPureState, MomentSeries, Provenance, cu
 from .analytic_lattice import (LatticeMSDLaw, LatticeMomentInputs, law_to_json,
                                msd_inverse_laplace_closed_form)
 from .core_model import (GaussianCorrelation, ModelParams, Space, laplacian_g_at_zero,
-                         load_correlation_csv, validate_hypotheses)
+                         load_correlation_csv, step_count, validate_hypotheses)
 from .errors import ConfigError, Error, InputError, NumericalError
 from .evolve_lattice import LatticeInitialData, evolve_hierarchy
 from .mc_simulator import (colored_noise_convergence_study, gaussian_wavepacket, point_state,
@@ -95,7 +95,8 @@ def _check_counts(cfg):
 
 
 def _check_step_times(cfg, section):
-    """``section.dt`` a positive number and ``section.t_max >= section.dt``."""
+    """``section.dt`` a positive number and ``section.t_max`` a whole number of
+    at least one step."""
     dt, t_max = cfg[section]["dt"], cfg[section]["t_max"]
     for key, val in (("dt", dt), ("t_max", t_max)):
         if isinstance(val, bool) or not isinstance(val, (int, float)):
@@ -104,6 +105,10 @@ def _check_step_times(cfg, section):
         raise ConfigError(f"config.{section}.dt: must be positive, got {dt!r}")
     if not t_max >= dt:
         raise ConfigError(f"config.{section}.t_max: must be at least {section}.dt = {dt!r}, got {t_max!r}")
+    try:
+        step_count(t_max, dt)
+    except InputError as exc:
+        raise ConfigError(f"config.{section}.t_max: {exc}") from None
 
 
 def load_config(path) -> dict:
@@ -320,7 +325,8 @@ def _route_classical(cfg, out_dir, threads):
     result = run_classical(params.dim, corr, params, cfg["classical"]["v0_init"],
                            t_max=float(t["t_max"]), dt=float(t["dt"]),
                            n_traj=int(cfg["mc"]["n_traj"]), seed=int(cfg["seed"]),
-                           record_every=int(t["record_every"]), threads=threads)
+                           record_every=int(t["record_every"]), threads=threads,
+                           batch_size=int(cfg["mc"]["batch_size"]))
     result.to_series().to_csv(out_dir / "msd_classical.csv")
     vseries = MomentSeries(times=result.times, msd=np.maximum(result.vvar_mean, 0.0),
                            provenance=Provenance.MONTE_CARLO)

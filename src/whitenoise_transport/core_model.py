@@ -16,6 +16,7 @@ negative-definite Hessian at the origin, and a nonnegative sampled spectrum
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -33,7 +34,28 @@ __all__ = [
     "validate_hypotheses",
     "laplacian_g_at_zero",
     "load_correlation_csv",
+    "step_count",
 ]
+
+
+def step_count(t_max, dt) -> int:
+    """Number of steps dt in t_max: at least one, and a whole number.
+
+    ``t_max / dt`` more than 1e-9 relative from an integer is an
+    :class:`InputError`, not a run of a rounded length.
+    """
+    if not dt > 0:
+        raise InputError(f"dt must be positive, got {dt!r}")
+    if not t_max >= dt:
+        raise InputError(f"t_max must be at least dt = {dt!r}, got {t_max!r}")
+    if not math.isfinite(t_max):
+        raise InputError(f"t_max must be finite, got {t_max!r}")
+    ratio = t_max / dt
+    n = round(ratio)
+    if abs(ratio - n) > 1e-9 * ratio:
+        raise InputError(f"t_max = {t_max!r} is not a whole number of steps dt = {dt!r} "
+                         f"(t_max / dt = {ratio!r})")
+    return n
 
 
 class Space(Enum):

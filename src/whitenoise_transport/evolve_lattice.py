@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic_continuum import MomentSeries, Provenance
-from .core_model import ModelParams
+from .core_model import ModelParams, step_count
 from .errors import BoxSizeError, InputError, StabilityError
 
 __all__ = [
@@ -189,13 +189,12 @@ class _StepOperator:
             yield n, y
 
 
-def _check_times(t_max: float, dt: float, record_every=1):
-    if not dt > 0:
-        raise InputError(f"dt must be positive, got {dt}")
-    if not t_max >= dt:
-        raise InputError(f"t_max must be at least dt = {dt}, got {t_max}")
+def _check_times(t_max: float, dt: float, record_every=1) -> int:
+    """Validate the time inputs; returns the number of steps."""
+    n_steps = step_count(t_max, dt)
     if isinstance(record_every, bool) or not isinstance(record_every, numbers.Integral) or record_every < 1:
         raise InputError(f"record_every must be a positive integer, got {record_every!r}")
+    return n_steps
 
 
 def _check_dt(params: ModelParams, gamma_max: float, dt: float):
@@ -228,7 +227,7 @@ def evolve_hierarchy(init: LatticeInitialData, corr, params: ModelParams, t_max:
     ``info`` carries the drift actually observed, the largest imaginary
     residue of the extracted MSD, and the boundary mass seen.
     """
-    _check_times(t_max, dt, record_every)
+    n_steps = _check_times(t_max, dt, record_every)
     d, side = init.dim, init.side
     if side % 2 == 0:
         raise InputError("Y-box side must be odd")
@@ -249,7 +248,6 @@ def evolve_hierarchy(init: LatticeInitialData, corr, params: ModelParams, t_max:
     y0 = z0.view(float).reshape(-1, 2)
     m0, m1, m2 = unpack(y0)
 
-    n_steps = int(round(t_max / dt))
     center = (0,) * d
     trace0 = m0[center]
     times, msd = [0.0], [-MSD_KLAPLACIAN_FACTOR * float(np.sum(m2[(slice(None),) + center]).real)]
@@ -291,7 +289,7 @@ def evolve_full_kernel(k_batch, init_kernel, corr, params: ModelParams, t_max: f
     a callable k -> array.  Returns (record_times, snapshots) with
     snapshots of shape (len(k_batch), len(record_times)) + box.
     """
-    _check_times(t_max, dt)
+    n_steps = _check_times(t_max, dt)
     k_batch = np.atleast_2d(np.asarray(k_batch, dtype=float))
     d = params.dim
     if k_batch.shape[1] != d:
@@ -302,7 +300,6 @@ def evolve_full_kernel(k_batch, init_kernel, corr, params: ModelParams, t_max: f
     gamma = gamma_on_box(corr, params, side)
     gmax = float(gamma.max())
 
-    n_steps = int(round(t_max / dt))
     if record_times is None:
         record_times = np.array([t_max])
     record_times = np.asarray(record_times, dtype=float)

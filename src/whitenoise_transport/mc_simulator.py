@@ -9,9 +9,10 @@ available as a negative control that violates norm conservation and biases
 per-trajectory observables.
 
 Randomness is counter-based: every draw is keyed by (global seed,
-trajectory, step), so ensembles are bit-reproducible for any thread count
-or batch split.  Cross-trajectory reductions run in fixed index order with
-compensated summation.
+trajectory, step) - for the classical kicks, by 1024-step block - so
+ensembles are bit-reproducible for any thread count or batch split.
+Cross-trajectory reductions run in fixed index order with compensated
+summation.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic_continuum import MomentSeries, Provenance, msd_closed_form
-from .core_model import ModelParams, Space
+from .core_model import ModelParams, Space, step_count
 from .errors import BoxSizeError, InputError, StabilityError
 from .noise_field import ColoredKernel, ColoredStream, FieldGrid, spectral_amplitude, _filter_white_batch
 from .rng import KIND_CLASSICAL, KIND_FIELD, normals
@@ -290,12 +291,8 @@ def _simulate_batch(traj_indices, grid, psi0, corr, params, dt, n_steps, record_
 
 def _run_quantum(grid, psi0, corr, params, t_max, dt, n_traj, seed, record_every, boundary_tol,
                  scheme, threads, batch_size, probe_k, colored):
-    if dt <= 0 or t_max <= 0:
-        raise InputError("t_max and dt must be positive")
-    if t_max < dt:
-        raise InputError(f"t_max must be at least dt = {dt!r}, got {t_max!r}")
+    n_steps = step_count(t_max, dt)
     _check_counts(n_traj=n_traj, batch_size=batch_size, record_every=record_every)
-    n_steps = int(round(t_max / dt))
     record_steps = _record_steps(n_steps, record_every)
     amplitude = spectral_amplitude(grid, corr, params)
     obs = _Observables(grid, params, probe_k=probe_k)
@@ -379,71 +376,74 @@ def run_lattice(grid: FieldGrid, psi0, corr, params: ModelParams, t_max, dt, n_t
                         boundary_tol, scheme, threads, batch_size, probe_k, None)
 
 
+# steps of kicks drawn per Philox stream: the draws of step n are keyed
+# (seed, KIND_CLASSICAL, traj, n // _KICK_BLOCK), at row n % _KICK_BLOCK of
+# that stream.  Part of the stream definition (rng.STREAM_VERSION 2).
+_KICK_BLOCK = 1024
+
+
+def _corner_kick_factor(grid: FieldGrid, corr, params: ModelParams, dt: float) -> np.ndarray:
+    """Factor S, with S S^T = R, of the covariance R of a cell's corner gradients.
+
+    The gradient of one step's field increment is the circular convolution
+    of unit white noise with the impulse response m_a of the spectral
+    gradient filter i k_a * amplitude * sqrt(dt) (Nyquist wavenumber zeroed:
+    that mode has no partner of opposite wavenumber, so carries no real
+    gradient).  The d 2^d values at a cell's corners, row ``a * 2**d + c``
+    for component a at corner c (bit ax of c set: the upper neighbour along
+    axis ax), therefore have covariance
+    ``R[(a,c),(b,c')] = sum_u m_a[u + c - c'] m_b[u]``, the inverse DFT of
+    ``k_a k_b amplitude^2 dt`` at the lag c - c'.  It does not depend on the
+    cell.  S comes from an eigendecomposition, not a Cholesky, because R can
+    be singular (it is zero at v0 = 0).
+    """
+    d = grid.dim
+    n = grid.points_per_side
+    freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
+    freqs[n // 2] = 0.0
+    kaxes = np.meshgrid(*[freqs] * (d - 1), freqs[: n // 2 + 1], indexing="ij")
+    power = spectral_amplitude(grid, corr, params)[..., : n // 2 + 1] ** 2 * dt
+    axes = tuple(range(d))
+    cov = [[np.fft.irfftn(ka * kb * power, s=grid.shape, axes=axes) for kb in kaxes] for ka in kaxes]
+    corners = [[(c >> ax) & 1 for ax in range(d)] for c in range(2**d)]
+    rows = [(a, c) for a in range(d) for c in corners]
+    R = np.array([[cov[a][b][tuple((ca - cb) % n for ca, cb in zip(c, c2))] for b, c2 in rows]
+                  for a, c in rows])
+    lam, V = np.linalg.eigh(R)
+    return V * np.sqrt(np.clip(lam, 0.0, None))
+
+
 def run_classical(dim, corr, params: ModelParams, v0_init, t_max, dt, n_traj, seed,
                   grid: FieldGrid = None, record_every=10, threads=1, batch_size=500) -> ClassicalResult:
     """Classical particle kicked by the white-noise force field.
 
-    Symplectic Euler: per step the velocity receives -grad dW(q)/m with the
-    gradient of the sampled field increment evaluated spectrally and
-    interpolated linearly at the particle position (periodic in the field
-    box; the recorded position is unwrapped).  Velocity kicks therefore
-    carry the exact covariance v0^2 (-Hess g)(0) dt / m^2.
+    Symplectic Euler: per step the velocity receives -grad dW(q)/m, the
+    gradient of a fresh field increment on the periodic ``grid`` (spectral
+    gradient, Nyquist wavenumber zeroed) interpolated multilinearly at the
+    particle position; the recorded position is unwrapped.  The field is
+    never formed: given q, the kick is Gaussian with covariance
+    ``W R W^T``, where R is the covariance of the d 2^d corner gradients of
+    q's cell (see :func:`_corner_kick_factor`) and W the d x d 2^d matrix of
+    multilinear weights at q's fractional cell position.  Each step draws
+    d 2^d normals per trajectory and applies the exact factor of R, so the
+    law of every trajectory is the one of the interpolated field gradient.
+    At grid points the kick covariance equals the discrete field's gradient
+    covariance, v0^2 (-Hess g)(0) dt up to the grid's resolution.
     """
-    if dt <= 0 or t_max <= 0:
-        raise InputError("t_max and dt must be positive")
-    if t_max < dt:
-        raise InputError(f"t_max must be at least dt = {dt!r}, got {t_max!r}")
+    n_steps = step_count(t_max, dt)
     _check_counts(n_traj=n_traj, batch_size=batch_size, record_every=record_every)
     if grid is None:
         length = 16.0 * corr.correlation_length()
         n = 256 if dim == 1 else 64
         grid = FieldGrid.continuum(dim, n, length)
     v0_init = np.broadcast_to(np.asarray(v0_init, dtype=float), (dim,))
-    n_steps = int(round(t_max / dt))
     record_steps = _record_steps(n_steps, record_every)
-    amplitude = spectral_amplitude(grid, corr, params)
-    n = grid.points_per_side
-    freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
-    # the Nyquist mode has no partner of opposite wavenumber, so it carries
-    # no real gradient; zeroing it keeps each gradient spectrum Hermitian
-    freqs[n // 2] = 0.0
-    kaxes = np.meshgrid(*[freqs] * (dim - 1), freqs[: n // 2 + 1], indexing="ij")
-    half_amp = amplitude[..., : n // 2 + 1]
-    # real-FFT multipliers taking unit white noise to each component of the
-    # gradient of the field increment
-    grad_filters = [1j * k * half_amp * math.sqrt(dt) for k in kaxes]
+    factor = _corner_kick_factor(grid, corr, params, dt)
+    n_corners = 2**dim
+    n_normals = factor.shape[0]
 
     batches = [list(range(b, min(b + batch_size, n_traj))) for b in range(0, n_traj, batch_size)]
     results = [None] * len(batches)
-
-    def interp_gradient(grad_fields, q):
-        """Linear periodic interpolation of each trajectory's own field."""
-        B = q.shape[0]
-        out = np.empty((B, dim))
-        pos = (q / grid.spacing) % n
-        i0 = np.floor(pos).astype(int) % n
-        frac = pos - np.floor(pos)
-        i1 = (i0 + 1) % n
-        if dim == 1:
-            rows = np.arange(B)
-            for j in range(dim):
-                f = grad_fields[j]
-                out[:, j] = f[rows, i0[:, 0]] * (1 - frac[:, 0]) + f[rows, i1[:, 0]] * frac[:, 0]
-        else:
-            rows = np.arange(B)
-            for j in range(dim):
-                f = grad_fields[j]
-                acc = np.zeros(B)
-                for corner in range(2**dim):
-                    idx = []
-                    wgt = np.ones(B)
-                    for ax in range(dim):
-                        take1 = (corner >> ax) & 1
-                        idx.append(i1[:, ax] if take1 else i0[:, ax])
-                        wgt = wgt * (frac[:, ax] if take1 else 1 - frac[:, ax])
-                    acc += wgt * f[(rows, *idx)]
-                out[:, j] = acc
-        return out
 
     def work(bi):
         trajs = batches[bi]
@@ -458,12 +458,28 @@ def run_classical(dim, corr, params: ModelParams, v0_init, t_max, dt, n_traj, se
             msd[:, 0] = np.sum(q**2, axis=1)
             vvar[:, 0] = np.sum(v**2, axis=1)
             pos = 1
-        fft_axes = tuple(range(1, dim + 1))
         for step in range(n_steps):
-            spec = np.fft.rfftn(normals(seed, KIND_CLASSICAL, trajs, step, grid.shape), axes=fft_axes)
-            grads = [np.fft.irfftn(spec * f, s=grid.shape, axes=fft_axes) for f in grad_filters]
-            gq = interp_gradient(grads, q)
-            v = v - gq / params.mass
+            row = step % _KICK_BLOCK
+            if row == 0:
+                z = normals(seed, KIND_CLASSICAL, trajs, step // _KICK_BLOCK,
+                            (min(_KICK_BLOCK, n_steps - step), n_normals))
+                # corner values u = S z of the block's steps, summed in a
+                # fixed order element by element so that no row depends on
+                # the batch it is in
+                u = z[..., :1] * factor[:, 0]
+                for j in range(1, n_normals):
+                    u += z[..., j:j + 1] * factor[:, j]
+                u = u.reshape(B, -1, dim, n_corners)
+            cell = q / grid.spacing
+            frac = cell - np.floor(cell)
+            sides = (1.0 - frac, frac)
+            kick = 0.0
+            for c in range(n_corners):
+                w = sides[c & 1][:, 0]
+                for ax in range(1, dim):
+                    w = w * sides[(c >> ax) & 1][:, ax]
+                kick = kick + w[:, None] * u[:, row, :, c]
+            v = v - kick / params.mass
             q = q + v * dt
             if pos < n_rec and record_steps[pos] == step + 1:
                 msd[:, pos] = np.sum(q**2, axis=1)

@@ -229,7 +229,10 @@ class ColoredStream:
         self._amp = spectral_amplitude(grid, corr, params) if amplitude is None else amplitude
         self._root_dt = math.sqrt(self._dt)
         self._window = [self._increment(j) for j in range(-self._q, 0)]
-        self._acc = np.sum(self._window, axis=0)
+        # running sum: np.sum over the list would first stack a copy of the window
+        self._acc = self._window[0].copy()
+        for inc in self._window[1:]:
+            self._acc += inc
         self._next_step = 0
 
     def _increment(self, step_index):

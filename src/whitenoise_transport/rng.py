@@ -23,8 +23,9 @@ __all__ = ["stream", "normals", "SeedInfo", "KIND_FIELD", "KIND_FIELD_COLORED", 
            "STREAM_VERSION"]
 
 #: version of the mapping from draw coordinates to numbers, recorded in every
-#: manifest; it changes whenever a seed would give different draws
-STREAM_VERSION = 1
+#: manifest; it changes whenever a seed would give different draws.  Version 2
+#: keys the classical kicks by 1024-step block instead of by step.
+STREAM_VERSION = 2
 
 # purpose lanes; distinct purposes never share a stream
 KIND_FIELD = 0

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from whitenoise_transport import MomentSeries
+from whitenoise_transport import MomentSeries, cli
 from whitenoise_transport.cli import (DEFAULT_CONFIG, emit_plot_data, load_config, main, run,
                                       save_config)
 from whitenoise_transport.errors import ConfigError
@@ -63,7 +63,7 @@ def test_analytic_route_artifacts(tmp_path):
     assert manifest["python_version"] == platform.python_version()
     assert manifest["numpy_version"] == np.__version__
     assert manifest["scipy_version"] == importlib.metadata.version("scipy")
-    assert manifest["rng_stream_version"] == 1
+    assert manifest["rng_stream_version"] == 2
     assert (out / "config.json").exists()
 
 
@@ -131,11 +131,31 @@ def test_mc_route_byte_identical_outputs(tmp_path):
     assert b1 == b2
 
 
+def test_classical_route_batches_by_config(tmp_path, monkeypatch):
+    batch_sizes = []
+
+    def recording(*args, **kwargs):
+        batch_sizes.append(kwargs["batch_size"])
+        return run_classical(*args, **kwargs)
+
+    run_classical = cli.run_classical
+    monkeypatch.setattr(cli, "run_classical", recording)
+    base = dict(classical={"v0_init": [0.0]}, time={"t_max": 0.1, "dt": 0.01, "record_every": 1},
+                fit={"window": [0.01, 0.1]})
+    for name, batch in (("a", 3), ("b", 500)):
+        cfg = write_cfg(tmp_path, f"{name}.json", out_dir=str(tmp_path / name),
+                        mc={"n_traj": 7, "batch_size": batch}, **base)
+        assert run(cfg, route="classical", threads=2) == 0
+    assert batch_sizes == [3, 500]
+    for data in ("msd_classical.csv", "velocity_variance.csv", "fit.json"):
+        assert (tmp_path / "a" / data).read_bytes() == (tmp_path / "b" / data).read_bytes()
+
+
 def test_numeric_failure_exit_code(tmp_path):
     cfg = write_cfg(tmp_path, model={"space": "lattice"},
                     correlation={"kind": "gaussian", "matrix": [[40.0]]},
                     initial={"kind": "point"},
-                    evolve={"t_max": 1.0, "dt": 0.9, "record_every": 1, "y_box": 9},
+                    evolve={"t_max": 1.8, "dt": 0.9, "record_every": 1, "y_box": 9},
                     out_dir=str(tmp_path / "bad"))
     code = main(["evolve-lattice", "--config", str(cfg)])
     assert code == 3
@@ -159,7 +179,8 @@ def test_zero_counts_are_config_errors(tmp_path, capsys, section, key):
 
 @pytest.mark.parametrize("section, key, value", [
     ("grid", "points", "abc"), ("lattice_box", "sites", 0), ("evolve", "y_box", 2.5),
-    ("evolve", "dt", 0), ("evolve", "dt", -0.01), ("evolve", "t_max", 0.001)])
+    ("evolve", "dt", 0), ("evolve", "dt", -0.01), ("evolve", "t_max", 0.001),
+    ("evolve", "t_max", 0.015)])
 def test_bad_sizes_and_evolve_times_are_config_errors(tmp_path, capsys, section, key, value):
     path = write_cfg(tmp_path, **{section: {key: value}}, out_dir=str(tmp_path / "o"))
     with pytest.raises(ConfigError, match=f"config.{section}.{key}"):
@@ -171,7 +192,7 @@ def test_bad_sizes_and_evolve_times_are_config_errors(tmp_path, capsys, section,
 
 @pytest.mark.parametrize("time, key", [
     ({"dt": 1.0, "t_max": 0.4}, "t_max"), ({"dt": 0}, "dt"), ({"dt": -0.01}, "dt"),
-    ({"dt": "fast"}, "dt"), ({"t_max": None}, "t_max")])
+    ({"dt": "fast"}, "dt"), ({"t_max": None}, "t_max"), ({"t_max": 0.105}, "t_max")])
 def test_time_step_longer_than_run_is_config_error(tmp_path, capsys, time, key):
     path = write_cfg(tmp_path, time=time, out_dir=str(tmp_path / "o"))
     with pytest.raises(ConfigError, match=f"config.time.{key}"):

@@ -4,6 +4,7 @@ import pytest
 from whitenoise_transport import (GaussianCorrelation, InputError, LatticeCorrelationData,
                                   ModelParams, Space, TabulatedCorrelation, laplacian_g_at_zero,
                                   load_correlation_csv, validate_hypotheses)
+from whitenoise_transport.core_model import step_count
 
 
 class OddContamination:
@@ -170,3 +171,18 @@ def test_lattice_ballistic_channel_flagged():
     data = LatticeCorrelationData.from_correlation(table, params)
     assert data.gamma[0] == pytest.approx(0.0, abs=1e-12)
     assert data.ballistic_channels == (0,)
+
+
+@pytest.mark.parametrize("t_max, dt, n", [(0.08, 0.01, 8), (1.03, 0.001, 1030), (0.15, 0.0125, 12),
+                                          (0.3, 0.1, 3), (5.0, 5.0, 1)])
+def test_step_count_absorbs_roundoff(t_max, dt, n):
+    # 0.15 / 0.0125 and 0.3 / 0.1 are a roundoff below the integer
+    assert step_count(t_max, dt) == n
+
+
+@pytest.mark.parametrize("t_max, dt, match", [
+    (0.105, 0.01, "whole number"), (1.0 + 1e-8, 0.5, "whole number"), (float("inf"), 0.1, "finite"),
+    (0.05, 0.1, "at least dt"), (1.0, 0.0, "positive"), (float("nan"), 0.1, "at least dt")])
+def test_step_count_rejects(t_max, dt, match):
+    with pytest.raises(InputError, match=match):
+        step_count(t_max, dt)

@@ -8,7 +8,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["02_continuum_superballistic.py", "03_lattice_diffusion.py"])
+@pytest.mark.parametrize("demo", ["02_continuum_superballistic.py", "03_lattice_diffusion.py",
+                                  "06_classical_particle.py"])
 def test_demo_runs(tmp_path, demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

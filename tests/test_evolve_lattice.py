@@ -289,13 +289,14 @@ class TestStepOperator:
 
 class TestTimeInputs:
     @pytest.mark.parametrize("t_max, dt, record_every", [
-        (1.0, 0.0, 1), (1.0, -0.01, 1), (0.005, 0.01, 1), (1.0, 0.01, 0), (1.0, 0.01, 2.5)])
+        (1.0, 0.0, 1), (1.0, -0.01, 1), (0.005, 0.01, 1), (0.015, 0.01, 1), (1.0, 0.01, 0),
+        (1.0, 0.01, 2.5)])
     def test_hierarchy_rejects_bad_times(self, sharp_corr, point_init, t_max, dt, record_every):
         with pytest.raises(InputError):
             evolve_hierarchy(point_init, sharp_corr, LATTICE, t_max=t_max, dt=dt,
                              record_every=record_every)
 
-    @pytest.mark.parametrize("t_max, dt", [(1.0, 0.0), (1.0, -0.01), (0.005, 0.01)])
+    @pytest.mark.parametrize("t_max, dt", [(1.0, 0.0), (1.0, -0.01), (0.005, 0.01), (0.015, 0.01)])
     def test_full_kernel_rejects_bad_times(self, sharp_corr, point_init, t_max, dt):
         with pytest.raises(InputError):
             evolve_full_kernel(np.array([[0.1]]), point_init.m0, sharp_corr, LATTICE,

@@ -5,7 +5,10 @@ from whitenoise_transport import (BoxSizeError, ColoredKernel, FieldGrid, Gaussi
                                   GaussianPureState, InputError, ModelParams, Space,
                                   gaussian_wavepacket, kernel_hat, msd_closed_form, point_state,
                                   run_classical, run_continuum, run_lattice)
-from whitenoise_transport.mc_simulator import SCHEME_ITO_EULER, colored_noise_convergence_study
+from whitenoise_transport.mc_simulator import (SCHEME_ITO_EULER, _corner_kick_factor,
+                                               colored_noise_convergence_study)
+from whitenoise_transport.noise_field import spectral_amplitude
+from whitenoise_transport.rng import KIND_CLASSICAL, stream
 
 from conftest import ols_line
 
@@ -159,6 +162,76 @@ class TestClassical:
         np.testing.assert_array_equal(a.vvar_mean, b.vvar_mean)
 
 
+def _field_corner_gradients(grid, corr, params, dt, cell):
+    """Reference: the linear map from unit white noise to the d 2^d corner
+    gradients of ``cell``, through the per-step field pipeline (real FFT,
+    multiplier i k * amplitude * sqrt(dt), Nyquist wavenumber zeroed)."""
+    d, n = grid.dim, grid.points_per_side
+    freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
+    freqs[n // 2] = 0.0
+    kaxes = np.meshgrid(*[freqs] * (d - 1), freqs[: n // 2 + 1], indexing="ij")
+    half_amp = spectral_amplitude(grid, corr, params)[..., : n // 2 + 1]
+    axes = tuple(range(1, d + 1))
+    units = np.eye(grid.total_sites).reshape((grid.total_sites,) + grid.shape)
+    spec = np.fft.rfftn(units, axes=axes)
+    grads = [np.fft.irfftn(spec * (1j * k * half_amp * np.sqrt(dt)), s=grid.shape, axes=axes)
+             for k in kaxes]
+    rows = []
+    for a in range(d):
+        for c in range(2**d):
+            site = tuple((cell[ax] + ((c >> ax) & 1)) % n for ax in range(d))
+            rows.append(grads[a][(slice(None),) + site])
+    return np.array(rows)
+
+
+class TestClassicalKick:
+    @pytest.mark.parametrize("grid, corr", [
+        (FieldGrid.continuum(1, 256, 16.0), CORR),
+        (FieldGrid.continuum(2, 32, 16.0), GaussianCorrelation([[2.0, 0.6], [0.6, 1.0]])),
+        (FieldGrid.continuum(3, 8, 10.0), GaussianCorrelation(np.diag([1.0, 0.7, 1.3]))),
+    ])
+    def test_factor_reproduces_field_gradient_covariance(self, grid, corr):
+        params = ModelParams(v0=1.3, mass=0.8, dim=grid.dim)
+        factor = _corner_kick_factor(grid, corr, params, 0.7)
+        for cell in [(0,) * grid.dim, tuple(range(3, 3 + grid.dim)), (grid.points_per_side - 1,) * grid.dim]:
+            L = _field_corner_gradients(grid, corr, params, 0.7, cell)
+            ref = L @ L.T
+            np.testing.assert_allclose(factor @ factor.T, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+
+    def test_zero_strength_gives_zero_kicks(self):
+        grid = FieldGrid.continuum(2, 64, 16.0)
+        corr, free = GaussianCorrelation(np.eye(2)), ModelParams(v0=0.0, dim=2)
+        assert not np.any(_corner_kick_factor(grid, corr, free, 0.05))
+        v = np.array([0.7, -0.2])
+        res = run_classical(2, corr, free, v, t_max=1.0, dt=0.05, n_traj=3, seed=1, grid=grid,
+                            record_every=1)
+        q, expected = np.zeros(2), [0.0]
+        for _ in range(20):
+            q = q + v * 0.05
+            expected.append(np.sum(q**2))
+        for row in res.per_traj_msd:
+            np.testing.assert_array_equal(row, expected)
+        np.testing.assert_array_equal(res.vvar_mean, np.sum(v**2))
+
+    def test_draws_cross_a_block_boundary(self):
+        # 1030 steps: rows 0..1023 of block 0's stream, then rows 0..5 of block 1's
+        grid = FieldGrid.continuum(1, 64, 16.0)
+        dt, n_steps, seed = 0.001, 1030, 41
+        res = run_classical(1, CORR, P, [0.3], t_max=n_steps * dt, dt=dt, n_traj=3, seed=seed,
+                            grid=grid, record_every=n_steps, batch_size=2)
+        factor = _corner_kick_factor(grid, CORR, P, dt)
+        for traj in range(3):
+            z = np.concatenate([stream(seed, KIND_CLASSICAL, traj, 0).standard_normal((1024, 2)),
+                                stream(seed, KIND_CLASSICAL, traj, 1).standard_normal((6, 2))])
+            q, v = 0.0, 0.3
+            for zs in z:
+                u = factor @ zs
+                frac = q / grid.spacing - np.floor(q / grid.spacing)
+                v -= ((1.0 - frac) * u[0] + frac * u[1]) / P.mass
+                q += v * dt
+            assert res.per_traj_msd[traj, -1] == pytest.approx(q**2, rel=1e-10)
+
+
 @pytest.mark.parametrize("key", ["batch_size", "record_every", "n_traj"])
 def test_zero_counts_raise_input_error(small_grid, packet, key):
     kw = dict(t_max=0.1, dt=0.01, n_traj=2, seed=1, record_every=5, batch_size=2)
@@ -184,6 +257,19 @@ def test_time_step_longer_than_run_raises_input_error(small_grid, packet):
     ]
     for call in calls:
         with pytest.raises(InputError, match="t_max must be at least dt"):
+            call()
+
+
+def test_fractional_step_count_raises_input_error(small_grid, packet):
+    kw = dict(t_max=0.105, dt=0.01, n_traj=2, seed=1, record_every=1, batch_size=2)
+    lattice = FieldGrid.lattice(1, 64)
+    calls = [
+        lambda: run_continuum(small_grid, packet, CORR, P, **kw),
+        lambda: run_lattice(lattice, point_state(lattice), SHARP, P_LAT, **kw),
+        lambda: run_classical(1, CORR, P, [0.0], **kw),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match="not a whole number of steps"):
             call()
 
 
