@@ -34,8 +34,8 @@ from .core_model import (GaussianCorrelation, ModelParams, Space, laplacian_g_at
                          load_correlation_csv, step_count, validate_hypotheses)
 from .errors import ConfigError, Error, InputError, NumericalError
 from .evolve_lattice import LatticeInitialData, evolve_hierarchy
-from .mc_simulator import (colored_noise_convergence_study, gaussian_wavepacket, point_state,
-                           run_classical, run_continuum, run_lattice)
+from .mc_simulator import (DEFAULT_THREADS, colored_noise_convergence_study, gaussian_wavepacket,
+                           point_state, run_classical, run_continuum, run_lattice)
 from .noise_field import FieldGrid
 from .rng import STREAM_VERSION
 from .transforms_fit import FitResult, fit_power_law
@@ -514,7 +514,7 @@ _ROUTES = {
 }
 
 
-def run(config_path, route=None, seed=None, out_dir=None, threads=1) -> int:
+def run(config_path, route=None, seed=None, out_dir=None, threads=DEFAULT_THREADS) -> int:
     """Execute a route from a config file; returns the process exit code."""
     if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
         raise ConfigError(f"--threads: must be a positive integer, got {threads!r}")
@@ -672,7 +672,8 @@ def main(argv=None) -> int:
     common.add_argument("--config", required=True, help="JSON config file")
     common.add_argument("--seed", type=int, default=None, help="override config seed")
     common.add_argument("--out", default=None, help="override output directory")
-    common.add_argument("--threads", type=int, default=1, help="worker threads for ensembles")
+    common.add_argument("--threads", type=int, default=DEFAULT_THREADS,
+                        help="worker threads for ensembles (default: the cores this process may use)")
 
     for name in _ROUTES:
         sub.add_parser(name, parents=[common], help=f"run the {name} route")

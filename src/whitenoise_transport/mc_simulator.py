@@ -9,16 +9,18 @@ available as a negative control that violates norm conservation and biases
 per-trajectory observables.
 
 Randomness is counter-based: every draw is keyed by (global seed,
-trajectory, step) - for the classical kicks, by 1024-step block - so
+trajectory group, step) - for the classical kicks, by 1024-step block - so
 ensembles are bit-reproducible for any thread count or batch split.
 Cross-trajectory reductions run in fixed index order with compensated
-summation.
+summation.  Ensembles run on ``DEFAULT_THREADS`` worker threads unless
+told otherwise.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -42,10 +44,24 @@ __all__ = [
     "colored_noise_convergence_study",
     "SCHEME_STRATONOVICH",
     "SCHEME_ITO_EULER",
+    "DEFAULT_THREADS",
 ]
 
 SCHEME_STRATONOVICH = "stratonovich"
 SCHEME_ITO_EULER = "ito-euler"
+
+
+def _cores() -> int:
+    """Cores this process may run on (all cores where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+#: worker threads of an ensemble unless told otherwise; the results do not
+#: depend on it
+DEFAULT_THREADS = _cores()
 
 
 @dataclass
@@ -181,7 +197,9 @@ class _Observables:
                 [np.exp(2j * np.einsum("...i,i->...", coords, k)) for k in pk]
             )
 
-    def measure(self, psi, fft_axes):
+    def measure(self, psi, psi_k, fft_axes):
+        # |psi_k|^2 are psi's mode populations (psi_k = fftn(psi) up to a
+        # phase per mode), which give the energy.
         # msd is the raw second moment of |psi|^2, not divided by the norm:
         # the transport law concerns the disorder average of the
         # unnormalized density, and unitary schemes keep the norm at 1
@@ -190,7 +208,6 @@ class _Observables:
         density = np.abs(psi) ** 2
         norm = np.sum(density, axis=fft_axes) * self.w
         msd = np.sum(density * self.r2, axis=fft_axes) * self.w
-        psi_k = np.fft.fftn(psi, axes=fft_axes)
         dens_k = np.abs(psi_k) ** 2
         energy = np.sum(dens_k * self.h0, axis=fft_axes) / np.sum(dens_k, axis=fft_axes)
         boundary = np.sum(density * self.edge_mask, axis=fft_axes) * self.w / norm
@@ -232,9 +249,9 @@ def _simulate_batch(traj_indices, grid, psi0, corr, params, dt, n_steps, record_
         xi = normals(seed, KIND_FIELD, traj_indices, step, grid.shape)
         return _filter_white_batch(xi, amplitude) * root_dt
 
-    def record(pos):
+    def record(pos, psi_rec, psi_k):
         nonlocal boundary_max, probes
-        nrm, m, e, bd, pr = obs.measure(psi, fft_axes)
+        nrm, m, e, bd, pr = obs.measure(psi_rec, psi_k, fft_axes)
         norms[:, pos] = nrm
         msd[:, pos] = m
         energy[:, pos] = e
@@ -250,13 +267,18 @@ def _simulate_batch(traj_indices, grid, psi0, corr, params, dt, n_steps, record_
                 f"boundary mass {boundary_max:.3e} exceeds {boundary_tol:.1e}; enlarge the box"
             )
 
-    rec_pos = 0
-    if record_steps[0] == 0:
-        record(0)
-        rec_pos = 1
-
+    # record_steps starts at 0 and ends at n_steps.  A record step shares
+    # the forward transform of the kinetic step: the recorded state is the
+    # half step ifftn(psi_hat * half), the evolved one ifftn(psi_hat * full).
+    # A half step only turns the phase of each mode, so psi_hat's mode
+    # populations give the recorded state's energy.  The transforms run in
+    # place: a batch holds one wavefunction array, two during a record.
+    psi_hat = np.fft.fftn(psi, axes=fft_axes)
+    record(0, psi, psi_hat)
+    rec_pos = 1
     if n_steps > 0:
-        psi = np.fft.ifftn(np.fft.fftn(psi, axes=fft_axes) * half, axes=fft_axes)
+        psi_hat *= half
+        psi = np.fft.ifftn(psi_hat, axes=fft_axes, out=psi_hat)
 
     for n in range(n_steps):
         if colored is None:
@@ -276,14 +298,14 @@ def _simulate_batch(traj_indices, grid, psi0, corr, params, dt, n_steps, record_
         else:
             raise InputError(f"unknown scheme {scheme!r}")
 
-        if rec_pos < n_rec and record_steps[rec_pos] == n + 1:
-            psi = np.fft.ifftn(np.fft.fftn(psi, axes=fft_axes) * half, axes=fft_axes)
-            record(rec_pos)
+        psi_hat = np.fft.fftn(psi, axes=fft_axes, out=psi)
+        if record_steps[rec_pos] == n + 1:
+            psi_rec = psi_hat * half
+            record(rec_pos, np.fft.ifftn(psi_rec, axes=fft_axes, out=psi_rec), psi_hat)
             rec_pos += 1
-            if n + 1 < n_steps:
-                psi = np.fft.ifftn(np.fft.fftn(psi, axes=fft_axes) * half, axes=fft_axes)
-        elif n + 1 < n_steps:
-            psi = np.fft.ifftn(np.fft.fftn(psi, axes=fft_axes) * full, axes=fft_axes)
+        if n + 1 < n_steps:
+            psi_hat *= full
+            psi = np.fft.ifftn(psi_hat, axes=fft_axes, out=psi_hat)
 
     norm_drift = float(np.max(np.abs(norms - norms[:, :1]))) if n_rec else 0.0
     return msd, energy, probes, norm_drift, boundary_max
@@ -348,8 +370,9 @@ def _run_quantum(grid, psi0, corr, params, t_max, dt, n_traj, seed, record_every
 
 
 def run_continuum(grid: FieldGrid, psi0, corr, params: ModelParams, t_max, dt, n_traj, seed,
-                  record_every=10, boundary_tol=1e-6, scheme=SCHEME_STRATONOVICH, threads=1,
-                  batch_size=250, probe_k=None, colored: ColoredKernel = None) -> EnsembleResult:
+                  record_every=10, boundary_tol=1e-6, scheme=SCHEME_STRATONOVICH,
+                  threads=DEFAULT_THREADS, batch_size=250, probe_k=None,
+                  colored: ColoredKernel = None) -> EnsembleResult:
     """Ensemble of continuum trajectories under white (or colored) noise.
 
     ``psi0`` is an x-space array on the grid (see
@@ -365,8 +388,8 @@ def run_continuum(grid: FieldGrid, psi0, corr, params: ModelParams, t_max, dt, n
 
 
 def run_lattice(grid: FieldGrid, psi0, corr, params: ModelParams, t_max, dt, n_traj, seed,
-                record_every=10, boundary_tol=1e-6, scheme=SCHEME_STRATONOVICH, threads=1,
-                batch_size=250, probe_k=None) -> EnsembleResult:
+                record_every=10, boundary_tol=1e-6, scheme=SCHEME_STRATONOVICH,
+                threads=DEFAULT_THREADS, batch_size=250, probe_k=None) -> EnsembleResult:
     """Ensemble of lattice trajectories (neighbour-sum kinetic dispersion)."""
     if params.space is not Space.LATTICE:
         raise InputError("run_lattice requires lattice params")
@@ -377,8 +400,9 @@ def run_lattice(grid: FieldGrid, psi0, corr, params: ModelParams, t_max, dt, n_t
 
 
 # steps of kicks drawn per Philox stream: the draws of step n are keyed
-# (seed, KIND_CLASSICAL, traj, n // _KICK_BLOCK), at row n % _KICK_BLOCK of
-# that stream.  Part of the stream definition (rng.STREAM_VERSION 2).
+# (seed, KIND_CLASSICAL, trajectory group, n // _KICK_BLOCK), at row
+# n % _KICK_BLOCK of the trajectory's rows of that stream.  Part of the
+# stream definition (rng.STREAM_VERSION 3).
 _KICK_BLOCK = 1024
 
 
@@ -414,7 +438,8 @@ def _corner_kick_factor(grid: FieldGrid, corr, params: ModelParams, dt: float) -
 
 
 def run_classical(dim, corr, params: ModelParams, v0_init, t_max, dt, n_traj, seed,
-                  grid: FieldGrid = None, record_every=10, threads=1, batch_size=500) -> ClassicalResult:
+                  grid: FieldGrid = None, record_every=10, threads=DEFAULT_THREADS,
+                  batch_size=500) -> ClassicalResult:
     """Classical particle kicked by the white-noise force field.
 
     Symplectic Euler: per step the velocity receives -grad dW(q)/m, the
@@ -436,6 +461,8 @@ def run_classical(dim, corr, params: ModelParams, v0_init, t_max, dt, n_traj, se
         length = 16.0 * corr.correlation_length()
         n = 256 if dim == 1 else 64
         grid = FieldGrid.continuum(dim, n, length)
+    elif grid.dim != dim:
+        raise InputError(f"run_classical has dim {dim}, grid has dim {grid.dim}")
     v0_init = np.broadcast_to(np.asarray(v0_init, dtype=float), (dim,))
     record_steps = _record_steps(n_steps, record_every)
     factor = _corner_kick_factor(grid, corr, params, dt)
@@ -529,7 +556,7 @@ class StudyRow:
 def colored_noise_convergence_study(nu_list, grid, psi0, init_kernel, corr, params, t_max, dt,
                                     n_traj, seed, record_every=10, window_frac=0.5,
                                     include_white=True, include_ito=False, boundary_tol=1e-4,
-                                    threads=1, batch_size=250):
+                                    threads=DEFAULT_THREADS, batch_size=250):
     """Deviation of colored-noise ensembles from the closed-form law.
 
     For each correlation half-width nu, runs the continuum ensemble with

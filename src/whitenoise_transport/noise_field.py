@@ -108,8 +108,11 @@ def spectral_amplitude(grid: FieldGrid, corr, params: ModelParams, neg_tol=1e-8)
     separations (for correlations short compared to the box this equals the
     periodised covariance).  A spectral value below ``-neg_tol * max`` is a
     hard error naming the offending mode; small negative roundoff is
-    clipped to zero.
+    clipped to zero.  A correlation of another dimension than the grid's
+    is an :class:`InputError`.
     """
+    if corr.dim != grid.dim:
+        raise InputError(f"correlation has dim {corr.dim}, grid has dim {grid.dim}")
     cov = params.v0**2 * np.asarray(corr.g(grid.separations()), dtype=float)
     spec = np.fft.fftn(cov).real
     smax = float(spec.max())

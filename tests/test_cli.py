@@ -63,7 +63,7 @@ def test_analytic_route_artifacts(tmp_path):
     assert manifest["python_version"] == platform.python_version()
     assert manifest["numpy_version"] == np.__version__
     assert manifest["scipy_version"] == importlib.metadata.version("scipy")
-    assert manifest["rng_stream_version"] == 2
+    assert manifest["rng_stream_version"] == 3
     assert (out / "config.json").exists()
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whitenoise_transport import (BoxSizeError, ColoredKernel, FieldGrid, GaussianCorrelation,
                                   GaussianPureState, InputError, ModelParams, Space,
@@ -8,7 +10,7 @@ from whitenoise_transport import (BoxSizeError, ColoredKernel, FieldGrid, Gaussi
 from whitenoise_transport.mc_simulator import (SCHEME_ITO_EULER, _corner_kick_factor,
                                                colored_noise_convergence_study)
 from whitenoise_transport.noise_field import spectral_amplitude
-from whitenoise_transport.rng import KIND_CLASSICAL, stream
+from whitenoise_transport.rng import KIND_CLASSICAL, TRAJ_GROUP, stream
 
 from conftest import ols_line
 
@@ -76,6 +78,15 @@ class TestContinuum:
         np.testing.assert_array_equal(a.per_traj_msd, b.per_traj_msd)
         np.testing.assert_array_equal(a.msd_mean, b.msd_mean)
 
+    @pytest.mark.parametrize("colored", [None, ColoredKernel(0.05)])
+    def test_evolution_does_not_depend_on_record_steps(self, small_grid, packet, colored):
+        kw = dict(t_max=0.25, dt=0.0125, n_traj=3, seed=8, colored=colored)
+        every = run_continuum(small_grid, packet, CORR, P, record_every=1, **kw)
+        ends = run_continuum(small_grid, packet, CORR, P, record_every=20, **kw)
+        assert every.times.size == 21 and ends.times.size == 2
+        np.testing.assert_array_equal(every.per_traj_msd[:, -1], ends.per_traj_msd[:, -1])
+        np.testing.assert_array_equal(every.per_traj_msd[:, 0], ends.per_traj_msd[:, 0])
+
     def test_stderr_scaling_with_ensemble_size(self, small_grid, packet):
         kw = dict(t_max=1.0, dt=0.02, record_every=25)
         small = run_continuum(small_grid, packet, CORR, P, n_traj=60, seed=9, **kw)
@@ -128,6 +139,28 @@ class TestLattice:
         b = run_lattice(grid, point_state(grid), SHARP, P_LAT, threads=2, batch_size=3, **kw)
         np.testing.assert_array_equal(a.per_traj_msd, b.per_traj_msd)
         np.testing.assert_array_equal(a.msd_mean, b.msd_mean)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_traj=st.integers(1, 23), batch_size=st.integers(1, 25), threads=st.sampled_from([1, 2]))
+def test_lattice_any_batch_split_matches_one_batch(n_traj, batch_size, threads):
+    grid = FieldGrid.lattice(1, 16)
+    kw = dict(t_max=0.5, dt=0.05, seed=37, record_every=5, boundary_tol=1.0)
+    a = run_lattice(grid, point_state(grid), SHARP, P_LAT, n_traj=n_traj, threads=threads,
+                    batch_size=batch_size, **kw)
+    b = run_lattice(grid, point_state(grid), SHARP, P_LAT, n_traj=n_traj, threads=1,
+                    batch_size=n_traj, **kw)
+    np.testing.assert_array_equal(a.per_traj_msd, b.per_traj_msd)
+
+
+def test_dimension_mismatch_raises_input_error(small_grid, packet):
+    kw = dict(t_max=0.1, dt=0.01, n_traj=2, seed=1)
+    with pytest.raises(InputError, match="correlation has dim 2, grid has dim 1"):
+        run_continuum(small_grid, packet, GaussianCorrelation(np.eye(2)), P, **kw)
+    with pytest.raises(InputError, match="correlation has dim 1, grid has dim 2"):
+        run_classical(2, CORR, P, [0.0, 0.0], **kw)
+    with pytest.raises(InputError, match="run_classical has dim 1, grid has dim 2"):
+        run_classical(1, CORR, P, [0.0], grid=FieldGrid.continuum(2, 16, 8.0), **kw)
 
 
 class TestClassical:
@@ -214,15 +247,18 @@ class TestClassicalKick:
         np.testing.assert_array_equal(res.vvar_mean, np.sum(v**2))
 
     def test_draws_cross_a_block_boundary(self):
-        # 1030 steps: rows 0..1023 of block 0's stream, then rows 0..5 of block 1's
+        # 1030 steps: rows 0..1023 of block 0's draw, then rows 0..5 of block 1's,
+        # each the trajectory's row of its group's stream
         grid = FieldGrid.continuum(1, 64, 16.0)
         dt, n_steps, seed = 0.001, 1030, 41
         res = run_classical(1, CORR, P, [0.3], t_max=n_steps * dt, dt=dt, n_traj=3, seed=seed,
                             grid=grid, record_every=n_steps, batch_size=2)
         factor = _corner_kick_factor(grid, CORR, P, dt)
         for traj in range(3):
-            z = np.concatenate([stream(seed, KIND_CLASSICAL, traj, 0).standard_normal((1024, 2)),
-                                stream(seed, KIND_CLASSICAL, traj, 1).standard_normal((6, 2))])
+            group, row = divmod(traj, TRAJ_GROUP)
+            z = np.concatenate([
+                stream(seed, KIND_CLASSICAL, group, 0).standard_normal((TRAJ_GROUP, 1024, 2))[row],
+                stream(seed, KIND_CLASSICAL, group, 1).standard_normal((TRAJ_GROUP, 6, 2))[row]])
             q, v = 0.0, 0.3
             for zs in z:
                 u = factor @ zs

@@ -5,9 +5,9 @@ import pytest
 
 from whitenoise_transport import (ColoredKernel, CovarianceError, FieldGrid, GaussianCorrelation,
                                   InputError, ModelParams, ResolutionError, SeedInfo,
-                                  TabulatedCorrelation, read_field, sample_colored_path,
+                                  TabulatedCorrelation, read_field, rng, sample_colored_path,
                                   sample_white_increment, spectral_amplitude, write_field)
-from whitenoise_transport.noise_field import ColoredStream, _filter_white_batch
+from whitenoise_transport.noise_field import _COLORED_STEP_OFFSET, ColoredStream, _filter_white_batch
 
 
 @pytest.fixture
@@ -59,7 +59,7 @@ def test_white_increment_mean_and_covariance(grid, gaussian_corr, amp):
 
 
 def test_field_is_real_up_to_roundoff(grid, gaussian_corr, params, amp):
-    xi = SeedInfo(1, 0, 0).generator().standard_normal(grid.shape)
+    xi = rng.stream(1).standard_normal(grid.shape)
     complex_field = np.fft.ifftn(np.fft.fftn(xi) * amp)
     resid = np.linalg.norm(complex_field.imag)
     assert resid < 1e-12 * np.linalg.norm(complex_field.real)
@@ -74,6 +74,12 @@ def test_negative_spectrum_raises_covariance_error(params):
     with pytest.raises(CovarianceError) as err:
         spectral_amplitude(grid, table, params)
     assert "mode" in str(err.value)
+
+
+def test_dimension_mismatch_raises_input_error(params):
+    grid = FieldGrid.continuum(1, 64, 16.0)
+    with pytest.raises(InputError, match="correlation has dim 2, grid has dim 1"):
+        spectral_amplitude(grid, GaussianCorrelation(np.eye(2)), params)
 
 
 def test_zero_disorder_gives_zero_field(grid, gaussian_corr):
@@ -104,10 +110,15 @@ def test_colored_path_covariance(grid, gaussian_corr, amp):
     M, n_steps = 10_000, 24
     site = 128
     snaps = np.empty((M, n_steps))
-    for i in range(M):
-        path = sample_colored_path(grid, gaussian_corr, params, kern, n_steps, dt,
-                                   SeedInfo(9, i, 0), amplitude=amp)
-        snaps[i] = path[:, site]
+    # trajectories 0..M-1 in batches of 250: each row is that trajectory's
+    # sample_colored_path (see test_colored_stream_matches_path)
+    for lo in range(0, M, 250):
+        batch = ColoredStream(grid, gaussian_corr, params, kern, dt, 9, range(lo, lo + 250),
+                              amplitude=amp)
+        for n in range(n_steps):
+            snaps[lo:lo + 250, n] = batch.current()[:, site]
+            if n < n_steps - 1:
+                batch.advance()
     # variance at coinciding times: v0^2 g(0) h(0) = 1/nu
     v_emp = float(snaps.var(axis=0).mean())
     assert abs(v_emp - 1.0 / nu) / (1.0 / nu) < 0.10
@@ -133,13 +144,10 @@ def test_colored_paths_cauchy_toward_white(grid, gaussian_corr, params, amp):
                                        SeedInfo(77, i, 0), amplitude=amp)
             # matching white rate from the same stream: increments at the
             # same absolute indexing used inside the colored construction
-            from whitenoise_transport.noise_field import _COLORED_STEP_OFFSET
-            from whitenoise_transport.rng import KIND_FIELD_COLORED
-
             rate = np.empty_like(path)
             for nstep in range(n_steps):
-                info = SeedInfo(77, i, nstep - 1 + _COLORED_STEP_OFFSET, kind=KIND_FIELD_COLORED)
-                xi = info.generator().standard_normal(grid.shape)
+                xi = rng.normals(77, rng.KIND_FIELD_COLORED, [i], nstep - 1 + _COLORED_STEP_OFFSET,
+                                 grid.shape)[0]
                 rate[nstep] = _filter_white_batch(xi[None], amp)[0] * np.sqrt(dt) / dt
             total += float(np.mean((path - rate) ** 2))
         dists[nu] = total / M
@@ -152,14 +160,15 @@ def test_colored_paths_cauchy_toward_white(grid, gaussian_corr, params, amp):
 def test_colored_stream_matches_path(grid, gaussian_corr, params, amp):
     dt, nu, n_steps = 0.05, 0.2, 12
     kern = ColoredKernel(nu)
-    paths = [sample_colored_path(grid, gaussian_corr, params, kern, n_steps, dt,
-                                 SeedInfo(5, traj, 0), amplitude=amp) for traj in (0, 1)]
-    stream = ColoredStream(grid, gaussian_corr, params, kern, dt, 5, [0, 1], amplitude=amp)
-    for n in range(n_steps):
-        cur = stream.current()
-        for b in range(2):
-            np.testing.assert_array_equal(cur[b], paths[b][n])
-        stream.advance()
+    for trajs in ([0, 1], [248, 249, 250, 251], [17, 3]):
+        paths = [sample_colored_path(grid, gaussian_corr, params, kern, n_steps, dt,
+                                     SeedInfo(5, traj, 0), amplitude=amp) for traj in trajs]
+        stream = ColoredStream(grid, gaussian_corr, params, kern, dt, 5, trajs, amplitude=amp)
+        for n in range(n_steps):
+            cur = stream.current()
+            for b in range(len(trajs)):
+                np.testing.assert_array_equal(cur[b], paths[b][n])
+            stream.advance()
 
 
 @pytest.mark.parametrize("grid2, matrix", [
