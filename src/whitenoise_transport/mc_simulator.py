@@ -271,14 +271,16 @@ def _simulate_batch(traj_indices, grid, psi0, corr, params, dt, n_steps, record_
     # the forward transform of the kinetic step: the recorded state is the
     # half step ifftn(psi_hat * half), the evolved one ifftn(psi_hat * full).
     # A half step only turns the phase of each mode, so psi_hat's mode
-    # populations give the recorded state's energy.  The transforms run in
-    # place: a batch holds one wavefunction array, two during a record.
+    # populations give the recorded state's energy.  Each transform drops
+    # its input, so a batch holds two wavefunction arrays, three during a
+    # record.
     psi_hat = np.fft.fftn(psi, axes=fft_axes)
     record(0, psi, psi_hat)
     rec_pos = 1
     if n_steps > 0:
         psi_hat *= half
-        psi = np.fft.ifftn(psi_hat, axes=fft_axes, out=psi_hat)
+        psi = np.fft.ifftn(psi_hat, axes=fft_axes)
+        del psi_hat
 
     for n in range(n_steps):
         if colored is None:
@@ -298,14 +300,15 @@ def _simulate_batch(traj_indices, grid, psi0, corr, params, dt, n_steps, record_
         else:
             raise InputError(f"unknown scheme {scheme!r}")
 
-        psi_hat = np.fft.fftn(psi, axes=fft_axes, out=psi)
+        psi_hat = np.fft.fftn(psi, axes=fft_axes)
+        del psi
         if record_steps[rec_pos] == n + 1:
-            psi_rec = psi_hat * half
-            record(rec_pos, np.fft.ifftn(psi_rec, axes=fft_axes, out=psi_rec), psi_hat)
+            record(rec_pos, np.fft.ifftn(psi_hat * half, axes=fft_axes), psi_hat)
             rec_pos += 1
         if n + 1 < n_steps:
             psi_hat *= full
-            psi = np.fft.ifftn(psi_hat, axes=fft_axes, out=psi_hat)
+            psi = np.fft.ifftn(psi_hat, axes=fft_axes)
+            del psi_hat
 
     norm_drift = float(np.max(np.abs(norms - norms[:, :1]))) if n_rec else 0.0
     return msd, energy, probes, norm_drift, boundary_max

@@ -87,6 +87,21 @@ class TestContinuum:
         np.testing.assert_array_equal(every.per_traj_msd[:, -1], ends.per_traj_msd[:, -1])
         np.testing.assert_array_equal(every.per_traj_msd[:, 0], ends.per_traj_msd[:, 0])
 
+    def test_transforms_take_no_out_argument(self, small_grid, packet, monkeypatch):
+        # NumPy's FFT functions accept `out` only from 2.0 on; the package
+        # supports NumPy 1.24
+        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+            def strict(*args, _fft=getattr(np.fft, name), **kwargs):
+                if "out" in kwargs:
+                    raise TypeError("unexpected keyword argument 'out'")
+                return _fft(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, strict)
+        kw = dict(t_max=0.05, dt=0.01, n_traj=3, seed=1, record_every=2)
+        run_continuum(small_grid, packet, CORR, P, **kw)
+        run_continuum(small_grid, packet, CORR, P, colored=ColoredKernel(0.05), **kw)
+        grid = FieldGrid.lattice(1, 16)
+        run_lattice(grid, point_state(grid), SHARP, P_LAT, boundary_tol=1.0, **kw)
+
     def test_stderr_scaling_with_ensemble_size(self, small_grid, packet):
         kw = dict(t_max=1.0, dt=0.02, record_every=25)
         small = run_continuum(small_grid, packet, CORR, P, n_traj=60, seed=9, **kw)
