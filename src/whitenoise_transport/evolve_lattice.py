@@ -200,7 +200,7 @@ def _check_times(t_max: float, dt: float, record_every=1) -> int:
 def _check_dt(params: ModelParams, gamma_max: float, dt: float):
     limit = 0.1 * min(params.mass / params.hbar, 1.0 / gamma_max if gamma_max > 0 else np.inf)
     if dt > limit * (1 + 1e-12):
-        raise StabilityError(f"dt={dt} exceeds stability limit {limit:.4g}")
+        raise StabilityError(f"dt={dt} exceeds stability limit {limit:.4g}; reduce evolve.dt")
 
 
 def _boundary_mass(arr, dim):
@@ -267,7 +267,8 @@ def evolve_hierarchy(init: LatticeInitialData, corr, params: ModelParams, t_max:
         max_boundary = max(max_boundary, bm)
         if bm > boundary_tol:
             raise BoxSizeError(
-                f"moment mass {bm:.3e} reached the Y-box edge at t={n_done * dt:.4g}; enlarge the box"
+                f"moment mass {bm:.3e} reached the Y-box edge at t={n_done * dt:.4g}; "
+                f"enlarge the box (evolve.y_box, now {side})"
             )
 
     series = MomentSeries(times=np.array(times), msd=np.array(msd),
@@ -324,10 +325,3 @@ def evolve_full_kernel(k_batch, init_kernel, corr, params: ModelParams, t_max: f
 
     return record_steps * dt, out
 
-
-def dump_kernel_snapshot(path, snapshot, side: int, dim: int, dt: float):
-    """Write one complex kernel snapshot in the shared field-dump format
-    (one file per record time; the header carries only dim and side)."""
-    from .noise_field import write_field
-
-    write_field(path, np.asarray(snapshot), dim=dim, points_per_side=side, dt=dt)

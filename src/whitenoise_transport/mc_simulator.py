@@ -260,11 +260,21 @@ def _simulate_batch(traj_indices, grid, psi0, corr, params, dt, n_steps, record_
             if probes is None:
                 probes = np.empty((B, pr.shape[1], n_rec), dtype=complex)
             probes[:, :, pos] = pr
-        if np.any(np.isnan(m)):
-            raise StabilityError("NaN in mean-square displacement; evolution unstable")
+        t = record_steps[pos] * dt
+        nan = np.isnan(m)
+        if nan.any():
+            traj = traj_indices[int(np.argmax(nan))]
+            raise StabilityError(
+                f"NaN in the mean-square displacement of trajectory {traj} at t={t:.6g}; "
+                f"evolution unstable, reduce time.dt (now {dt:g})"
+            )
         if boundary_max > boundary_tol:
+            worst = int(np.argmax(bd > boundary_tol))
+            box_key = "grid.length" if params.space is Space.CONTINUUM else "lattice_box.sites"
             raise BoxSizeError(
-                f"boundary mass {boundary_max:.3e} exceeds {boundary_tol:.1e}; enlarge the box"
+                f"boundary mass {bd[worst]:.3e} of trajectory {traj_indices[worst]} at t={t:.6g} "
+                f"exceeds mc.boundary_tol={boundary_tol:.1e}; enlarge the box ({box_key}) "
+                f"or raise mc.boundary_tol"
             )
 
     # record_steps starts at 0 and ends at n_steps.  A record step shares
@@ -515,8 +525,13 @@ def run_classical(dim, corr, params: ModelParams, v0_init, t_max, dt, n_traj, se
                 msd[:, pos] = np.sum(q**2, axis=1)
                 vvar[:, pos] = np.sum(v**2, axis=1)
                 pos += 1
-        if np.any(np.isnan(msd)):
-            raise StabilityError("NaN in classical trajectories")
+        nan = np.isnan(msd)
+        if nan.any():
+            row = int(np.argmax(nan.any(axis=1)))
+            t = record_steps[int(np.argmax(nan[row]))] * dt
+            raise StabilityError(
+                f"NaN in classical trajectory {trajs[row]} at t={t:.6g}; reduce time.dt (now {dt:g})"
+            )
         results[bi] = (msd, vvar)
 
     if threads > 1:
@@ -571,12 +586,8 @@ def colored_noise_convergence_study(nu_list, grid, psi0, init_kernel, corr, para
     decreasing nu, then optionally the Euler-Maruyama negative control.
     """
     rows = []
-    ref_times = None
 
     def deviation_row(label, nu, result):
-        nonlocal ref_times
-        if ref_times is None or ref_times.shape != result.times.shape:
-            ref_times = result.times
         mask = result.times >= (1.0 - window_frac) * t_max
         ref = msd_closed_form(result.times[mask], init_kernel, corr, params).msd
         rel = (result.per_traj_msd[:, mask] - ref) / ref

@@ -11,8 +11,13 @@ periodic grid is obtained by filtering white noise with the square root of
 the covariance's discrete Fourier transform, at O(N log N) per increment.
 
 Colored noise with a triangular temporal kernel of half-width ``nu`` is the
-box-filter moving average of the same white increments, so white and
-colored paths built from one seed share their underlying randomness.
+box-filter moving average of white increments over the last ``q = nu / dt``
+steps.  The filter is linear, so :class:`ColoredStream` keeps the running
+sum of the raw unit normals over that window and filters the sum once per
+sample.  White and colored paths draw from separate purpose lanes
+(``KIND_FIELD`` and ``KIND_FIELD_COLORED``), so one seed gives them
+independent randomness; colored paths of different ``nu`` share their
+increments.
 """
 
 from __future__ import annotations
@@ -212,47 +217,55 @@ def sample_colored_path(grid: FieldGrid, corr, params: ModelParams, kernel: Colo
 class ColoredStream:
     """Streaming colored potential for a batch of trajectories.
 
-    Keeps the box-filter window of white increments in memory (q arrays of
-    shape ``(batch,) + grid.shape``) and yields the potential at successive
-    sample times.  The white increments come from their own purpose lane
-    at absolute step indices, so each trajectory's path does not depend on
-    the batch it is streamed in, and streams with different ``nu`` share
-    their noise source.
+    Keeps the box-filter window of raw unit normals in memory (q arrays of
+    shape ``(batch,) + grid.shape``, as :func:`~.rng.normals` returns them)
+    and their running sum S_n in an array of its own.  The filter is
+    linear, so the potential ``V_n = filter(S_n) sqrt(dt) / nu`` is the
+    moving average of the filtered white increments; it costs one spectral
+    filter per sample, made by the first :meth:`current` after each
+    :meth:`advance` and none in the warm-up.  The normals come from their
+    own purpose lane at absolute step indices, so each trajectory's path
+    does not depend on the batch it is streamed in, and streams with
+    different ``nu`` share their noise source.
     """
 
     def __init__(self, grid, corr, params, kernel: ColoredKernel, dt, seed, traj_indices,
                  amplitude=None, kind=None):
         self._grid = grid
-        self._kernel = kernel
-        self._dt = float(dt)
-        self._q = kernel.width_steps(dt)
         self._seed = int(seed)
         self._trajs = list(traj_indices)
         self._kind = KIND_FIELD_COLORED if kind is None else kind
         self._amp = spectral_amplitude(grid, corr, params) if amplitude is None else amplitude
-        self._root_dt = math.sqrt(self._dt)
-        self._window = [self._increment(j) for j in range(-self._q, 0)]
-        # running sum: np.sum over the list would first stack a copy of the window
-        self._acc = self._window[0].copy()
-        for inc in self._window[1:]:
-            self._acc += inc
+        self._scale = math.sqrt(float(dt)) / kernel.nu
+        q = kernel.width_steps(dt)
+        self._window = [self._normals(j) for j in range(-q, 0)]
+        # the sum is an array of its own: it must not alias a window entry
+        self._sum = self._window[0].copy()
+        for xi in self._window[1:]:
+            self._sum += xi
         self._next_step = 0
+        self._current = None
 
-    def _increment(self, step_index):
+    def _normals(self, step_index):
         xi = normals(self._seed, self._kind, self._trajs, step_index + _COLORED_STEP_OFFSET,
                      self._grid.shape)
-        return _filter_white_batch(xi, self._amp) * self._root_dt
+        # a view of whole drawn groups would keep the rows outside the batch alive
+        return xi if xi.base is None or xi.base.size == xi.size else xi.copy()
 
     def current(self) -> np.ndarray:
-        """Potential V(x, t_n) for the step about to be taken."""
-        return self._acc / self._kernel.nu
+        """Potential V(x, t_n) for the step about to be taken (read-only)."""
+        if self._current is None:
+            self._current = _filter_white_batch(self._sum, self._amp) * self._scale
+            self._current.flags.writeable = False
+        return self._current
 
     def advance(self):
-        new = self._increment(self._next_step)
-        self._acc = self._acc + new - self._window[0]
+        new = self._normals(self._next_step)
+        self._sum += new
+        self._sum -= self._window.pop(0)
         self._window.append(new)
-        self._window.pop(0)
         self._next_step += 1
+        self._current = None
 
 
 def _filter_white_batch(xi: np.ndarray, amplitude: np.ndarray) -> np.ndarray:

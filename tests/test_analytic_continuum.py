@@ -56,7 +56,7 @@ class TestPhase:
             assert abs(fd) < 1e-9
 
     def test_negative_time_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="t must be nonnegative, got -1.0"):
             PhaseQuery(k=[0.1], t=-1.0)
 
 
@@ -199,11 +199,11 @@ class TestLaplaceKernel1d:
         assert got.real == pytest.approx(num.real, rel=1e-6)
 
     def test_requires_positive_real_part(self, gaussian_corr, params, init):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"need Re s > 0, got \(-1\+0j\)"):
             laplace_kernel_1d(0.1, -1.0, init, gaussian_corr, params)
 
     def test_dimension_guard(self, gaussian_corr, init):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="one-dimensional special case"):
             laplace_kernel_1d(0.1, 1.0, init, GaussianCorrelation(np.eye(2)), ModelParams(dim=2))
 
 
@@ -229,9 +229,9 @@ class TestMomentSeries:
         assert f"{val:.17g}" in buf.getvalue()
 
     def test_invariants(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="times must be strictly increasing"):
             MomentSeries(times=np.array([1.0, 0.5]), msd=np.array([1.0, 1.0]))
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="msd must be nonnegative"):
             MomentSeries(times=np.array([0.0, 1.0]), msd=np.array([1.0, -2.0]))
 
 

@@ -57,9 +57,9 @@ class TestLaplaceMsd:
             assert abs(val.imag) <= 1e-12 * abs(val)
 
     def test_pole_errors(self, point_inputs):
-        with pytest.raises(PoleError):
+        with pytest.raises(PoleError, match=re.escape("at a pole: s=0j, gamma=[1.]")):
             laplace_msd(0.0, point_inputs)
-        with pytest.raises(PoleError):
+        with pytest.raises(PoleError, match=re.escape("at a pole: s=(-1+0j), gamma=[1.]")):
             laplace_msd(-1.0, point_inputs)  # s = -gamma
 
     @pytest.mark.parametrize("inputs", [
@@ -90,7 +90,7 @@ class TestLaplaceMsd:
                 laplace_msd(s, inputs)
 
     def test_r000_must_be_positive(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=re.escape("K(0,0,0) must be positive, got 0.0")):
             LatticeMomentInputs(c1=1.0, r000=0.0, gamma=[1.0], gamma2=[1.0])
 
 
@@ -111,7 +111,7 @@ class TestClosedFormLaw:
         assert val == pytest.approx(5.0e-5, rel=0.01)
 
     def test_negative_time_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="t must be nonnegative"):
             msd_inverse_laplace_closed_form(-0.1, LatticeMSDLaw(cd=1.0, gamma=[1.0]))
 
     def test_matches_talbot_inversion_of_full_transform(self):

@@ -53,13 +53,13 @@ def central_hessian(corr, dim, h=1e-4):
 
 def test_model_params_invariants():
     ModelParams(v0=0.0)  # ballistic limit allowed
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="hbar must be positive, got 0.0"):
         ModelParams(hbar=0.0)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="mass must be positive, got -1.0"):
         ModelParams(mass=-1.0)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="v0 must be nonnegative, got -0.1"):
         ModelParams(v0=-0.1)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="dim must be a positive integer, got 0"):
         ModelParams(dim=0)
 
 
@@ -137,7 +137,7 @@ def test_tabulated_symmetrization_records_delta():
 def test_tabulated_out_of_range_is_input_error():
     xs = np.linspace(-3, 3, 121)
     table = TabulatedCorrelation(xs, np.exp(-(xs**2)))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"r=5 outside table range \[0, 3\]"):
         table.g(np.array(5.0))
 
 

@@ -83,7 +83,7 @@ class TestHierarchy:
         np.testing.assert_allclose(rev, np.conj(m0_out), atol=1e-12)
 
     def test_stability_guard(self, sharp_corr, point_init):
-        with pytest.raises(StabilityError):
+        with pytest.raises(StabilityError, match=r"dt=0.5 exceeds stability limit 0.1; reduce evolve\.dt"):
             evolve_hierarchy(point_init, sharp_corr, LATTICE, t_max=1.0, dt=0.5)
 
     def test_boundary_monitor(self, sharp_corr):
@@ -91,11 +91,11 @@ class TestHierarchy:
         init = LatticeInitialData.point(1, side)
         y = (np.arange(side) + side // 2) % side - side // 2
         init.m0 = np.exp(-(y**2) / 8.0).astype(complex)  # mass near the edge
-        with pytest.raises(BoxSizeError):
+        with pytest.raises(BoxSizeError, match=r"Y-box edge at t=0.01; enlarge the box \(evolve\.y_box, now 9\)"):
             evolve_hierarchy(init, sharp_corr, LATTICE, t_max=1.0, dt=0.01)
 
     def test_even_box_rejected(self, sharp_corr):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="Y-box side must be odd and >= 5, got 8"):
             LatticeInitialData.point(1, 8)
 
 
@@ -140,20 +140,20 @@ class TestFullKernel:
         assert fd == pytest.approx(target, rel=1e-3)
 
     def test_cfl_guard(self, sharp_corr, point_init):
-        with pytest.raises(StabilityError):
+        with pytest.raises(StabilityError, match=r"dt=1.0 too large for \|k\|=3.14"):
             evolve_full_kernel(np.array([[np.pi]]), point_init.m0, sharp_corr, LATTICE,
                                t_max=1.0, dt=1.0)
 
 
 def test_snapshot_dump_round_trip(tmp_path, sharp_corr, point_init):
-    from whitenoise_transport import read_field
-    from whitenoise_transport.evolve_lattice import dump_kernel_snapshot
+    # complex kernel snapshots on an odd Y-box go through the field-dump format
+    from whitenoise_transport import read_field, write_field
 
     times, snaps = evolve_full_kernel(np.array([[0.1]]), point_init.m0, sharp_corr, LATTICE,
                                       t_max=1.0, dt=0.01, record_times=[0.5, 1.0])
     for j, t in enumerate(times):
         path = tmp_path / f"snap_{j}.qtnf"
-        dump_kernel_snapshot(path, snaps[0, j], side=9, dim=1, dt=0.01)
+        write_field(path, snaps[0, j], dim=1, points_per_side=9, dt=0.01)
         values, dim, side, dt = read_field(path)
         assert (dim, side, dt) == (1, 9, 0.01)
         restored = values[..., 0] + 1j * values[..., 1]
@@ -287,17 +287,22 @@ class TestStepOperator:
             assert step.power(r).nnz == nnz
 
 
+# the messages of step_count and the record_every check
+BAD_TIMES = ("dt must be positive|t_max must be at least dt|is not a whole number of steps"
+             "|record_every must be a positive integer")
+
+
 class TestTimeInputs:
     @pytest.mark.parametrize("t_max, dt, record_every", [
         (1.0, 0.0, 1), (1.0, -0.01, 1), (0.005, 0.01, 1), (0.015, 0.01, 1), (1.0, 0.01, 0),
         (1.0, 0.01, 2.5)])
     def test_hierarchy_rejects_bad_times(self, sharp_corr, point_init, t_max, dt, record_every):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=BAD_TIMES):
             evolve_hierarchy(point_init, sharp_corr, LATTICE, t_max=t_max, dt=dt,
                              record_every=record_every)
 
     @pytest.mark.parametrize("t_max, dt", [(1.0, 0.0), (1.0, -0.01), (0.005, 0.01), (0.015, 0.01)])
     def test_full_kernel_rejects_bad_times(self, sharp_corr, point_init, t_max, dt):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=BAD_TIMES):
             evolve_full_kernel(np.array([[0.1]]), point_init.m0, sharp_corr, LATTICE,
                                t_max=t_max, dt=dt)

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whitenoise_transport import (BoxSizeError, ColoredKernel, FieldGrid, GaussianCorrelation,
-                                  GaussianPureState, InputError, ModelParams, Space,
+                                  GaussianPureState, InputError, ModelParams, Space, StabilityError,
                                   gaussian_wavepacket, kernel_hat, msd_closed_form, point_state,
                                   run_classical, run_continuum, run_lattice)
+from whitenoise_transport import mc_simulator, noise_field
 from whitenoise_transport.mc_simulator import (SCHEME_ITO_EULER, _corner_kick_factor,
                                                colored_noise_convergence_study)
 from whitenoise_transport.noise_field import spectral_amplitude
@@ -78,6 +79,24 @@ class TestContinuum:
         np.testing.assert_array_equal(a.per_traj_msd, b.per_traj_msd)
         np.testing.assert_array_equal(a.msd_mean, b.msd_mean)
 
+    def test_colored_batch_filters_once_per_sample(self, small_grid, packet, monkeypatch):
+        # n steps sample the colored potential n + 1 times; the warm-up
+        # window is summed raw and costs no filter
+        calls = []
+
+        def counted(xi, amplitude, _filter=noise_field._filter_white_batch):
+            calls.append(xi.shape[0])
+            return _filter(xi, amplitude)
+
+        for module in (noise_field, mc_simulator):
+            monkeypatch.setattr(module, "_filter_white_batch", counted)
+        n_steps, batch_size, n_traj = 8, 4, 10
+        run_continuum(small_grid, packet, CORR, P, t_max=n_steps * 0.0125, dt=0.0125,
+                      n_traj=n_traj, seed=3, record_every=4, threads=1, batch_size=batch_size,
+                      colored=ColoredKernel(0.05))
+        n_batches = -(-n_traj // batch_size)
+        assert len(calls) == n_batches * (n_steps + 1)
+
     @pytest.mark.parametrize("colored", [None, ColoredKernel(0.05)])
     def test_evolution_does_not_depend_on_record_steps(self, small_grid, packet, colored):
         kw = dict(t_max=0.25, dt=0.0125, n_traj=3, seed=8, colored=colored)
@@ -112,7 +131,8 @@ class TestContinuum:
     def test_boundary_abort(self):
         grid = FieldGrid.continuum(1, 128, 12.0)  # box far too small
         psi = gaussian_wavepacket(grid, 1.0)
-        with pytest.raises(BoxSizeError):
+        with pytest.raises(BoxSizeError, match=r"of trajectory 1 at t=1 exceeds mc\.boundary_tol"
+                                               r"=1\.0e-06; enlarge the box \(grid\.length\)"):
             run_continuum(grid, psi, CORR, P, t_max=6.0, dt=0.01, n_traj=2, seed=2,
                           record_every=25, boundary_tol=1e-6)
 
@@ -166,6 +186,27 @@ def test_lattice_any_batch_split_matches_one_batch(n_traj, batch_size, threads):
     b = run_lattice(grid, point_state(grid), SHARP, P_LAT, n_traj=n_traj, threads=1,
                     batch_size=n_traj, **kw)
     np.testing.assert_array_equal(a.per_traj_msd, b.per_traj_msd)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n_traj=st.integers(1, 23), batch_size=st.integers(1, 25), threads=st.sampled_from([1, 2]))
+def test_colored_any_batch_split_matches_one_batch(n_traj, batch_size, threads):
+    grid = FieldGrid.continuum(1, 64, 32.0)
+    psi = gaussian_wavepacket(grid, 1.0)
+    kw = dict(t_max=0.1, dt=0.0125, seed=41, record_every=4, boundary_tol=1.0,
+              colored=ColoredKernel(0.05))
+    a = run_continuum(grid, psi, CORR, P, n_traj=n_traj, threads=threads, batch_size=batch_size, **kw)
+    b = run_continuum(grid, psi, CORR, P, n_traj=n_traj, threads=1, batch_size=n_traj, **kw)
+    np.testing.assert_array_equal(a.per_traj_msd, b.per_traj_msd)
+
+
+def test_nan_errors_name_trajectory_time_and_key(small_grid, packet):
+    bad = packet.copy()
+    bad[0] = np.nan
+    with pytest.raises(StabilityError, match=r"trajectory 0 at t=0; .* reduce time\.dt \(now 0\.01\)"):
+        run_continuum(small_grid, bad, CORR, P, t_max=0.1, dt=0.01, n_traj=2, seed=1)
+    with pytest.raises(StabilityError, match=r"classical trajectory 0 at t=0\.05; reduce time\.dt"):
+        run_classical(1, CORR, P, [np.nan], t_max=0.1, dt=0.01, n_traj=2, seed=1, record_every=5)
 
 
 def test_dimension_mismatch_raises_input_error(small_grid, packet):

@@ -25,8 +25,8 @@ def test_grid_invariants():
     assert g.total_sites == 64**2
     assert g.spacing == 0.5
     assert FieldGrid.lattice(1, 128).spacing == 1.0
-    with pytest.raises(InputError):
-        FieldGrid.continuum(1, 100, 10.0)  # not a power of two
+    with pytest.raises(InputError, match="points_per_side must be a power of two, got 100"):
+        FieldGrid.continuum(1, 100, 10.0)
 
 
 def test_same_seed_info_is_bit_identical(grid, gaussian_corr, params):
@@ -71,9 +71,8 @@ def test_negative_spectrum_raises_covariance_error(params):
     vals = np.where(np.abs(xs) <= 1.0, 1.0, 0.0)
     table = TabulatedCorrelation(xs, vals)
     grid = FieldGrid.continuum(1, 256, 16.0)
-    with pytest.raises(CovarianceError) as err:
+    with pytest.raises(CovarianceError, match=r"negative spectral density .* at mode \("):
         spectral_amplitude(grid, table, params)
-    assert "mode" in str(err.value)
 
 
 def test_dimension_mismatch_raises_input_error(params):
@@ -97,10 +96,10 @@ class TestColoredKernel:
         np.testing.assert_allclose(samples, samples[::-1])
 
     def test_resolution_errors(self):
-        with pytest.raises(ResolutionError):
+        with pytest.raises(ResolutionError, match="nu=0.01 is below the step dt=0.05"):
             ColoredKernel(0.01).width_steps(0.05)
-        with pytest.raises(ResolutionError):
-            ColoredKernel(0.07).width_steps(0.05)  # not an integer multiple
+        with pytest.raises(ResolutionError, match="nu=0.07 must be an integer multiple of dt=0.05"):
+            ColoredKernel(0.07).width_steps(0.05)
 
 
 def test_colored_path_covariance(grid, gaussian_corr, amp):
@@ -169,6 +168,38 @@ def test_colored_stream_matches_path(grid, gaussian_corr, params, amp):
             for b in range(len(trajs)):
                 np.testing.assert_array_equal(cur[b], paths[b][n])
             stream.advance()
+
+
+@pytest.mark.parametrize("q", [1, 8])
+@pytest.mark.parametrize("trajs", [[0, 1], [17, 3], [248, 249, 250, 251]])
+def test_colored_stream_is_the_window_sum_of_filtered_increments(grid, gaussian_corr, params, amp,
+                                                                 q, trajs):
+    # V_n = sum_{j=n-q}^{n-1} filter(xi_j) sqrt(dt) / nu, past the first full window
+    dt = 0.05
+    nu = q * dt
+    stream = ColoredStream(grid, gaussian_corr, params, ColoredKernel(nu), dt, 5, trajs,
+                           amplitude=amp)
+    for n in range(2 * q + 3):
+        if n > q:
+            expected = sum(
+                _filter_white_batch(rng.normals(5, rng.KIND_FIELD_COLORED, trajs,
+                                                j + _COLORED_STEP_OFFSET, grid.shape), amp)
+                for j in range(n - q, n)
+            ) * np.sqrt(dt) / nu
+            cur = stream.current()
+            assert np.max(np.abs(cur - expected)) <= 1e-12 * np.max(np.abs(expected))
+        stream.advance()
+
+
+def test_colored_stream_current_is_cached_and_read_only(grid, gaussian_corr, params, amp):
+    stream = ColoredStream(grid, gaussian_corr, params, ColoredKernel(0.2), 0.05, 5, [0, 1],
+                           amplitude=amp)
+    cur = stream.current()
+    assert stream.current() is cur
+    with pytest.raises(ValueError, match="read-only"):
+        cur[0, 0] = 1.0
+    stream.advance()
+    assert stream.current() is not cur
 
 
 @pytest.mark.parametrize("grid2, matrix", [
