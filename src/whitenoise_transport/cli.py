@@ -81,6 +81,18 @@ def _merge(template, override):
     return out
 
 
+def _check_finite(val, path="config"):
+    """Refuse NaN and infinities, which ``json`` accepts, anywhere in the config."""
+    if isinstance(val, dict):
+        for key, sub in val.items():
+            _check_finite(sub, f"{path}.{key}")
+    elif isinstance(val, list):
+        for i, sub in enumerate(val):
+            _check_finite(sub, f"{path}[{i}]")
+    elif isinstance(val, float) and not math.isfinite(val):
+        raise ConfigError(f"{path}: must be finite, got {val!r}")
+
+
 # counts that loops step or divide by, and array sizes: each must be a JSON integer >= 1
 _POSITIVE_COUNTS = (("mc", "n_traj"), ("mc", "batch_size"), ("time", "record_every"),
                     ("evolve", "record_every"), ("grid", "points"), ("lattice_box", "sites"),
@@ -122,6 +134,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     _check_keys(raw, DEFAULT_CONFIG)
     cfg = _merge(DEFAULT_CONFIG, raw)
+    _check_finite(cfg)
     _check_counts(cfg)
     _check_step_times(cfg, "evolve")
     _check_step_times(cfg, "time")

@@ -29,7 +29,8 @@ import numpy as np
 from .analytic_continuum import MomentSeries, Provenance, msd_closed_form
 from .core_model import ModelParams, Space, step_count
 from .errors import BoxSizeError, InputError, StabilityError
-from .noise_field import ColoredKernel, ColoredStream, FieldGrid, spectral_amplitude, _filter_white_batch
+from .noise_field import (ColoredKernel, ColoredStream, FieldGrid, HalfSpectrum, spectral_amplitude,
+                          _filter_white_batch)
 from .rng import KIND_CLASSICAL, KIND_FIELD, normals
 
 __all__ = [
@@ -229,7 +230,6 @@ def _simulate_batch(traj_indices, grid, psi0, corr, params, dt, n_steps, record_
     psi = np.broadcast_to(psi0, (B,) + grid.shape).astype(complex).copy()
     half, full = _kinetic_multipliers(grid, params, dt)
     inv_hbar = 1.0 / params.hbar
-    root_dt = math.sqrt(dt)
 
     n_rec = record_steps.size
     msd = np.empty((B, n_rec))
@@ -241,13 +241,13 @@ def _simulate_batch(traj_indices, grid, psi0, corr, params, dt, n_steps, record_
     # potential phase exp(-i dW / hbar), written in place once per step
     phase = np.empty_like(psi) if scheme == SCHEME_STRATONOVICH else None
 
-    stream = None
-    if colored is not None:
+    if colored is None:
+        white = HalfSpectrum(amplitude, math.sqrt(dt))
+    else:
         stream = ColoredStream(grid, corr, params, colored, dt, seed, traj_indices, amplitude=amplitude)
 
     def draw_white(step):
-        xi = normals(seed, KIND_FIELD, traj_indices, step, grid.shape)
-        return _filter_white_batch(xi, amplitude) * root_dt
+        return _filter_white_batch(white.normals(seed, KIND_FIELD, traj_indices, step), white)
 
     def record(pos, psi_rec, psi_k):
         nonlocal boundary_max, probes
@@ -415,7 +415,7 @@ def run_lattice(grid: FieldGrid, psi0, corr, params: ModelParams, t_max, dt, n_t
 # steps of kicks drawn per Philox stream: the draws of step n are keyed
 # (seed, KIND_CLASSICAL, trajectory group, n // _KICK_BLOCK), at row
 # n % _KICK_BLOCK of the trajectory's rows of that stream.  Part of the
-# stream definition (rng.STREAM_VERSION 3).
+# stream definition (since rng.STREAM_VERSION 3).
 _KICK_BLOCK = 1024
 
 

@@ -6,15 +6,19 @@ covariance ``v0^2 g(x - x') dt``.  The instantaneous potential is never
 formed (it has infinite variance); split-step propagators consume the
 increments directly.
 
-Sampling is spectral: a field with exact stationary covariance on the
-periodic grid is obtained by filtering white noise with the square root of
-the covariance's discrete Fourier transform, at O(N log N) per increment.
+Sampling is spectral and draws the spectrum itself (circulant embedding,
+Dietrich & Newsam 1997): each nonzero mode of the last-axis half of the
+covariance's square-root spectrum takes one complex unit normal, scaled by
+that amplitude, and one inverse real FFT gives a field with the exact
+stationary covariance on the periodic grid, at O(N log N) per increment.
+Modes where a smooth correlation's spectrum has died off are not drawn
+(see :class:`HalfSpectrum`).
 
 Colored noise with a triangular temporal kernel of half-width ``nu`` is the
 box-filter moving average of white increments over the last ``q = nu / dt``
-steps.  The filter is linear, so :class:`ColoredStream` keeps the running
-sum of the raw unit normals over that window and filters the sum once per
-sample.  White and colored paths draw from separate purpose lanes
+steps.  The synthesis is linear, so :class:`ColoredStream` keeps the running
+sum of the drawn k-space normals over that window and synthesises the sum
+once per sample.  White and colored paths draw from separate purpose lanes
 (``KIND_FIELD`` and ``KIND_FIELD_COLORED``), so one seed gives them
 independent randomness; colored paths of different ``nu`` share their
 increments.
@@ -37,6 +41,7 @@ __all__ = [
     "NoiseIncrement",
     "ColoredKernel",
     "spectral_amplitude",
+    "HalfSpectrum",
     "sample_white_increment",
     "sample_colored_path",
     "write_field",
@@ -139,6 +144,48 @@ def spectral_amplitude(grid: FieldGrid, corr, params: ModelParams, neg_tol=1e-8)
     return np.sqrt(spec)
 
 
+class HalfSpectrum:
+    """The drawn modes of a field: the nonzero modes of the last-axis half of
+    an amplitude from :func:`spectral_amplitude`, and their scales.
+
+    ``support`` holds the flat C-order indices of those modes in the half
+    spectrum, ``scale`` the factor of each: ``amplitude * sqrt(N^d / 2) *
+    gain``, times a further sqrt(2) on the planes k_last in {0, N/2}, of
+    which ``irfftn`` keeps only the Hermitian part, which halves their
+    variance.  A field takes ``n_normals = 2 * support.size`` unit normals,
+    the (re, im) pair of each mode in support order; the field then has
+    covariance DFT ``(amplitude * gain)**2`` exactly.  Zero modes are not
+    drawn, so an empty support (v0 = 0) draws nothing and gives zeros.
+    """
+
+    def __init__(self, amplitude: np.ndarray, gain: float = 1.0):
+        n = amplitude.shape[-1]
+        half = amplitude[..., : n // 2 + 1]
+        self.shape = amplitude.shape
+        self.half_shape = half.shape
+        self.support = np.flatnonzero(half)
+        k_last = self.support % half.shape[-1]
+        self.scale = half.ravel()[self.support] * (math.sqrt(amplitude.size / 2.0) * gain)
+        self.scale[(k_last == 0) | (k_last == n // 2)] *= math.sqrt(2.0)
+        self.n_normals = 2 * self.support.size
+        # each normal's factor and its slot in the float view of the half
+        # spectrum; a contiguous support (1-D) is one slice
+        self._floats = 2 * half.size
+        self._normal_scale = np.repeat(self.scale, 2)
+        first = 2 * self.support
+        if self.support.size and self.support[-1] - self.support[0] == self.support.size - 1:
+            self._slots = slice(int(first[0]), int(first[-1]) + 2)
+        else:
+            self._slots = np.stack([first, first + 1], axis=-1).ravel()
+
+    def normals(self, seed, kind, trajs, step) -> np.ndarray:
+        """The unit normals of the fields of ``trajs`` at one step, shape
+        ``(len(trajs), n_normals)``; nothing is drawn for an empty support."""
+        if not self.n_normals:
+            return np.zeros((len(trajs), 0))
+        return normals(seed, kind, trajs, step, (self.n_normals,))
+
+
 def sample_white_increment(grid: FieldGrid, corr, params: ModelParams, dt: float, seed_info: SeedInfo,
                            amplitude=None) -> NoiseIncrement:
     """Draw one white-in-time increment with covariance v0^2 g(.) dt.
@@ -151,8 +198,9 @@ def sample_white_increment(grid: FieldGrid, corr, params: ModelParams, dt: float
         raise InputError(f"dt must be positive, got {dt}")
     if amplitude is None:
         amplitude = spectral_amplitude(grid, corr, params)
-    xi = normals(seed_info.seed, seed_info.kind, [seed_info.traj], seed_info.step, grid.shape)
-    values = _filter_white_batch(xi, amplitude)[0] * math.sqrt(dt)
+    spectrum = HalfSpectrum(amplitude, math.sqrt(dt))
+    z = spectrum.normals(seed_info.seed, seed_info.kind, [seed_info.traj], seed_info.step)
+    values = _filter_white_batch(z, spectrum)[0]
     return NoiseIncrement(values=values, dt=dt, seed_info=seed_info)
 
 
@@ -217,12 +265,12 @@ def sample_colored_path(grid: FieldGrid, corr, params: ModelParams, kernel: Colo
 class ColoredStream:
     """Streaming colored potential for a batch of trajectories.
 
-    Keeps the box-filter window of raw unit normals in memory (q arrays of
-    shape ``(batch,) + grid.shape``, as :func:`~.rng.normals` returns them)
-    and their running sum S_n in an array of its own.  The filter is
-    linear, so the potential ``V_n = filter(S_n) sqrt(dt) / nu`` is the
-    moving average of the filtered white increments; it costs one spectral
-    filter per sample, made by the first :meth:`current` after each
+    Keeps the box-filter window of drawn k-space normals in memory (q
+    arrays of shape ``(batch, n_normals)``, as :meth:`HalfSpectrum.normals`
+    returns them) and their running sum S_n in an array of its own.  The
+    synthesis is linear, so the potential ``V_n = synthesis(S_n) sqrt(dt) /
+    nu`` is the moving average of the white increments; it costs one
+    synthesis per sample, made by the first :meth:`current` after each
     :meth:`advance` and none in the warm-up.  The normals come from their
     own purpose lane at absolute step indices, so each trajectory's path
     does not depend on the batch it is streamed in, and streams with
@@ -231,31 +279,29 @@ class ColoredStream:
 
     def __init__(self, grid, corr, params, kernel: ColoredKernel, dt, seed, traj_indices,
                  amplitude=None, kind=None):
-        self._grid = grid
         self._seed = int(seed)
         self._trajs = list(traj_indices)
         self._kind = KIND_FIELD_COLORED if kind is None else kind
-        self._amp = spectral_amplitude(grid, corr, params) if amplitude is None else amplitude
-        self._scale = math.sqrt(float(dt)) / kernel.nu
+        amp = spectral_amplitude(grid, corr, params) if amplitude is None else amplitude
+        self._spectrum = HalfSpectrum(amp, math.sqrt(float(dt)) / kernel.nu)
         q = kernel.width_steps(dt)
         self._window = [self._normals(j) for j in range(-q, 0)]
         # the sum is an array of its own: it must not alias a window entry
         self._sum = self._window[0].copy()
-        for xi in self._window[1:]:
-            self._sum += xi
+        for z in self._window[1:]:
+            self._sum += z
         self._next_step = 0
         self._current = None
 
     def _normals(self, step_index):
-        xi = normals(self._seed, self._kind, self._trajs, step_index + _COLORED_STEP_OFFSET,
-                     self._grid.shape)
+        z = self._spectrum.normals(self._seed, self._kind, self._trajs, step_index + _COLORED_STEP_OFFSET)
         # a view of whole drawn groups would keep the rows outside the batch alive
-        return xi if xi.base is None or xi.base.size == xi.size else xi.copy()
+        return z if z.base is None or z.base.size == z.size else z.copy()
 
     def current(self) -> np.ndarray:
         """Potential V(x, t_n) for the step about to be taken (read-only)."""
         if self._current is None:
-            self._current = _filter_white_batch(self._sum, self._amp) * self._scale
+            self._current = _filter_white_batch(self._sum, self._spectrum)
             self._current.flags.writeable = False
         return self._current
 
@@ -268,17 +314,16 @@ class ColoredStream:
         self._current = None
 
 
-def _filter_white_batch(xi: np.ndarray, amplitude: np.ndarray) -> np.ndarray:
-    """Filter a batch of unit white fields (leading axis: the batch) so each
-    field's covariance DFT equals ``amplitude**2``.
-
-    ``amplitude`` is even (see :func:`spectral_amplitude`), so the filtered
-    spectrum of a real field is Hermitian and the real-FFT pair over the
-    last-axis half of the modes gives the real field directly.
-    """
-    axes = tuple(range(1, xi.ndim))
-    half = amplitude[..., : amplitude.shape[-1] // 2 + 1]
-    return np.fft.irfftn(np.fft.rfftn(xi, axes=axes) * half, s=xi.shape[1:], axes=axes)
+def _filter_white_batch(z: np.ndarray, spectrum: HalfSpectrum) -> np.ndarray:
+    """Fields from unit normals drawn as ``spectrum``'s modes (leading axis:
+    the batch): scale the (re, im) pairs, scatter them into a zero half
+    spectrum and take one ``irfftn``.  Each field's covariance DFT is
+    ``(amplitude * gain)**2`` (see :class:`HalfSpectrum`)."""
+    batch = z.shape[0]
+    coeffs = np.zeros((batch, spectrum._floats))
+    coeffs[:, spectrum._slots] = z * spectrum._normal_scale
+    half = coeffs.view(complex).reshape((batch,) + spectrum.half_shape)
+    return np.fft.irfftn(half, s=spectrum.shape, axes=tuple(range(1, half.ndim)))
 
 
 _MAGIC = b"QTNF"

@@ -26,8 +26,10 @@ __all__ = ["stream", "normals", "SeedInfo", "KIND_FIELD", "KIND_FIELD_COLORED", 
 #: version of the mapping from draw coordinates to numbers, recorded in every
 #: manifest; it changes whenever a seed would give different draws.  Version 2
 #: keys the classical kicks by 1024-step block instead of by step; version 3
-#: draws one stream per group of ``TRAJ_GROUP`` trajectories.
-STREAM_VERSION = 3
+#: draws one stream per group of ``TRAJ_GROUP`` trajectories; version 4 draws
+#: the field increments as the (re, im) pairs of their nonzero half-spectrum
+#: modes (``noise_field.HalfSpectrum``), not as grid-point normals.
+STREAM_VERSION = 4
 
 #: trajectories per stream: trajectory t draws row ``t % TRAJ_GROUP`` of
 #: group ``t // TRAJ_GROUP``'s stream.  Part of the stream definition.

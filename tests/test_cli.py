@@ -1,6 +1,7 @@
 import importlib.metadata
 import json
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,7 +62,7 @@ def test_analytic_route_artifacts(tmp_path):
     assert manifest["python_version"] == platform.python_version()
     assert manifest["numpy_version"] == np.__version__
     assert manifest["scipy_version"] == importlib.metadata.version("scipy")
-    assert manifest["rng_stream_version"] == 3
+    assert manifest["rng_stream_version"] == 4
     assert (out / "config.json").exists()
 
 
@@ -198,6 +199,25 @@ def test_time_step_longer_than_run_is_config_error(tmp_path, capsys, time, key):
     assert main(["mc-continuum", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert f"config.time.{key}" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("route, overrides, key", [
+    ("classical", lambda v: {"classical": {"v0_init": [0.5, v]}}, r"classical\.v0_init\[1\]"),
+    ("mc-continuum", lambda v: {"initial": {"sigma": [v]}}, r"initial\.sigma\[0\]"),
+    ("analytic-msd", lambda v: {"correlation": {"matrix": [[v]]}}, r"correlation\.matrix\[0\]\[0\]"),
+])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, route, overrides, key, value):
+    # json writes and reads NaN, Infinity and -Infinity
+    path = write_cfg(tmp_path, **overrides(value), out_dir=str(tmp_path / "o"))
+    assert any(word in path.read_text() for word in ("NaN", "Infinity"))
+    message = rf"config\.{key}: must be finite, got {value!r}"
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+    assert main([route, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(message, err) and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 

@@ -97,6 +97,27 @@ class TestContinuum:
         n_batches = -(-n_traj // batch_size)
         assert len(calls) == n_batches * (n_steps + 1)
 
+    def test_white_batch_step_draws_two_normals_per_nonzero_half_mode(self, small_grid, packet,
+                                                                       monkeypatch):
+        drawn = []
+
+        def counted(*args, _normals=noise_field.normals):
+            out = _normals(*args)
+            drawn.append(out.shape)
+            return out
+
+        monkeypatch.setattr(noise_field, "normals", counted)
+        n = small_grid.points_per_side
+        n_modes = np.count_nonzero(spectral_amplitude(small_grid, CORR, P)[: n // 2 + 1])
+        assert n_modes < n // 2 + 1
+        kw = dict(t_max=5 * 0.01, dt=0.01, n_traj=10, seed=3, record_every=5, threads=1, batch_size=4)
+        run_continuum(small_grid, packet, CORR, P, **kw)
+        assert drawn == [(4, 2 * n_modes)] * 10 + [(2, 2 * n_modes)] * 5   # batches 4, 4, 2; 5 steps
+        # no disorder: nothing to draw
+        drawn.clear()
+        run_continuum(small_grid, packet, CORR, P_FREE, **kw)
+        assert drawn == []
+
     @pytest.mark.parametrize("colored", [None, ColoredKernel(0.05)])
     def test_evolution_does_not_depend_on_record_steps(self, small_grid, packet, colored):
         kw = dict(t_max=0.25, dt=0.0125, n_traj=3, seed=8, colored=colored)
@@ -131,7 +152,7 @@ class TestContinuum:
     def test_boundary_abort(self):
         grid = FieldGrid.continuum(1, 128, 12.0)  # box far too small
         psi = gaussian_wavepacket(grid, 1.0)
-        with pytest.raises(BoxSizeError, match=r"of trajectory 1 at t=1 exceeds mc\.boundary_tol"
+        with pytest.raises(BoxSizeError, match=r"of trajectory 0 at t=0\.75 exceeds mc\.boundary_tol"
                                                r"=1\.0e-06; enlarge the box \(grid\.length\)"):
             run_continuum(grid, psi, CORR, P, t_max=6.0, dt=0.01, n_traj=2, seed=2,
                           record_every=25, boundary_tol=1e-6)

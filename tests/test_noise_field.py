@@ -7,7 +7,9 @@ from whitenoise_transport import (ColoredKernel, CovarianceError, FieldGrid, Gau
                                   InputError, ModelParams, ResolutionError, SeedInfo,
                                   TabulatedCorrelation, read_field, rng, sample_colored_path,
                                   sample_white_increment, spectral_amplitude, write_field)
-from whitenoise_transport.noise_field import _COLORED_STEP_OFFSET, ColoredStream, _filter_white_batch
+from whitenoise_transport import noise_field
+from whitenoise_transport.noise_field import (_COLORED_STEP_OFFSET, ColoredStream, HalfSpectrum,
+                                              _filter_white_batch)
 
 
 @pytest.fixture
@@ -81,10 +83,19 @@ def test_dimension_mismatch_raises_input_error(params):
         spectral_amplitude(grid, GaussianCorrelation(np.eye(2)), params)
 
 
-def test_zero_disorder_gives_zero_field(grid, gaussian_corr):
+def test_zero_disorder_gives_zero_field(grid, gaussian_corr, monkeypatch):
+    # an empty spectrum draws nothing
+    def refuse(*args):
+        raise AssertionError("a field with an empty spectrum drew normals")
+
+    monkeypatch.setattr(noise_field, "normals", refuse)
     params = ModelParams(v0=0.0)
+    assert HalfSpectrum(spectral_amplitude(grid, gaussian_corr, params)).n_normals == 0
     inc = sample_white_increment(grid, gaussian_corr, params, 0.1, SeedInfo(5))
-    assert np.all(inc.values == 0.0)
+    assert inc.values.shape == grid.shape and np.all(inc.values == 0.0)
+    stream = ColoredStream(grid, gaussian_corr, params, ColoredKernel(0.1), 0.05, 5, [0, 1])
+    stream.advance()
+    assert stream.current().shape == (2,) + grid.shape and np.all(stream.current() == 0.0)
 
 
 class TestColoredKernel:
@@ -134,6 +145,7 @@ def test_colored_paths_cauchy_toward_white(grid, gaussian_corr, params, amp):
     dt = 0.05
     n_steps = 16
     M = 400
+    white = HalfSpectrum(amp, np.sqrt(dt))
     dists = {}
     for nu in (8 * dt, 4 * dt, 2 * dt):
         kern = ColoredKernel(nu)
@@ -145,9 +157,8 @@ def test_colored_paths_cauchy_toward_white(grid, gaussian_corr, params, amp):
             # same absolute indexing used inside the colored construction
             rate = np.empty_like(path)
             for nstep in range(n_steps):
-                xi = rng.normals(77, rng.KIND_FIELD_COLORED, [i], nstep - 1 + _COLORED_STEP_OFFSET,
-                                 grid.shape)[0]
-                rate[nstep] = _filter_white_batch(xi[None], amp)[0] * np.sqrt(dt) / dt
+                z = white.normals(77, rng.KIND_FIELD_COLORED, [i], nstep - 1 + _COLORED_STEP_OFFSET)
+                rate[nstep] = _filter_white_batch(z, white)[0] / dt
             total += float(np.mean((path - rate) ** 2))
         dists[nu] = total / M
     theory = {nu: (1.0 / dt - 1.0 / nu) for nu in dists}
@@ -174,18 +185,20 @@ def test_colored_stream_matches_path(grid, gaussian_corr, params, amp):
 @pytest.mark.parametrize("trajs", [[0, 1], [17, 3], [248, 249, 250, 251]])
 def test_colored_stream_is_the_window_sum_of_filtered_increments(grid, gaussian_corr, params, amp,
                                                                  q, trajs):
-    # V_n = sum_{j=n-q}^{n-1} filter(xi_j) sqrt(dt) / nu, past the first full window
+    # V_n = sum_{j=n-q}^{n-1} W_j / nu, past the first full window, where W_j
+    # is the white increment synthesised from the colored lane's step-j draws
     dt = 0.05
     nu = q * dt
+    white = HalfSpectrum(amp, np.sqrt(dt))
     stream = ColoredStream(grid, gaussian_corr, params, ColoredKernel(nu), dt, 5, trajs,
                            amplitude=amp)
     for n in range(2 * q + 3):
         if n > q:
             expected = sum(
-                _filter_white_batch(rng.normals(5, rng.KIND_FIELD_COLORED, trajs,
-                                                j + _COLORED_STEP_OFFSET, grid.shape), amp)
+                _filter_white_batch(white.normals(5, rng.KIND_FIELD_COLORED, trajs,
+                                                  j + _COLORED_STEP_OFFSET), white)
                 for j in range(n - q, n)
-            ) * np.sqrt(dt) / nu
+            ) / nu
             cur = stream.current()
             assert np.max(np.abs(cur - expected)) <= 1e-12 * np.max(np.abs(expected))
         stream.advance()
@@ -202,20 +215,66 @@ def test_colored_stream_current_is_cached_and_read_only(grid, gaussian_corr, par
     assert stream.current() is not cur
 
 
-@pytest.mark.parametrize("grid2, matrix", [
-    (FieldGrid.continuum(1, 256, 25.6), [[1.0]]),
-    (FieldGrid.continuum(1, 1024, 192.0), [[1.0]]),
-    (FieldGrid.lattice(1, 256), [[40.0]]),
-    (FieldGrid.continuum(2, 64, 16.0), [[1.0, 0.3], [0.3, 2.0]]),
-])
-def test_real_fft_filter_matches_complex_filter(grid2, matrix, params):
-    amp2 = spectral_amplitude(grid2, GaussianCorrelation(matrix), params)
-    xi = np.random.default_rng(3).standard_normal((5,) + grid2.shape)
-    axes = tuple(range(1, xi.ndim))
-    reference = np.fft.ifftn(np.fft.fftn(xi, axes=axes) * amp2, axes=axes).real
-    filtered = _filter_white_batch(xi, amp2)
-    assert filtered.shape == xi.shape
-    assert np.max(np.abs(filtered - reference)) <= 1e-13 * np.max(np.abs(reference))
+def _disc_amplitude(n, radius):
+    """An even 2-D amplitude whose support is a disc of modes, so the drawn
+    modes are not contiguous in the half spectrum."""
+    k = np.abs(np.fft.fftfreq(n, 1.0 / n))
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    return np.where(kx**2 + ky**2 <= radius**2, np.exp(-0.1 * (kx**2 + 2 * ky**2)), 0.0)
+
+
+@pytest.mark.parametrize("grid2, matrix, zero_modes", [
+    (FieldGrid.lattice(1, 16), [[0.3]], False),                # nonzero Nyquist mode
+    (FieldGrid.continuum(1, 1024, 192.0), [[1.0]], True),      # band-limited: 178 zero modes
+    (FieldGrid.continuum(2, 16, 16.0), [[1.0, 0.3], [0.3, 2.0]], False),
+    (FieldGrid.continuum(3, 8, 10.0), [[1.0, 0, 0], [0, 0.7, 0], [0, 0, 1.3]], False),
+    (FieldGrid.lattice(2, 16), None, True),                    # scattered support
+], ids=["1d-nyquist", "1d-band-limited", "2d", "3d", "2d-disc"])
+def test_half_spectrum_law_is_the_circulant_covariance(grid2, matrix, zero_modes, params):
+    # the synthesis is linear: column j of L is the field of unit normal j,
+    # and the field's covariance L L^T must be the circulant with eigenvalues
+    # (amplitude * gain)^2
+    if matrix is None:
+        amp2 = _disc_amplitude(grid2.points_per_side, 5.0)
+    else:
+        amp2 = spectral_amplitude(grid2, GaussianCorrelation(matrix), params)
+    gain = 0.7
+    spectrum = HalfSpectrum(amp2, gain)
+    half = amp2[..., : grid2.points_per_side // 2 + 1]
+    assert (np.count_nonzero(half) < half.size) == zero_modes
+    assert spectrum.n_normals == 2 * np.count_nonzero(half)
+    # the layout: normals 2j and 2j + 1 are the (re, im) pair of mode support[j]
+    z = np.random.default_rng(3).standard_normal((2, spectrum.n_normals))
+    coeffs = np.zeros((2, half.size), dtype=complex)
+    coeffs[:, spectrum.support] = (z[:, 0::2] + 1j * z[:, 1::2]) * spectrum.scale
+    axes = tuple(range(1, grid2.dim + 1))
+    manual = np.fft.irfftn(coeffs.reshape((2,) + half.shape), s=grid2.shape, axes=axes)
+    np.testing.assert_array_equal(_filter_white_batch(z, spectrum), manual)
+    L = _filter_white_batch(np.eye(spectrum.n_normals), spectrum).reshape(spectrum.n_normals, -1).T
+    lag_cov = np.fft.ifftn(amp2**2 * gain**2).real
+    sites = np.indices(grid2.shape).reshape(grid2.dim, -1).T
+    lags = (sites[:, None, :] - sites[None, :, :]) % grid2.points_per_side
+    circulant = lag_cov[tuple(np.moveaxis(lags, -1, 0))]
+    assert np.max(np.abs(L @ L.T - circulant)) <= 1e-13 * np.max(np.abs(circulant))
+
+
+def test_batch_step_draws_two_normals_per_nonzero_half_mode(grid, gaussian_corr, params, amp,
+                                                            monkeypatch):
+    drawn = []
+
+    def counted(*args, _normals=noise_field.normals):
+        out = _normals(*args)
+        drawn.append(out.shape)
+        return out
+
+    monkeypatch.setattr(noise_field, "normals", counted)
+    n_modes = np.count_nonzero(amp[: grid.points_per_side // 2 + 1])
+    assert n_modes < grid.points_per_side // 2 + 1
+    sample_white_increment(grid, gaussian_corr, params, 0.05, SeedInfo(7, 3, 11), amplitude=amp)
+    stream = ColoredStream(grid, gaussian_corr, params, ColoredKernel(0.1), 0.05, 5, [4, 9, 2],
+                           amplitude=amp)
+    stream.advance()
+    assert drawn == [(1, 2 * n_modes)] + [(3, 2 * n_modes)] * 3
 
 
 def test_sampling_cost_scales_like_n_log_n(gaussian_corr, params):
