@@ -158,7 +158,7 @@ class HalfSpectrum:
     drawn, so an empty support (v0 = 0) draws nothing and gives zeros.
     """
 
-    def __init__(self, amplitude: np.ndarray, gain: float = 1.0):
+    def __init__(self, amplitude: np.ndarray, gain: float):
         n = amplitude.shape[-1]
         half = amplitude[..., : n // 2 + 1]
         self.shape = amplitude.shape
@@ -168,15 +168,11 @@ class HalfSpectrum:
         self.scale = half.ravel()[self.support] * (math.sqrt(amplitude.size / 2.0) * gain)
         self.scale[(k_last == 0) | (k_last == n // 2)] *= math.sqrt(2.0)
         self.n_normals = 2 * self.support.size
-        # each normal's factor and its slot in the float view of the half
-        # spectrum; a contiguous support (1-D) is one slice
+        # each normal's factor and its slot in the float view of the half spectrum
         self._floats = 2 * half.size
         self._normal_scale = np.repeat(self.scale, 2)
         first = 2 * self.support
-        if self.support.size and self.support[-1] - self.support[0] == self.support.size - 1:
-            self._slots = slice(int(first[0]), int(first[-1]) + 2)
-        else:
-            self._slots = np.stack([first, first + 1], axis=-1).ravel()
+        self._slots = np.stack([first, first + 1], axis=-1).ravel()
 
     def normals(self, seed, kind, trajs, step) -> np.ndarray:
         """The unit normals of the fields of ``trajs`` at one step, shape

@@ -90,7 +90,7 @@ def test_zero_disorder_gives_zero_field(grid, gaussian_corr, monkeypatch):
 
     monkeypatch.setattr(noise_field, "normals", refuse)
     params = ModelParams(v0=0.0)
-    assert HalfSpectrum(spectral_amplitude(grid, gaussian_corr, params)).n_normals == 0
+    assert HalfSpectrum(spectral_amplitude(grid, gaussian_corr, params), 1.0).n_normals == 0
     inc = sample_white_increment(grid, gaussian_corr, params, 0.1, SeedInfo(5))
     assert inc.values.shape == grid.shape and np.all(inc.values == 0.0)
     stream = ColoredStream(grid, gaussian_corr, params, ColoredKernel(0.1), 0.05, 5, [0, 1])
