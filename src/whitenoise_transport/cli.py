@@ -2,12 +2,15 @@
 
 One JSON config file describes the model, correlation, grids, time
 stepping, Monte Carlo settings and fit windows; subcommands select the
-route.  Unknown config keys are hard errors (silent misconfiguration of
-physics parameters is worse than noise).  Every output directory receives
-``manifest.json`` with the full resolved config, seed, the package,
-Python, numpy and scipy versions and the random-stream version,
-sufficient to re-run the experiment exactly; outputs carry no timestamps
-so identical config + seed produce byte-identical files.
+route.  ``load_config`` checks every key against the type of its default
+in ``DEFAULT_CONFIG`` (unknown keys are hard errors: silent
+misconfiguration of physics parameters is worse than noise), and
+``_build`` turns the checked config into a route's objects before any
+output is written.  Every output directory receives ``manifest.json``
+with the full resolved config, seed, the package, Python, numpy and
+scipy versions and the random-stream version, sufficient to re-run the
+experiment exactly; outputs carry no timestamps so identical config +
+seed produce byte-identical files.
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical error.
 """
@@ -21,6 +24,7 @@ import json
 import math
 import platform
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,11 +38,12 @@ from .core_model import (GaussianCorrelation, ModelParams, Space, laplacian_g_at
                          load_correlation_csv, step_count, validate_hypotheses)
 from .errors import ConfigError, Error, InputError, NumericalError
 from .evolve_lattice import LatticeInitialData, evolve_hierarchy
-from .mc_simulator import (DEFAULT_THREADS, colored_noise_convergence_study, gaussian_wavepacket,
-                           point_state, run_classical, run_continuum, run_lattice)
+from .mc_simulator import (DEFAULT_THREADS, SCHEME_ITO_EULER, SCHEME_STRATONOVICH,
+                           colored_noise_convergence_study, gaussian_wavepacket, point_state,
+                           run_classical, run_continuum, run_lattice)
 from .noise_field import FieldGrid
 from .rng import STREAM_VERSION
-from .transforms_fit import FitResult, fit_power_law
+from .transforms_fit import fit_power_law
 
 __all__ = ["DEFAULT_CONFIG", "load_config", "save_config", "run", "emit_plot_data", "main"]
 
@@ -60,63 +65,63 @@ DEFAULT_CONFIG = {
     "route": None,
 }
 
+# the strings an enumerated key takes
+_CHOICES = {"config.model.space": tuple(s.value for s in Space),
+            "config.correlation.kind": ("gaussian", "table"),
+            "config.initial.kind": ("gaussian", "point"),
+            "config.mc.scheme": (SCHEME_STRATONOVICH, SCHEME_ITO_EULER)}
 
-def _check_keys(cfg, template, path="config"):
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(cfg).__name__}")
-    for key, val in cfg.items():
-        if key not in template:
-            raise ConfigError(f"{path}.{key}: unknown key")
-        if isinstance(template[key], dict) and template[key]:
-            _check_keys(val, template[key], f"{path}.{key}")
-
-
-def _merge(template, override):
-    out = copy.deepcopy(template)
-    for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], val)
-        else:
-            out[key] = copy.deepcopy(val)
-    return out
+# counts that loops step or divide by, and array sizes: each must be >= 1
+_POSITIVE_COUNTS = {"config.mc.n_traj", "config.mc.batch_size", "config.time.record_every",
+                    "config.evolve.record_every", "config.grid.points", "config.lattice_box.sites",
+                    "config.evolve.y_box", "config.time.n_points", "config.model.dim"}
 
 
-def _check_finite(val, path="config"):
-    """Refuse NaN and infinities, which ``json`` accepts, anywhere in the config."""
-    if isinstance(val, dict):
+def _checked(val, default, path):
+    """``val`` merged into its default and checked against it: an object takes
+    only its default's keys, a float default a finite number, an int default
+    an integer, a bool default a bool, a list default a list of items of its
+    first item's type, a string default a string and a null default either."""
+    if isinstance(default, dict):
+        if not isinstance(val, dict):
+            raise ConfigError(f"{path}: expected an object, got {type(val).__name__}")
+        out = copy.deepcopy(default)
         for key, sub in val.items():
-            _check_finite(sub, f"{path}.{key}")
-    elif isinstance(val, list):
+            if key not in default:
+                raise ConfigError(f"{path}.{key}: unknown key")
+            out[key] = _checked(sub, default[key], f"{path}.{key}")
+        return out
+    if isinstance(default, list):
+        if not isinstance(val, list):
+            raise ConfigError(f"{path}: must be a list, got {val!r}")
         for i, sub in enumerate(val):
-            _check_finite(sub, f"{path}[{i}]")
-    elif isinstance(val, float) and not math.isfinite(val):
-        raise ConfigError(f"{path}: must be finite, got {val!r}")
-
-
-# counts that loops step or divide by, and array sizes: each must be a JSON integer >= 1
-_POSITIVE_COUNTS = (("mc", "n_traj"), ("mc", "batch_size"), ("time", "record_every"),
-                    ("evolve", "record_every"), ("grid", "points"), ("lattice_box", "sites"),
-                    ("evolve", "y_box"))
-
-
-def _check_counts(cfg):
-    for section, key in _POSITIVE_COUNTS:
-        val = cfg[section][key]
-        if isinstance(val, bool) or not isinstance(val, int) or val < 1:
-            raise ConfigError(f"config.{section}.{key}: must be a positive integer, got {val!r}")
+            _checked(sub, default[0], f"{path}[{i}]")
+    elif isinstance(default, bool):
+        if not isinstance(val, bool):
+            raise ConfigError(f"{path}: must be true or false, got {val!r}")
+    elif isinstance(default, int):
+        if isinstance(val, bool) or not isinstance(val, int):
+            raise ConfigError(f"{path}: must be an integer, got {val!r}")
+        if path in _POSITIVE_COUNTS and val < 1:
+            raise ConfigError(f"{path}: must be a positive integer, got {val!r}")
+    elif isinstance(default, float):
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            raise ConfigError(f"{path}: must be a number, got {val!r}")
+        if not math.isfinite(val):
+            raise ConfigError(f"{path}: must be finite, got {val!r}")
+    elif not isinstance(val, str) and (default is not None or val is not None):
+        raise ConfigError(f"{path}: must be a string{'' if default is not None else ' or null'}, "
+                          f"got {val!r}")
+    elif path in _CHOICES and val not in _CHOICES[path]:
+        raise ConfigError(f"{path}: must be one of {', '.join(_CHOICES[path])}, got {val!r}")
+    return val
 
 
 def _check_step_times(cfg, section):
-    """``section.dt`` a positive number and ``section.t_max`` a whole number of
-    at least one step."""
+    """``section.dt`` positive and ``section.t_max`` a whole number of at least one step."""
     dt, t_max = cfg[section]["dt"], cfg[section]["t_max"]
-    for key, val in (("dt", dt), ("t_max", t_max)):
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"config.{section}.{key}: must be a number, got {val!r}")
     if not dt > 0:
         raise ConfigError(f"config.{section}.dt: must be positive, got {dt!r}")
-    if not t_max >= dt:
-        raise ConfigError(f"config.{section}.t_max: must be at least {section}.dt = {dt!r}, got {t_max!r}")
     try:
         step_count(t_max, dt)
     except InputError as exc:
@@ -124,7 +129,7 @@ def _check_step_times(cfg, section):
 
 
 def load_config(path) -> dict:
-    """Parse and validate a config file against the known key tree."""
+    """The config file merged into ``DEFAULT_CONFIG`` and checked, no value converted."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -132,49 +137,104 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    _check_keys(raw, DEFAULT_CONFIG)
-    cfg = _merge(DEFAULT_CONFIG, raw)
-    _check_finite(cfg)
-    _check_counts(cfg)
+    cfg = _checked(raw, DEFAULT_CONFIG, "config")
+    dim = cfg["model"]["dim"]
+    for section, key in (("initial", "sigma"), ("classical", "v0_init")):
+        if len(cfg[section][key]) not in (1, dim):
+            raise ConfigError(f"config.{section}.{key}: must have 1 or model.dim = {dim} entries, "
+                              f"got {len(cfg[section][key])}")
+    if len(cfg["fit"]["window"]) != 2:
+        raise ConfigError(f"config.fit.window: must have 2 entries, got {len(cfg['fit']['window'])}")
     _check_step_times(cfg, "evolve")
     _check_step_times(cfg, "time")
     return cfg
 
 
-def save_config(cfg: dict, path):
+def _write_json(path, obj):
     with open(path, "w", newline="\n") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _build_params(cfg) -> ModelParams:
-    m = cfg["model"]
-    try:
-        space = Space(m["space"])
-    except ValueError:
-        raise ConfigError(f"config.model.space: must be 'continuum' or 'lattice', got {m['space']!r}")
-    return ModelParams(hbar=float(m["hbar"]), mass=float(m["mass"]), v0=float(m["v0"]),
-                       dim=int(m["dim"]), space=space)
+def save_config(cfg: dict, path):
+    _write_json(path, cfg)
 
 
-def _build_correlation(cfg, params):
-    c = cfg["correlation"]
+# ------------------------------------------------------------- objects
+
+
+@dataclass
+class _Setup:
+    """The objects a route runs on, built once from a checked config."""
+
+    params: ModelParams
+    corr: object
+    times: np.ndarray                      # time.n_points times from time.t_min to time.t_max
+    window: tuple                          # fit.window
+    state: GaussianPureState = None        # the Gaussian initial state (None for a point state)
+    grid: FieldGrid = None                 # Monte Carlo grid and initial wavefunction
+    psi0: np.ndarray = None
+    ensemble: dict = None                  # keyword arguments of the route's ensemble driver
+    lattice: LatticeInitialData = None     # evolve_hierarchy's point state and keyword arguments
+    evolve: dict = None
+
+
+# the model space a route runs on, where it cannot run on either
+_ROUTE_SPACE = {"mc-continuum": Space.CONTINUUM, "mc-lattice": Space.LATTICE,
+                "colored-study": Space.CONTINUUM}
+# the initial state a route needs; compare needs the one of its model space
+_ROUTE_STATE = {"analytic-msd": "gaussian", "lattice-law": "point", "colored-study": "gaussian",
+                "compare-continuum": "gaussian", "compare-lattice": "point"}
+
+
+def _build(cfg, route, threads) -> _Setup:
+    """Build the objects ``route`` runs on from a config checked by ``load_config``."""
+    m, c, ini, t, mc = (cfg[key] for key in ("model", "correlation", "initial", "time", "mc"))
+    params = ModelParams(hbar=float(m["hbar"]), mass=float(m["mass"]), v0=float(m["v0"]),
+                         dim=m["dim"], space=Space(m["space"]))
+    space = _ROUTE_SPACE.get(route, params.space)
+    if space is not params.space:
+        raise ConfigError(f"config.model.space: {route} runs on a {space.value} model, got {m['space']!r}")
+    plan = f"compare-{space.value}" if route == "compare" else route
+    state = _ROUTE_STATE.get(plan, ini["kind"])
+    if state != ini["kind"]:
+        raise ConfigError(f"config.initial.kind: {route} needs the {state} initial state, got {ini['kind']!r}")
     if c["kind"] == "gaussian":
-        return GaussianCorrelation(c["matrix"])
-    if c["kind"] == "table":
-        if not c.get("path"):
-            raise ConfigError("config.correlation.path: required for kind 'table'")
-        return load_correlation_csv(c["path"], dim=params.dim)
-    raise ConfigError(f"config.correlation.kind: unknown kind {c['kind']!r}")
+        corr = GaussianCorrelation(c["matrix"])
+    elif not c["path"]:
+        raise ConfigError("config.correlation.path: required for kind 'table'")
+    else:
+        try:
+            corr = load_correlation_csv(c["path"], dim=params.dim)
+        except OSError as exc:
+            raise ConfigError(f"config.correlation.path: {exc}") from None
 
-
-def _build_initial(cfg, params):
-    ini = cfg["initial"]
-    if ini["kind"] == "gaussian":
-        return GaussianPureState(ini["sigma"], dim=params.dim, trace=float(ini["trace"]))
-    if ini["kind"] == "point":
-        return None  # point states are built on the grid
-    raise ConfigError(f"config.initial.kind: unknown kind {ini['kind']!r}")
+    times = np.linspace(t["t_min"], t["t_max"], t["n_points"])
+    s = _Setup(params, corr, times, tuple(cfg["fit"]["window"]))
+    if state == "gaussian":
+        s.state = GaussianPureState(ini["sigma"], dim=params.dim, trace=float(ini["trace"]))
+    if plan in ("evolve-lattice", "compare-lattice"):
+        ev = cfg["evolve"]
+        s.lattice = LatticeInitialData.point(params.dim, ev["y_box"])
+        s.evolve = dict(t_max=float(ev["t_max"]), dt=float(ev["dt"]), record_every=ev["record_every"])
+    if plan in ("mc-continuum", "mc-lattice", "colored-study", "compare-continuum"):
+        if space is Space.CONTINUUM:
+            s.grid = FieldGrid.continuum(params.dim, cfg["grid"]["points"], cfg["grid"]["length"])
+        else:
+            s.grid = FieldGrid.lattice(params.dim, cfg["lattice_box"]["sites"])
+        s.psi0 = point_state(s.grid) if state == "point" else gaussian_wavepacket(s.grid, ini["sigma"])
+    if plan in ("mc-continuum", "mc-lattice", "classical", "colored-study", "compare-continuum"):
+        s.ensemble = dict(t_max=float(t["t_max"]), dt=float(t["dt"]), n_traj=mc["n_traj"],
+                          seed=cfg["seed"], record_every=t["record_every"], threads=threads,
+                          batch_size=mc["batch_size"])
+        # the keys of these two sections are their drivers' keyword names
+        if plan == "classical":
+            s.ensemble.update(cfg["classical"])
+        elif plan == "colored-study":
+            s.ensemble.update(cfg["colored"], boundary_tol=mc["boundary_tol"])
+        else:
+            s.ensemble.update(boundary_tol=mc["boundary_tol"], scheme=mc["scheme"])
+    return s
 
 
 @functools.cache
@@ -187,7 +247,7 @@ def _scipy_version() -> str:
 
 
 def _write_manifest(out_dir: Path, cfg, route):
-    manifest = {
+    _write_json(out_dir / "manifest.json", {
         "config": cfg,
         "route": route,
         "seed": cfg["seed"],
@@ -197,155 +257,89 @@ def _write_manifest(out_dir: Path, cfg, route):
         "scipy_version": _scipy_version(),
         "rng_stream_version": STREAM_VERSION,
         "rerun": f"wnt {route} --config config.json --seed {cfg['seed']}",
-    }
-    with open(out_dir / "manifest.json", "w", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     save_config(cfg, out_dir / "config.json")
 
 
-def _write_fit(fit: FitResult, path):
+def _write_ratio(path, columns, times, a, b) -> np.ndarray:
+    """Write the CSV ``t,<columns>,ratio`` of series a, b and a / b; returns a / b."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(fit.to_json(indent=2, sort_keys=True))
-        fh.write("\n")
+        fh.write(f"t,{columns},ratio\n")
+        for t_i, a_i, b_i in zip(times, a, b):
+            fh.write(f"{t_i:.17g},{a_i:.17g},{b_i:.17g},{a_i / b_i:.17g}\n")
+    return a / b
 
 
-def _time_grid(cfg):
-    t = cfg["time"]
-    lo = float(t["t_min"])
-    return np.linspace(lo, float(t["t_max"]), int(t["n_points"]))
+def _evolve(s: _Setup, out_dir):
+    series, info = evolve_hierarchy(s.lattice, s.corr, s.params, **s.evolve)
+    series.to_csv(out_dir / "msd_evolve.csv")
+    return series, info
 
 
 # ---------------------------------------------------------------- routes
 
 
-def _route_validate(cfg, out_dir, threads):
-    params = _build_params(cfg)
-    corr = _build_correlation(cfg, params)
-    report = validate_hypotheses(corr, params)
+def _route_validate(s: _Setup, out_dir):
+    report = validate_hypotheses(s.corr, s.params)
     print(report.summary())
     (out_dir / "validation.txt").write_text(report.summary() + "\n")
     return 0 if report.passed else 2
 
 
-def _route_analytic_msd(cfg, out_dir, threads):
-    params = _build_params(cfg)
-    corr = _build_correlation(cfg, params)
-    init = _build_initial(cfg, params)
-    if init is None:
-        raise ConfigError("config.initial.kind: analytic route needs a gaussian initial state")
-    times = _time_grid(cfg)
-    series = msd_closed_form(times, init, corr, params)
+def _route_analytic_msd(s: _Setup, out_dir):
+    series = msd_closed_form(s.times, s.state, s.corr, s.params)
     series.to_csv(out_dir / "msd_closed_form.csv")
-    fit = fit_power_law(series, window=tuple(cfg["fit"]["window"]))
-    _write_fit(fit, out_dir / "fit.json")
-    coeff = cubic_coefficient(init, corr, params)
-    with open(out_dir / "cubic_coefficient.json", "w", newline="\n") as fh:
-        json.dump({"cubic_coefficient": coeff}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    fit = fit_power_law(series, window=s.window)
+    _write_json(out_dir / "fit.json", fit.to_dict())
+    coeff = cubic_coefficient(s.state, s.corr, s.params)
+    _write_json(out_dir / "cubic_coefficient.json", {"cubic_coefficient": coeff})
     print(f"exponent {fit.exponent:.4f} (window {fit.window}), cubic coefficient {coeff:.6g}")
     return 0
 
 
-def _lattice_inputs(cfg, params, corr):
-    if cfg["initial"]["kind"] != "point":
-        raise ConfigError("config.initial.kind: lattice law routes use the point initial state")
-    return LatticeMomentInputs.point_localized(corr, params)
-
-
-def _route_lattice_law(cfg, out_dir, threads):
-    params = _build_params(cfg)
-    corr = _build_correlation(cfg, params)
-    inputs = _lattice_inputs(cfg, params, corr)
+def _route_lattice_law(s: _Setup, out_dir):
+    inputs = LatticeMomentInputs.point_localized(s.corr, s.params)
     law = LatticeMSDLaw.from_inputs(inputs)
-    text = law_to_json(law, inputs, 1.0, indent=2, sort_keys=True)
-    with open(out_dir / "law.json", "w", newline="\n") as fh:
-        fh.write(text)
-        fh.write("\n")
-    times = _time_grid(cfg)
-    mask = times >= 0
-    series = MomentSeries(times=times[mask], msd=msd_inverse_laplace_closed_form(times[mask], law),
+    payload = json.loads(law_to_json(law, inputs, 1.0))
+    _write_json(out_dir / "law.json", payload)
+    times = s.times[s.times >= 0]
+    series = MomentSeries(times=times, msd=msd_inverse_laplace_closed_form(times, law),
                           provenance=Provenance.CLOSED_FORM)
     series.to_csv(out_dir / "msd_lattice_law.csv")
-    payload = json.loads(text)
     print(f"Cd {law.cd:.6g}, gamma {payload['gamma']}, D {payload['D']}")
     return 0
 
 
-def _route_evolve_lattice(cfg, out_dir, threads):
-    params = _build_params(cfg)
-    corr = _build_correlation(cfg, params)
-    ev = cfg["evolve"]
-    init = LatticeInitialData.point(params.dim, int(ev["y_box"]))
-    series, info = evolve_hierarchy(init, corr, params, t_max=float(ev["t_max"]), dt=float(ev["dt"]),
-                                    record_every=int(ev["record_every"]))
-    series.to_csv(out_dir / "msd_evolve.csv")
-    diag = {"trace_drift": info["trace_drift"], "max_imag_residue": info["max_imag_residue"],
-            "max_boundary_mass": info["max_boundary_mass"]}
-    with open(out_dir / "evolve_diagnostics.json", "w", newline="\n") as fh:
-        json.dump(diag, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    fit = fit_power_law(series, window=tuple(cfg["fit"]["window"]))
-    _write_fit(fit, out_dir / "fit.json")
+def _route_evolve_lattice(s: _Setup, out_dir):
+    series, info = _evolve(s, out_dir)
+    diag = {key: info[key] for key in ("trace_drift", "max_imag_residue", "max_boundary_mass")}
+    _write_json(out_dir / "evolve_diagnostics.json", diag)
+    fit = fit_power_law(series, window=s.window)
+    _write_json(out_dir / "fit.json", fit.to_dict())
     print(f"exponent {fit.exponent:.4f} on window {fit.window}; trace drift {diag['trace_drift']:.2e}")
     return 0
 
 
-def _mc_common(cfg, params, threads):
-    mc = cfg["mc"]
-    t = cfg["time"]
-    return dict(t_max=float(t["t_max"]), dt=float(t["dt"]), n_traj=int(mc["n_traj"]),
-                seed=int(cfg["seed"]), record_every=int(t["record_every"]),
-                boundary_tol=float(mc["boundary_tol"]), scheme=mc["scheme"], threads=threads,
-                batch_size=int(mc["batch_size"]))
-
-
-def _route_mc_continuum(cfg, out_dir, threads):
-    params = _build_params(cfg)
-    corr = _build_correlation(cfg, params)
-    grid = FieldGrid.continuum(params.dim, int(cfg["grid"]["points"]), float(cfg["grid"]["length"]))
-    if cfg["initial"]["kind"] == "gaussian":
-        psi0 = gaussian_wavepacket(grid, cfg["initial"]["sigma"])
-    else:
-        psi0 = point_state(grid)
-    result = run_continuum(grid, psi0, corr, params, **_mc_common(cfg, params, threads))
+def _route_mc(s: _Setup, out_dir):
+    drive = run_continuum if s.params.space is Space.CONTINUUM else run_lattice
+    result = drive(s.grid, s.psi0, s.corr, s.params, **s.ensemble)
     result.to_csv(out_dir / "ensemble.csv")
-    fit = fit_power_law(result.times, result.msd_mean, window=tuple(cfg["fit"]["window"]))
-    _write_fit(fit, out_dir / "fit.json")
+    fit = fit_power_law(result.times, result.msd_mean, window=s.window)
+    _write_json(out_dir / "fit.json", fit.to_dict())
     print(f"exponent {fit.exponent:.4f} +- {fit.stderr_exponent:.4f} on {fit.window}; "
           f"norm drift {result.norm_drift_max:.2e}, boundary {result.boundary_mass_max:.2e}")
     return 0
 
 
-def _route_mc_lattice(cfg, out_dir, threads):
-    params = _build_params(cfg)
-    corr = _build_correlation(cfg, params)
-    grid = FieldGrid.lattice(params.dim, int(cfg["lattice_box"]["sites"]))
-    psi0 = point_state(grid) if cfg["initial"]["kind"] == "point" else gaussian_wavepacket(
-        grid, cfg["initial"]["sigma"])
-    result = run_lattice(grid, psi0, corr, params, **_mc_common(cfg, params, threads))
-    result.to_csv(out_dir / "ensemble.csv")
-    fit = fit_power_law(result.times, result.msd_mean, window=tuple(cfg["fit"]["window"]))
-    _write_fit(fit, out_dir / "fit.json")
-    print(f"exponent {fit.exponent:.4f} +- {fit.stderr_exponent:.4f} on {fit.window}")
-    return 0
-
-
-def _route_classical(cfg, out_dir, threads):
-    params = _build_params(cfg)
-    corr = _build_correlation(cfg, params)
-    t = cfg["time"]
-    result = run_classical(params.dim, corr, params, cfg["classical"]["v0_init"],
-                           t_max=float(t["t_max"]), dt=float(t["dt"]),
-                           n_traj=int(cfg["mc"]["n_traj"]), seed=int(cfg["seed"]),
-                           record_every=int(t["record_every"]), threads=threads,
-                           batch_size=int(cfg["mc"]["batch_size"]))
+def _route_classical(s: _Setup, out_dir):
+    params = s.params
+    result = run_classical(params.dim, s.corr, params, **s.ensemble)
     result.to_series().to_csv(out_dir / "msd_classical.csv")
     vseries = MomentSeries(times=result.times, msd=np.maximum(result.vvar_mean, 0.0),
                            provenance=Provenance.MONTE_CARLO)
     vseries.to_csv(out_dir / "velocity_variance.csv")
-    fit = fit_power_law(result.times, result.msd_mean, window=tuple(cfg["fit"]["window"]))
-    _write_fit(fit, out_dir / "fit.json")
+    fit = fit_power_law(result.times, result.msd_mean, window=s.window)
+    _write_json(out_dir / "fit.json", fit.to_dict())
 
     # velocity-variance slope against the two reference expressions
     x = result.times
@@ -355,7 +349,7 @@ def _route_classical(cfg, out_dir, threads):
     pred = A @ coef
     sst = float(np.sum((result.vvar_mean - result.vvar_mean.mean()) ** 2))
     r2 = 1.0 - float(np.sum((result.vvar_mean - pred) ** 2)) / sst if sst > 0 else 1.0
-    lap_g = laplacian_g_at_zero(corr)
+    lap_g = laplacian_g_at_zero(s.corr)
     report = {
         "vvar_slope": slope,
         "vvar_r2": r2,
@@ -363,36 +357,18 @@ def _route_classical(cfg, out_dir, threads):
         "slope_reference_printed_half": 0.5 * params.v0**2 * lap_g,
         "msd_exponent": fit.exponent,
     }
-    with open(out_dir / "classical_report.json", "w", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "classical_report.json", report)
     print(f"msd exponent {fit.exponent:.3f}; vvar slope {slope:.4f} "
           f"(reference {report['slope_reference_full']:.4f}, printed form {report['slope_reference_printed_half']:.4f})")
     return 0
 
 
-def _route_colored_study(cfg, out_dir, threads):
-    params = _build_params(cfg)
-    corr = _build_correlation(cfg, params)
-    grid = FieldGrid.continuum(params.dim, int(cfg["grid"]["points"]), float(cfg["grid"]["length"]))
-    init = _build_initial(cfg, params)
-    if init is None:
-        raise ConfigError("config.initial.kind: colored study needs a gaussian initial state")
-    psi0 = gaussian_wavepacket(grid, cfg["initial"]["sigma"])
-    t = cfg["time"]
-    rows = colored_noise_convergence_study(
-        cfg["colored"]["nu_list"], grid, psi0, init, corr, params,
-        t_max=float(t["t_max"]), dt=float(t["dt"]), n_traj=int(cfg["mc"]["n_traj"]),
-        seed=int(cfg["seed"]), record_every=int(t["record_every"]),
-        window_frac=float(cfg["colored"]["window_frac"]),
-        include_ito=bool(cfg["colored"]["include_ito"]),
-        boundary_tol=float(cfg["mc"]["boundary_tol"]), threads=threads,
-        batch_size=int(cfg["mc"]["batch_size"]))
+def _route_colored_study(s: _Setup, out_dir):
+    rows = colored_noise_convergence_study(grid=s.grid, psi0=s.psi0, init_kernel=s.state, corr=s.corr,
+                                           params=s.params, **s.ensemble)
     table = [{"label": r.label, "nu": r.nu, "deviation": r.deviation, "stderr": r.stderr,
               "z": r.z_score} for r in rows]
-    with open(out_dir / "colored_study.json", "w", newline="\n") as fh:
-        json.dump(table, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "colored_study.json", table)
     for r in rows:
         r.result.to_csv(out_dir / f"ensemble_{r.label.replace('=', '_')}.csv")
         print(f"{r.label:>12}: deviation {r.deviation:+.4f} +- {r.stderr:.4f} (z = {r.z_score:+.1f})")
@@ -437,35 +413,25 @@ def cubic_adjudication(mc_result, init, corr, params, window) -> dict:
     }
 
 
-def _route_compare(cfg, out_dir, threads):
-    params = _build_params(cfg)
-    corr = _build_correlation(cfg, params)
-    lines = []
-    report = {}
+def _route_compare(s: _Setup, out_dir):
+    params, corr, window = s.params, s.corr, s.window
     if params.space is Space.CONTINUUM:
-        init = _build_initial(cfg, params)
-        grid = FieldGrid.continuum(params.dim, int(cfg["grid"]["points"]), float(cfg["grid"]["length"]))
-        psi0 = gaussian_wavepacket(grid, cfg["initial"]["sigma"])
-        mc = run_continuum(grid, psi0, corr, params, **_mc_common(cfg, params, threads))
-        window = tuple(cfg["fit"]["window"])
+        mc = run_continuum(s.grid, s.psi0, corr, params, **s.ensemble)
         times = mc.times
-        cf = msd_closed_form(times, init, corr, params)
+        cf = msd_closed_form(times, s.state, corr, params)
         cf.to_csv(out_dir / "msd_closed_form.csv")
         mc.to_csv(out_dir / "ensemble.csv")
 
-        adj = cubic_adjudication(mc, init, corr, params, window)
+        adj = cubic_adjudication(mc, s.state, corr, params, window)
         mask = (times >= window[0]) & (times <= window[1])
-        ratio = mc.msd_mean[mask] / cf.msd[mask]
-        with open(out_dir / "pointwise_ratio.csv", "w", newline="\n") as fh:
-            fh.write("t,msd_mc,msd_closed_form,ratio\n")
-            for t_i, a, b in zip(times[mask], mc.msd_mean[mask], cf.msd[mask]):
-                fh.write(f"{t_i:.17g},{a:.17g},{b:.17g},{a / b:.17g}\n")
+        ratio = _write_ratio(out_dir / "pointwise_ratio.csv", "msd_mc,msd_closed_form",
+                             times[mask], mc.msd_mean[mask], cf.msd[mask])
         adj["pointwise_ratio_minmax"] = [float(ratio.min()), float(ratio.max())]
         adj["exponent_closed_form"] = fit_power_law(cf, window=window).exponent
         adj["exponent_monte_carlo"] = fit_power_law(times, mc.msd_mean, window=window).exponent
-        report["continuum"] = adj
+        report = {"continuum": adj}
         ci_half = adj["cubic_monte_carlo"] - adj["cubic_monte_carlo_ci95"][0]
-        lines += [
+        lines = [
             "continuum cubic-coefficient adjudication",
             f"  closed form      : {adj['cubic_closed_form']:.6g}  (matches: {adj['closed_form_matches']})",
             f"  monte carlo      : {adj['cubic_monte_carlo']:.6g} +- {ci_half:.2g} (95%)  "
@@ -475,39 +441,29 @@ def _route_compare(cfg, out_dir, threads):
             f"  internal agreement: {100 * adj['internal_agreement_rel']:.2f}%",
         ]
     else:
-        inputs = _lattice_inputs(cfg, params, corr)
-        law = LatticeMSDLaw.from_inputs(inputs)
-        ev = cfg["evolve"]
-        init = LatticeInitialData.point(params.dim, int(ev["y_box"]))
-        series, info = evolve_hierarchy(init, corr, params, t_max=float(ev["t_max"]),
-                                        dt=float(ev["dt"]), record_every=int(ev["record_every"]))
-        series.to_csv(out_dir / "msd_evolve.csv")
+        law = LatticeMSDLaw.from_inputs(LatticeMomentInputs.point_localized(corr, params))
+        series, _ = _evolve(s, out_dir)
         mask = series.times > 0
         lawvals = msd_inverse_laplace_closed_form(series.times[mask], law)
         calib = float(series.msd[mask][-1] / lawvals[-1])
-        ratio = series.msd[mask] / (calib * lawvals)
         table = MomentSeries(times=series.times[mask], msd=calib * lawvals,
                              provenance=Provenance.CLOSED_FORM)
         table.to_csv(out_dir / "msd_lattice_law_calibrated.csv")
-        with open(out_dir / "pointwise_ratio.csv", "w", newline="\n") as fh:
-            fh.write("t,msd_evolve,law_calibrated,ratio\n")
-            for t_i, a, b in zip(series.times[mask], series.msd[mask], calib * lawvals):
-                fh.write(f"{t_i:.17g},{a:.17g},{b:.17g},{a / b:.17g}\n")
-        report["lattice"] = {
+        ratio = _write_ratio(out_dir / "pointwise_ratio.csv", "msd_evolve,law_calibrated",
+                             series.times[mask], series.msd[mask], calib * lawvals)
+        report = {"lattice": {
             "calibration_constant": calib,
             "max_rel_deviation": float(np.max(np.abs(ratio - 1.0))),
-            "exponent_evolve": fit_power_law(series, window=tuple(cfg["fit"]["window"])).exponent,
-        }
-        lines += [
+            "exponent_evolve": fit_power_law(series, window=window).exponent,
+        }}
+        lines = [
             "lattice evolve vs closed-form law",
             f"  calibration constant: {calib:.8f}",
             f"  max rel deviation   : {report['lattice']['max_rel_deviation']:.3e}",
             f"  evolve exponent     : {report['lattice']['exponent_evolve']:.4f}",
         ]
 
-    with open(out_dir / "compare_report.json", "w", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "compare_report.json", report)
     text = "\n".join(lines) + "\n"
     (out_dir / "compare_report.txt").write_text(text)
     print(text, end="")
@@ -519,8 +475,8 @@ _ROUTES = {
     "analytic-msd": _route_analytic_msd,
     "lattice-law": _route_lattice_law,
     "evolve-lattice": _route_evolve_lattice,
-    "mc-continuum": _route_mc_continuum,
-    "mc-lattice": _route_mc_lattice,
+    "mc-continuum": _route_mc,
+    "mc-lattice": _route_mc,
     "classical": _route_classical,
     "colored-study": _route_colored_study,
     "compare": _route_compare,
@@ -532,17 +488,18 @@ def run(config_path, route=None, seed=None, out_dir=None, threads=DEFAULT_THREAD
     if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
         raise ConfigError(f"--threads: must be a positive integer, got {threads!r}")
     cfg = load_config(config_path)
-    route = route or cfg.get("route")
+    route = route or cfg["route"]
     if route not in _ROUTES:
         raise ConfigError(f"unknown route {route!r}; pick one of {sorted(_ROUTES)}")
     if seed is not None:
-        cfg["seed"] = int(seed)
+        cfg["seed"] = _checked(seed, DEFAULT_CONFIG["seed"], "config.seed")
     if out_dir is not None:
         cfg["out_dir"] = str(out_dir)
     cfg["route"] = route
+    setup = _build(cfg, route, threads)
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    code = _ROUTES[route](cfg, out, threads)
+    code = _ROUTES[route](setup, out)
     _write_manifest(out, cfg, route)
     return code
 
@@ -649,12 +606,11 @@ def _route_fit(args) -> int:
         raise ConfigError("--t-lo and --t-hi must be given together")
     window = (args.t_lo, args.t_hi) if args.t_lo is not None else None
     fit = fit_power_law(series, window=window)
-    text = fit.to_json(indent=2, sort_keys=True)
-    print(text)
+    print(fit.to_json(indent=2, sort_keys=True))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "fit.json").write_text(text + "\n")
+        _write_json(out / "fit.json", fit.to_dict())
     return 0
 
 

@@ -164,6 +164,25 @@ def _check_counts(**counts):
             raise InputError(f"{name} must be a positive integer, got {val!r}")
 
 
+def _run_batches(work, n_traj, batch_size, threads) -> list:
+    """``work(trajs)`` of each batch of at most ``batch_size`` consecutive
+    trajectories, in batch order, on ``threads`` worker threads."""
+    batches = [list(range(b, min(b + batch_size, n_traj))) for b in range(0, n_traj, batch_size)]
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(work, batches))
+    return [work(trajs) for trajs in batches]
+
+
+def _mean_stderr(samples: np.ndarray):
+    """Mean (compensated, per column, so independent of the batch split) and
+    ddof-1 standard error over the trajectories (rows) of ``samples``."""
+    n, n_rec = samples.shape
+    mean = np.array([math.fsum(samples[:, j]) / n for j in range(n_rec)])
+    stderr = samples.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(n_rec)
+    return mean, stderr
+
+
 def _record_steps(n_steps: int, record_every: int) -> np.ndarray:
     steps = np.arange(0, n_steps + 1, record_every)
     if steps[-1] != n_steps:
@@ -332,32 +351,14 @@ def _run_quantum(grid, psi0, corr, params, t_max, dt, n_traj, seed, record_every
     amplitude = spectral_amplitude(grid, corr, params)
     obs = _Observables(grid, params, probe_k=probe_k)
 
-    batches = [list(range(b, min(b + batch_size, n_traj))) for b in range(0, n_traj, batch_size)]
-    results = [None] * len(batches)
-
-    def work(i):
-        results[i] = _simulate_batch(batches[i], grid, psi0, corr, params, dt, n_steps,
-                                     record_steps, seed, amplitude, scheme, boundary_tol, obs,
-                                     colored=colored)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(len(batches))))
-    else:
-        for i in range(len(batches)):
-            work(i)
-
+    results = _run_batches(
+        lambda trajs: _simulate_batch(trajs, grid, psi0, corr, params, dt, n_steps, record_steps, seed,
+                                      amplitude, scheme, boundary_tol, obs, colored=colored),
+        n_traj, batch_size, threads)
     msd = np.concatenate([r[0] for r in results], axis=0)
     energy = np.concatenate([r[1] for r in results], axis=0)
-    norm_drift = max(r[3] for r in results)
-    boundary = max(r[4] for r in results)
-
-    times = record_steps * dt
-    n_rec = times.size
-    msd_mean = np.array([math.fsum(msd[:, j]) / n_traj for j in range(n_rec)])
-    msd_std = msd.std(axis=0, ddof=1) if n_traj > 1 else np.zeros(n_rec)
-    energy_mean = np.array([math.fsum(energy[:, j]) / n_traj for j in range(n_rec)])
-    energy_std = energy.std(axis=0, ddof=1) if n_traj > 1 else np.zeros(n_rec)
+    msd_mean, msd_stderr = _mean_stderr(msd)
+    energy_mean, energy_stderr = _mean_stderr(energy)
 
     kp_mean = kp_err = kp = None
     if probe_k is not None:
@@ -367,15 +368,15 @@ def _run_quantum(grid, psi0, corr, params, t_max, dt, n_traj, seed, record_every
         kp_err = (probe_arr.real.std(axis=0, ddof=1) + 1j * probe_arr.imag.std(axis=0, ddof=1)) / math.sqrt(n_traj)
 
     return EnsembleResult(
-        times=times,
+        times=record_steps * dt,
         msd_mean=msd_mean,
-        msd_stderr=msd_std / math.sqrt(n_traj),
+        msd_stderr=msd_stderr,
         energy_mean=energy_mean,
-        energy_stderr=energy_std / math.sqrt(n_traj),
+        energy_stderr=energy_stderr,
         n_traj=n_traj,
         per_traj_msd=msd,
-        norm_drift_max=norm_drift,
-        boundary_mass_max=boundary,
+        norm_drift_max=max(r[3] for r in results),
+        boundary_mass_max=max(r[4] for r in results),
         kernel_probe_k=kp,
         kernel_probe_mean=kp_mean,
         kernel_probe_stderr=kp_err,
@@ -482,11 +483,7 @@ def run_classical(dim, corr, params: ModelParams, v0_init, t_max, dt, n_traj, se
     n_corners = 2**dim
     n_normals = factor.shape[0]
 
-    batches = [list(range(b, min(b + batch_size, n_traj))) for b in range(0, n_traj, batch_size)]
-    results = [None] * len(batches)
-
-    def work(bi):
-        trajs = batches[bi]
+    def work(trajs):
         B = len(trajs)
         q = np.zeros((B, dim))
         v = np.tile(v0_init, (B, 1))
@@ -532,28 +529,15 @@ def run_classical(dim, corr, params: ModelParams, v0_init, t_max, dt, n_traj, se
             raise StabilityError(
                 f"NaN in classical trajectory {trajs[row]} at t={t:.6g}; reduce time.dt (now {dt:g})"
             )
-        results[bi] = (msd, vvar)
+        return msd, vvar
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(len(batches))))
-    else:
-        for i in range(len(batches)):
-            work(i)
-
+    results = _run_batches(work, n_traj, batch_size, threads)
     msd = np.concatenate([r[0] for r in results], axis=0)
-    vvar = np.concatenate([r[1] for r in results], axis=0)
-    times = record_steps * dt
-    n_rec = times.size
-    return ClassicalResult(
-        times=times,
-        msd_mean=np.array([math.fsum(msd[:, j]) / n_traj for j in range(n_rec)]),
-        msd_stderr=msd.std(axis=0, ddof=1) / math.sqrt(n_traj) if n_traj > 1 else np.zeros(n_rec),
-        vvar_mean=np.array([math.fsum(vvar[:, j]) / n_traj for j in range(n_rec)]),
-        vvar_stderr=vvar.std(axis=0, ddof=1) / math.sqrt(n_traj) if n_traj > 1 else np.zeros(n_rec),
-        n_traj=n_traj,
-        per_traj_msd=msd,
-    )
+    msd_mean, msd_stderr = _mean_stderr(msd)
+    vvar_mean, vvar_stderr = _mean_stderr(np.concatenate([r[1] for r in results], axis=0))
+    return ClassicalResult(times=record_steps * dt, msd_mean=msd_mean, msd_stderr=msd_stderr,
+                           vvar_mean=vvar_mean, vvar_stderr=vvar_stderr, n_traj=n_traj,
+                           per_traj_msd=msd)
 
 
 @dataclass

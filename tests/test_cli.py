@@ -1,7 +1,10 @@
+import contextlib
 import importlib.metadata
+import io
 import json
 import platform
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -229,6 +232,132 @@ def test_threads_below_one_are_rejected(tmp_path, capsys, threads):
     assert "--threads" in err and "Traceback" not in err
     with pytest.raises(ConfigError, match="--threads"):
         run(path, route="analytic-msd", threads=int(threads))
+
+
+def _leaves(tree, path=()):
+    for key, val in tree.items():
+        if isinstance(val, dict):
+            yield from _leaves(val, path + (key,))
+        else:
+            yield path + (key,), val
+
+
+def _wrong_type(default):
+    """A JSON value that a key with this default must refuse."""
+    if isinstance(default, bool):
+        return "yes"
+    if isinstance(default, int):
+        return 1.5
+    if isinstance(default, (float, list)):
+        return "x"
+    return 5  # strings and null
+
+
+def _nest(path, value):
+    for key in reversed(path):
+        value = {key: value}
+    return value
+
+
+# every key of DEFAULT_CONFIG (and every list's items, and every section)
+# with a value of the wrong type; a key added later is covered too
+SCHEMA_CASES = (
+    [((key,), 5) for key, val in DEFAULT_CONFIG.items() if isinstance(val, dict)]
+    + [(path, _wrong_type(default)) for path, default in _leaves(DEFAULT_CONFIG)]
+    + [(path, [_wrong_type(default[0])]) for path, default in _leaves(DEFAULT_CONFIG)
+       if isinstance(default, list)])
+
+
+@pytest.mark.parametrize("path, value", SCHEMA_CASES,
+                         ids=[".".join(p) + "=" + json.dumps(v) for p, v in SCHEMA_CASES])
+def test_every_config_key_refuses_a_wrong_type(tmp_path, capsys, path, value):
+    cfg = dict({"out_dir": str(tmp_path / "o")}, **_nest(path, value))
+    cfg_path = write_cfg(tmp_path, **cfg)
+    key = "config." + ".".join(path)
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        load_config(cfg_path)
+    assert main(["analytic-msd", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+LATTICE = dict(model={"space": "lattice"}, correlation={"kind": "gaussian", "matrix": [[40.0]]},
+               initial={"kind": "point"})
+
+# inputs that once gave a traceback or ran silently as something else
+MISUSE = {
+    "hbar-string": ("analytic-msd", {"model": {"hbar": "abc"}}, "config.model.hbar"),
+    "seed-string": ("mc-continuum", {"seed": "x"}, "config.seed"),
+    "boundary-tol-string": ("mc-continuum", {"mc": {"boundary_tol": "x"}}, "config.mc.boundary_tol"),
+    "sigma-string": ("analytic-msd", {"initial": {"sigma": "a"}}, "config.initial.sigma"),
+    "v0-init-string": ("classical", {"classical": {"v0_init": "a"}}, "config.classical.v0_init"),
+    "matrix-string": ("validate", {"correlation": {"matrix": "a"}}, "config.correlation.matrix"),
+    "window-number": ("analytic-msd", {"fit": {"window": 5}}, "config.fit.window"),
+    "nu-list-number": ("colored-study", {"colored": {"nu_list": 0.4}}, "config.colored.nu_list"),
+    "v0-init-too-long": ("classical", {"classical": {"v0_init": [0.5, 0.2]}}, "config.classical.v0_init"),
+    "no-time-points": ("analytic-msd", {"time": {"n_points": 0}}, "config.time.n_points"),
+    "path-number": ("validate", {"correlation": {"kind": "table", "path": 5}}, "config.correlation.path"),
+    "compare-point-continuum": ("compare", {"initial": {"kind": "point"}}, "config.initial.kind"),
+    "fractional-dim": ("analytic-msd", {"model": {"dim": 1.5}}, "config.model.dim"),
+    "fractional-time-points": ("analytic-msd", {"time": {"n_points": 10.5}}, "config.time.n_points"),
+    "include-ito-string": ("colored-study", {"colored": {"include_ito": "no"}}, "config.colored.include_ito"),
+    "unknown-kind-continuum": ("mc-continuum", {"initial": {"kind": "foo"}}, "config.initial.kind"),
+    "unknown-kind-lattice": ("mc-lattice", dict(LATTICE, initial={"kind": "foo"}), "config.initial.kind"),
+    "sigma-too-long": ("mc-continuum", {"initial": {"sigma": [1.0, 1.0]}}, "config.initial.sigma"),
+    "window-three-entries": ("analytic-msd", {"fit": {"window": [1.0, 5.0, 10.0]}}, "config.fit.window"),
+    # the route and the config disagree
+    "mc-continuum-on-lattice": ("mc-continuum", LATTICE, "config.model.space"),
+    "mc-lattice-on-continuum": ("mc-lattice", {"initial": {"kind": "point"}}, "config.model.space"),
+    "colored-study-on-lattice": ("colored-study", dict(LATTICE, initial={}), "config.model.space"),
+    "missing-table": ("validate", {"correlation": {"kind": "table", "path": "absent.csv"}},
+                      "config.correlation.path"),
+}
+
+
+@pytest.mark.parametrize("route, overrides, key", MISUSE.values(), ids=MISUSE.keys())
+def test_misuse_is_a_named_config_error(tmp_path, capsys, route, overrides, key):
+    cfg_path = write_cfg(tmp_path, out_dir=str(tmp_path / "o"), **overrides)
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        run(cfg_path, route=route)
+    assert main([route, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("seed", [3.7, "x", True])
+def test_seed_override_is_checked_like_the_config_seed(tmp_path, seed):
+    cfg_path = write_cfg(tmp_path, out_dir=str(tmp_path / "o"))
+    with pytest.raises(ConfigError, match=r"config\.seed: must be an integer"):
+        run(cfg_path, route="analytic-msd", seed=seed)
+    assert not (tmp_path / "o").exists()
+
+
+TINY_MC = dict(time={"t_max": 0.2, "dt": 0.01, "record_every": 2},
+               mc={"n_traj": 8, "batch_size": 3, "boundary_tol": 1e-3},
+               fit={"window": [0.02, 0.2]}, grid={"points": 128, "length": 40.0})
+COMMON_FILES = {"manifest.json", "config.json"}
+
+
+@pytest.mark.parametrize("route, cfg, files", [
+    ("mc-lattice", dict(TINY_MC, lattice_box={"sites": 64}, **LATTICE), {"ensemble.csv", "fit.json"}),
+    ("colored-study", dict(TINY_MC, colored={"nu_list": [0.04, 0.02]}),
+     {"colored_study.json", "ensemble_white.csv", "ensemble_nu_0.04.csv", "ensemble_nu_0.02.csv",
+      "ensemble_ito-control.csv"}),
+    ("compare", TINY_MC, {"ensemble.csv", "msd_closed_form.csv", "pointwise_ratio.csv",
+                          "compare_report.json", "compare_report.txt"}),
+])
+def test_route_gives_the_same_bytes_on_one_and_two_threads(tmp_path, route, cfg, files):
+    cfg_path = write_cfg(tmp_path, out_dir=str(tmp_path / "o"), **cfg)
+    outputs = []
+    for threads in (1, 2):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(cfg_path, route=route, threads=threads) == 0
+        outputs.append({f.name: f.read_bytes() for f in (tmp_path / "o").iterdir()})
+        shutil.rmtree(tmp_path / "o")
+    assert set(outputs[0]) == files | COMMON_FILES
+    assert outputs[0] == outputs[1]
 
 
 def test_fit_subcommand(tmp_path, capsys):
