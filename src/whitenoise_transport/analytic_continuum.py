@@ -216,19 +216,24 @@ def _laplacian_k(func, dim, base_step):
     """Richardson-extrapolated central second differences summed over axes.
 
     Steps base, base/2, base/4 per axis; two extrapolation levels give an
-    O(h^6) estimate of sum_j d^2 f / dk_j^2 at k = 0.
+    O(h^6) estimate of sum_j d^2 f / dk_j^2 at k = 0.  ``base_step`` is
+    one step or an array of them, one per point: ``func`` maps k-points of
+    shape ``base_step.shape + (dim,)`` to values of shape
+    ``base_step.shape``, so one call serves every point.
     """
-    total = 0.0 + 0.0j
-    f0 = func(np.zeros(dim))
+    base = np.asarray(base_step, dtype=float)
+    f0 = func(np.zeros(base.shape + (dim,)))
+    total = 0.0
     for j in range(dim):
         e = np.zeros(dim)
         e[j] = 1.0
         d_vals = []
-        for h in (base_step, base_step / 2, base_step / 4):
-            d_vals.append((func(h * e) - 2.0 * f0 + func(-h * e)) / h**2)
+        for h in (base, base / 2, base / 4):
+            hk = h[..., np.newaxis] * e
+            d_vals.append((func(hk) - 2.0 * f0 + func(-hk)) / h**2)
         r1a = (4.0 * d_vals[1] - d_vals[0]) / 3.0
         r1b = (4.0 * d_vals[2] - d_vals[1]) / 3.0
-        total += (16.0 * r1b - r1a) / 15.0
+        total = total + (16.0 * r1b - r1a) / 15.0
     return total
 
 
@@ -275,24 +280,8 @@ def msd_closed_form(times, init, corr, params: ModelParams, fd_base_step=None) -
     base = (np.full_like(times, fd_base_step) if fd_base_step is not None
             else _fd_base_step(params, times, t_max))
     shift = -(c * times)[:, np.newaxis]
-
-    def w(k):
-        # k: (..., times, d), one row of k-points per time
-        return init.kernel_at(k, shift * k)
-
-    # _laplacian_k's stencil and Richardson steps for all times at once
-    f0 = w(np.zeros((times.size, d)))
-    lap_w = np.zeros_like(times)
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = 1.0
-        d_vals = []
-        for h in (base, base / 2, base / 4):
-            f_plus, f_minus = w(np.stack([h[:, np.newaxis] * e, -h[:, np.newaxis] * e]))
-            d_vals.append((f_plus - 2.0 * f0 + f_minus) / h**2)
-        r1a = (4.0 * d_vals[1] - d_vals[0]) / 3.0
-        r1b = (4.0 * d_vals[2] - d_vals[1]) / 3.0
-        lap_w += ((16.0 * r1b - r1a) / 15.0).real
+    # one k-point per time: the initial-kernel factor along the characteristic
+    lap_w = _laplacian_k(lambda k: init.kernel_at(k, shift * k), d, base).real
     msd = -norm * (phase_hess_rate * times**3 * k000 + lap_w)
     return MomentSeries(times=times, msd=msd, provenance=Provenance.CLOSED_FORM)
 

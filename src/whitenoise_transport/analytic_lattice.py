@@ -29,7 +29,7 @@ docs/conventions.md.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,6 +141,10 @@ def laplace_msd(s, inputs: LatticeMomentInputs):
     return complex(total) if total.ndim == 0 else total
 
 
+# a dephasing rate at or below this is zero: that axis is ballistic
+_ZERO_GAMMA = 1e-14
+
+
 @dataclass(frozen=True)
 class LatticeMSDLaw:
     """Closed-form inverse transform of the leading Laplace-domain term.
@@ -152,15 +156,13 @@ class LatticeMSDLaw:
 
     cd: float
     gamma: np.ndarray
-    zero_tol: float = field(default=1e-14)
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", np.atleast_1d(np.asarray(self.gamma, dtype=float)))
 
     @classmethod
-    def from_inputs(cls, inputs: LatticeMomentInputs, params: ModelParams = None):
-        c1 = inputs.c1 if params is None else params.hbar / params.mass
-        return cls(cd=(2.0 * c1) ** 2 * float(inputs.r000), gamma=inputs.gamma)
+    def from_inputs(cls, inputs: LatticeMomentInputs):
+        return cls(cd=(2.0 * inputs.c1) ** 2 * float(inputs.r000), gamma=inputs.gamma)
 
     @property
     def t_ballistic_below(self) -> float:
@@ -169,7 +171,7 @@ class LatticeMSDLaw:
 
     @property
     def t_diffusive_above(self) -> float:
-        g_pos = self.gamma[self.gamma > self.zero_tol]
+        g_pos = self.gamma[self.gamma > _ZERO_GAMMA]
         return 10.0 / float(np.min(g_pos)) if g_pos.size else np.inf
 
 
@@ -180,7 +182,7 @@ def msd_inverse_laplace_closed_form(t, law: LatticeMSDLaw):
         raise InputError("t must be nonnegative")
     out = np.zeros(np.shape(t))
     for g in law.gamma:
-        if g <= law.zero_tol:
+        if g <= _ZERO_GAMMA:
             out = out + 0.5 * t**2  # ballistic channel
         else:
             out = out + np.exp(-g * t) / g**2 + t / g - 1.0 / g**2
@@ -188,13 +190,13 @@ def msd_inverse_laplace_closed_form(t, law: LatticeMSDLaw):
     return result if np.ndim(t) else float(result)
 
 
-def diffusion_constant(inputs: LatticeMomentInputs, trace: float, zero_tol=1e-14):
+def diffusion_constant(inputs: LatticeMomentInputs, trace: float):
     """(2 hbar/m)^2 * trace * sum_m 1/Gamma_m, or BALLISTIC if any Gamma_m = 0.
 
     Strictly positive whenever the disorder is on and every axis dephases.
     """
     gamma = inputs.gamma
-    if np.any(gamma <= zero_tol):
+    if np.any(gamma <= _ZERO_GAMMA):
         return BALLISTIC
     return float((2.0 * inputs.c1) ** 2 * trace * np.sum(1.0 / gamma))
 

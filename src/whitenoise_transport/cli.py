@@ -76,6 +76,19 @@ _POSITIVE_COUNTS = {"config.mc.n_traj", "config.mc.batch_size", "config.time.rec
                     "config.evolve.record_every", "config.grid.points", "config.lattice_box.sites",
                     "config.evolve.y_box", "config.time.n_points", "config.model.dim"}
 
+# ranges beyond the type, checked after it: (what a value must be, its
+# test); a list's rule holds for each entry
+_RANGES = {"config.model.hbar": ("positive", lambda v: v > 0),
+           "config.model.mass": ("positive", lambda v: v > 0),
+           "config.model.v0": ("nonnegative", lambda v: v >= 0),
+           "config.initial.sigma": ("positive", lambda v: v > 0),
+           "config.initial.trace": ("positive", lambda v: v > 0),
+           "config.grid.length": ("positive", lambda v: v > 0),
+           "config.colored.nu_list": ("positive", lambda v: v > 0),
+           "config.grid.points": ("a power of two", lambda v: v & (v - 1) == 0),
+           "config.lattice_box.sites": ("a power of two", lambda v: v & (v - 1) == 0),
+           "config.evolve.y_box": ("odd and at least 5", lambda v: v % 2 == 1 and v >= 5)}
+
 
 def _checked(val, default, path):
     """``val`` merged into its default and checked against it: an object takes
@@ -114,6 +127,9 @@ def _checked(val, default, path):
                           f"got {val!r}")
     elif path in _CHOICES and val not in _CHOICES[path]:
         raise ConfigError(f"{path}: must be one of {', '.join(_CHOICES[path])}, got {val!r}")
+    rule = _RANGES.get(path.split("[")[0])
+    if rule and not isinstance(val, list) and not rule[1](val):
+        raise ConfigError(f"{path}: must be {rule[0]}, got {val!r}")
     return val
 
 
@@ -143,8 +159,13 @@ def load_config(path) -> dict:
         if len(cfg[section][key]) not in (1, dim):
             raise ConfigError(f"config.{section}.{key}: must have 1 or model.dim = {dim} entries, "
                               f"got {len(cfg[section][key])}")
-    if len(cfg["fit"]["window"]) != 2:
-        raise ConfigError(f"config.fit.window: must have 2 entries, got {len(cfg['fit']['window'])}")
+    window, t = cfg["fit"]["window"], cfg["time"]
+    if len(window) != 2:
+        raise ConfigError(f"config.fit.window: must have 2 entries, got {len(window)}")
+    if not window[0] < window[1]:
+        raise ConfigError(f"config.fit.window: the first entry must be below the second, got {window!r}")
+    if not t["t_min"] < t["t_max"]:
+        raise ConfigError(f"config.time.t_min: must be below time.t_max = {t['t_max']!r}, got {t['t_min']!r}")
     _check_step_times(cfg, "evolve")
     _check_step_times(cfg, "time")
     return cfg
@@ -180,11 +201,12 @@ class _Setup:
 
 
 # the model space a route runs on, where it cannot run on either
-_ROUTE_SPACE = {"mc-continuum": Space.CONTINUUM, "mc-lattice": Space.LATTICE,
-                "colored-study": Space.CONTINUUM}
+_ROUTE_SPACE = {"analytic-msd": Space.CONTINUUM, "lattice-law": Space.LATTICE,
+                "evolve-lattice": Space.LATTICE, "mc-continuum": Space.CONTINUUM,
+                "mc-lattice": Space.LATTICE, "colored-study": Space.CONTINUUM}
 # the initial state a route needs; compare needs the one of its model space
-_ROUTE_STATE = {"analytic-msd": "gaussian", "lattice-law": "point", "colored-study": "gaussian",
-                "compare-continuum": "gaussian", "compare-lattice": "point"}
+_ROUTE_STATE = {"analytic-msd": "gaussian", "lattice-law": "point", "evolve-lattice": "point",
+                "colored-study": "gaussian", "compare-continuum": "gaussian", "compare-lattice": "point"}
 
 
 def _build(cfg, route, threads) -> _Setup:

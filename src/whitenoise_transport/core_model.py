@@ -159,7 +159,7 @@ class TabulatedCorrelation:
 
     kind = "tabulated"
 
-    def __init__(self, x, values, dim=1, fd_step=None):
+    def __init__(self, x, values, dim=1):
         x = np.asarray(x, dtype=float)
         values = np.asarray(values, dtype=float)
         if x.ndim != 1 or x.shape != values.shape or x.size < 4:
@@ -187,7 +187,7 @@ class TabulatedCorrelation:
         self._v = values[pos]
         self.dim = int(dim)
         self._rmax = float(min(x[-1], -x[0]))
-        self._fd_step = fd_step if fd_step is not None else max(1e-4, float(dx[0]) / 8.0)
+        self._fd_step = max(1e-4, float(dx[0]) / 8.0)
 
     def _radial(self, r):
         r = np.asarray(r, dtype=float)
@@ -277,7 +277,8 @@ class LatticeCorrelationData:
     ballistic_channels: tuple = field(default=())
 
     @classmethod
-    def from_correlation(cls, corr, params: ModelParams, zero_tol=1e-13):
+    def from_correlation(cls, corr, params: ModelParams):
+        zero = 1e-13  # relative size below which a dephasing rate counts as zero
         d = params.dim
         eye = np.eye(d)
         g0 = float(corr.g(np.zeros(d)))
@@ -285,11 +286,11 @@ class LatticeCorrelationData:
         g_2nn = np.array([float(corr.g(2 * eye[m])) for m in range(d)])
         gamma = params.coupling * (g0 - g_nn)
         gamma2 = params.coupling * (g0 - g_2nn)
-        if np.any(gamma < -zero_tol * max(abs(g0), 1.0)):
+        if np.any(gamma < -zero * max(abs(g0), 1.0)):
             raise InputError("g(0) < g(e_m): correlation increases away from the origin")
         gamma = np.maximum(gamma, 0.0)
         gamma2 = np.maximum(gamma2, 0.0)
-        flat = tuple(int(m) for m in range(d) if gamma[m] <= zero_tol * max(params.coupling * abs(g0), 1e-300))
+        flat = tuple(int(m) for m in range(d) if gamma[m] <= zero * max(params.coupling * abs(g0), 1e-300))
         return cls(g0=g0, g_nn=g_nn, gamma=gamma, gamma2=gamma2, ballistic_channels=flat)
 
 
@@ -342,7 +343,7 @@ def _spectrum_grid(corr, params: ModelParams):
     return coords.reshape((n,) * d + (d,)), (n,) * d
 
 
-def validate_hypotheses(corr, params: ModelParams, n_probe=64, seed=20240117) -> HypothesisReport:
+def validate_hypotheses(corr, params: ModelParams) -> HypothesisReport:
     """Numerically check the admissibility of a correlation function.
 
     Checks, in order: evenness on a random probe set around the origin,
@@ -354,9 +355,9 @@ def validate_hypotheses(corr, params: ModelParams, n_probe=64, seed=20240117) ->
     d = params.dim
     if getattr(corr, "dim", d) != d:
         raise InputError(f"correlation has dim {corr.dim}, model has dim {d}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20240117)
     scale = min(corr.correlation_length(), corr.table_extent() / 2.0)
-    probes = rng.uniform(-scale, scale, size=(n_probe, d))
+    probes = rng.uniform(-scale, scale, size=(64, d))
 
     g_plus = np.asarray(corr.g(probes), dtype=float)
     g_minus = np.asarray(corr.g(-probes), dtype=float)

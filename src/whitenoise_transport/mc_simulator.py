@@ -2,11 +2,11 @@
 
 Trajectories evolve by unitary split-stepping: exact kinetic half-steps in
 Fourier space around a potential factor exp(-i dW(x)/hbar), where dW is the
-integrated potential over the step.  Multiplying by the exponential of the
-Brownian increment realises the smooth-noise (Stratonovich) limit while
-conserving the norm exactly; the Euler-Maruyama factor (1 - i dW/hbar) is
-available as a negative control that violates norm conservation and biases
-per-trajectory observables.
+integrated potential over the step (``noise_field.field_increments``).
+Multiplying by the exponential of the Brownian increment realises the
+smooth-noise (Stratonovich) limit while conserving the norm exactly; the
+Euler-Maruyama factor (1 - i dW/hbar) is available as a negative control
+that violates norm conservation and biases per-trajectory observables.
 
 Randomness is counter-based: every draw is keyed by (global seed,
 trajectory group, step) - for the classical kicks, by 1024-step block - so
@@ -29,9 +29,8 @@ import numpy as np
 from .analytic_continuum import MomentSeries, Provenance, msd_closed_form
 from .core_model import ModelParams, Space, step_count
 from .errors import BoxSizeError, InputError, StabilityError
-from .noise_field import (ColoredKernel, ColoredStream, FieldGrid, HalfSpectrum, spectral_amplitude,
-                          _filter_white_batch)
-from .rng import KIND_CLASSICAL, KIND_FIELD, normals
+from .noise_field import ColoredKernel, FieldGrid, field_increments, spectral_amplitude
+from .rng import KIND_CLASSICAL, normals
 
 __all__ = [
     "EnsembleResult",
@@ -193,14 +192,14 @@ def _record_steps(n_steps: int, record_every: int) -> np.ndarray:
 class _Observables:
     """Per-batch observable extraction on the x-space wavefunction."""
 
-    def __init__(self, grid: FieldGrid, params: ModelParams, probe_k=None, edge_cells=None):
+    def __init__(self, grid: FieldGrid, params: ModelParams, probe_k=None):
         self.grid = grid
         self.w = grid.spacing**grid.dim
         axes = np.meshgrid(*[grid.axis_coords()] * grid.dim, indexing="ij")
         self.r2 = sum(a**2 for a in axes)
         self.h0 = _h0_multiplier(grid, params)
         n = grid.points_per_side
-        edge = max(1, n // 128) if edge_cells is None else edge_cells
+        edge = max(1, n // 128)
         coords1 = grid.axis_coords()
         lim = (n // 2 - edge + 1) * grid.spacing
         self.edge_mask = np.zeros(grid.shape, dtype=bool)
@@ -242,7 +241,7 @@ class _Observables:
 
 def _simulate_batch(traj_indices, grid, psi0, corr, params, dt, n_steps, record_steps, seed,
                     amplitude, scheme, boundary_tol, obs, colored: ColoredKernel = None):
-    """Propagate one batch; returns per-trajectory observable arrays."""
+    """Propagate one batch; returns per-trajectory observable arrays (``corr`` is unused)."""
     B = len(traj_indices)
     d = grid.dim
     fft_axes = tuple(range(1, d + 1))
@@ -260,13 +259,7 @@ def _simulate_batch(traj_indices, grid, psi0, corr, params, dt, n_steps, record_
     # potential phase exp(-i dW / hbar), written in place once per step
     phase = np.empty_like(psi) if scheme == SCHEME_STRATONOVICH else None
 
-    if colored is None:
-        white = HalfSpectrum(amplitude, math.sqrt(dt))
-    else:
-        stream = ColoredStream(grid, corr, params, colored, dt, seed, traj_indices, amplitude=amplitude)
-
-    def draw_white(step):
-        return _filter_white_batch(white.normals(seed, KIND_FIELD, traj_indices, step), white)
+    increments = field_increments(amplitude, dt, seed, traj_indices, colored)
 
     def record(pos, psi_rec, psi_k):
         nonlocal boundary_max, probes
@@ -312,13 +305,7 @@ def _simulate_batch(traj_indices, grid, psi0, corr, params, dt, n_steps, record_
         del psi_hat
 
     for n in range(n_steps):
-        if colored is None:
-            w_field = draw_white(n)
-        else:
-            # midpoint sample of the smooth colored potential, integrated over dt
-            v_now = stream.current()
-            stream.advance()
-            w_field = 0.5 * (v_now + stream.current()) * dt
+        w_field = next(increments)
         if scheme == SCHEME_STRATONOVICH:
             w_field *= -inv_hbar
             np.cos(w_field, out=phase.real)
@@ -580,23 +567,15 @@ def colored_noise_convergence_study(nu_list, grid, psi0, init_kernel, corr, para
         se = float(dev_per_traj.std(ddof=1) / math.sqrt(result.n_traj))
         return StudyRow(label=label, nu=nu, deviation=dev, stderr=se, result=result)
 
-    if include_white:
-        res = run_continuum(grid, psi0, corr, params, t_max, dt, n_traj, seed,
-                            record_every=record_every, boundary_tol=boundary_tol,
-                            threads=threads, batch_size=batch_size)
-        rows.append(deviation_row("white", 0.0, res))
-
-    for nu in sorted(nu_list, reverse=True):
-        kern = ColoredKernel(float(nu))
-        res = run_continuum(grid, psi0, corr, params, t_max, dt, n_traj, seed,
-                            record_every=record_every, boundary_tol=boundary_tol,
-                            threads=threads, batch_size=batch_size, colored=kern)
-        rows.append(deviation_row(f"nu={nu:g}", float(nu), res))
-
+    runs = [("white", 0.0, {})] if include_white else []
+    runs += [(f"nu={nu:g}", float(nu), {"colored": ColoredKernel(float(nu))})
+             for nu in sorted(nu_list, reverse=True)]
     if include_ito:
+        runs.append(("ito-control", 0.0, {"scheme": SCHEME_ITO_EULER}))
+    for label, nu, kw in runs:
         res = run_continuum(grid, psi0, corr, params, t_max, dt, n_traj, seed,
                             record_every=record_every, boundary_tol=boundary_tol,
-                            threads=threads, batch_size=batch_size, scheme=SCHEME_ITO_EULER)
-        rows.append(deviation_row("ito-control", 0.0, res))
+                            threads=threads, batch_size=batch_size, **kw)
+        rows.append(deviation_row(label, nu, res))
 
     return rows

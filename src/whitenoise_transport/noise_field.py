@@ -4,7 +4,8 @@ White-in-time noise is handled through its increments: the integral of the
 potential over one step ``[t, t + dt)`` is a Gaussian field with spatial
 covariance ``v0^2 g(x - x') dt``.  The instantaneous potential is never
 formed (it has infinite variance); split-step propagators consume the
-increments directly.
+increments directly.  :func:`field_increments` is the one place where a
+step's integrated potential is formed, for white and colored noise alike.
 
 Sampling is spectral and draws the spectrum itself (circulant embedding,
 Dietrich & Newsam 1997): each nonzero mode of the last-axis half of the
@@ -18,14 +19,15 @@ Colored noise with a triangular temporal kernel of half-width ``nu`` is the
 box-filter moving average of white increments over the last ``q = nu / dt``
 steps.  The synthesis is linear, so :class:`ColoredStream` keeps the running
 sum of the drawn k-space normals over that window and synthesises the sum
-once per sample.  White and colored paths draw from separate purpose lanes
+once per sample.  White and colored fields draw from separate purpose lanes
 (``KIND_FIELD`` and ``KIND_FIELD_COLORED``), so one seed gives them
-independent randomness; colored paths of different ``nu`` share their
+independent randomness; colored fields of different ``nu`` share their
 increments.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -34,16 +36,14 @@ import numpy as np
 
 from .core_model import ModelParams
 from .errors import CovarianceError, InputError, ResolutionError
-from .rng import KIND_FIELD_COLORED, SeedInfo, normals
+from .rng import KIND_FIELD, KIND_FIELD_COLORED, normals
 
 __all__ = [
     "FieldGrid",
-    "NoiseIncrement",
     "ColoredKernel",
     "spectral_amplitude",
     "HalfSpectrum",
-    "sample_white_increment",
-    "sample_colored_path",
+    "field_increments",
     "write_field",
     "read_field",
 ]
@@ -102,21 +102,12 @@ class FieldGrid:
         return np.stack(axes, axis=-1)
 
 
-@dataclass(frozen=True)
-class NoiseIncrement:
-    """Integrated potential over one step; covariance v0^2 g(x-x') dt."""
-
-    values: np.ndarray
-    dt: float
-    seed_info: SeedInfo
-
-
-def spectral_amplitude(grid: FieldGrid, corr, params: ModelParams, neg_tol=1e-8) -> np.ndarray:
+def spectral_amplitude(grid: FieldGrid, corr, params: ModelParams) -> np.ndarray:
     """Square root of the DFT of the covariance sequence on the grid.
 
     The covariance sequence is ``v0^2 g`` sampled at minimum-image
     separations (for correlations short compared to the box this equals the
-    periodised covariance).  A spectral value below ``-neg_tol * max`` is a
+    periodised covariance).  A spectral value below ``-1e-8 * max`` is a
     hard error naming the offending mode; small negative roundoff is
     clipped to zero.  A correlation of another dimension than the grid's
     is an :class:`InputError`.
@@ -127,7 +118,7 @@ def spectral_amplitude(grid: FieldGrid, corr, params: ModelParams, neg_tol=1e-8)
     spec = np.fft.fftn(cov).real
     smax = float(spec.max())
     smin = float(spec.min())
-    if smin < -neg_tol * max(smax, 1e-300):
+    if smin < -1e-8 * max(smax, 1e-300):
         mode = np.unravel_index(int(np.argmin(spec)), spec.shape)
         raise CovarianceError(
             f"negative spectral density {smin:.3e} at mode {mode} "
@@ -182,24 +173,6 @@ class HalfSpectrum:
         return normals(seed, kind, trajs, step, (self.n_normals,))
 
 
-def sample_white_increment(grid: FieldGrid, corr, params: ModelParams, dt: float, seed_info: SeedInfo,
-                           amplitude=None) -> NoiseIncrement:
-    """Draw one white-in-time increment with covariance v0^2 g(.) dt.
-
-    Reproducible: the draw is a pure function of ``seed_info``.  Passing a
-    precomputed ``amplitude`` (from :func:`spectral_amplitude`) skips the
-    covariance transform, which matters inside propagation loops.
-    """
-    if not dt > 0:
-        raise InputError(f"dt must be positive, got {dt}")
-    if amplitude is None:
-        amplitude = spectral_amplitude(grid, corr, params)
-    spectrum = HalfSpectrum(amplitude, math.sqrt(dt))
-    z = spectrum.normals(seed_info.seed, seed_info.kind, [seed_info.traj], seed_info.step)
-    values = _filter_white_batch(z, spectrum)[0]
-    return NoiseIncrement(values=values, dt=dt, seed_info=seed_info)
-
-
 @dataclass(frozen=True)
 class ColoredKernel:
     """Triangular temporal correlation kernel, support [-nu, nu], unit mass.
@@ -238,28 +211,9 @@ class ColoredKernel:
 _COLORED_STEP_OFFSET = 1 << 31
 
 
-def sample_colored_path(grid: FieldGrid, corr, params: ModelParams, kernel: ColoredKernel,
-                        n_steps: int, dt: float, seed_info: SeedInfo, amplitude=None):
-    """Snapshots V(x, t_n), n = 0..n_steps-1, of the colored potential.
-
-    Covariance: ``v0^2 g(x - x') h_nu(t - t')``.  The path is stationary
-    from t = 0 (warm-up increments are drawn at negative step indices).
-    The underlying white increments depend only on (seed, traj, absolute
-    step), so paths with different ``nu`` share their noise source.  The
-    path is the one-trajectory :class:`ColoredStream`.
-    """
-    stream = ColoredStream(grid, corr, params, kernel, dt, seed_info.seed, [seed_info.traj],
-                           amplitude=amplitude)
-    out = np.empty((n_steps,) + grid.shape)
-    for n in range(n_steps):
-        out[n] = stream.current()[0]
-        if n < n_steps - 1:
-            stream.advance()
-    return out
-
-
 class ColoredStream:
-    """Streaming colored potential for a batch of trajectories.
+    """Streaming colored potential for a batch of trajectories, on the
+    spectrum ``amplitude`` of :func:`spectral_amplitude`.
 
     Keeps the box-filter window of drawn k-space normals in memory (q
     arrays of shape ``(batch, n_normals)``, as :meth:`HalfSpectrum.normals`
@@ -273,13 +227,10 @@ class ColoredStream:
     different ``nu`` share their noise source.
     """
 
-    def __init__(self, grid, corr, params, kernel: ColoredKernel, dt, seed, traj_indices,
-                 amplitude=None, kind=None):
+    def __init__(self, amplitude: np.ndarray, kernel: ColoredKernel, dt, seed, traj_indices):
         self._seed = int(seed)
         self._trajs = list(traj_indices)
-        self._kind = KIND_FIELD_COLORED if kind is None else kind
-        amp = spectral_amplitude(grid, corr, params) if amplitude is None else amplitude
-        self._spectrum = HalfSpectrum(amp, math.sqrt(float(dt)) / kernel.nu)
+        self._spectrum = HalfSpectrum(amplitude, math.sqrt(float(dt)) / kernel.nu)
         q = kernel.width_steps(dt)
         self._window = [self._normals(j) for j in range(-q, 0)]
         # the sum is an array of its own: it must not alias a window entry
@@ -290,7 +241,8 @@ class ColoredStream:
         self._current = None
 
     def _normals(self, step_index):
-        z = self._spectrum.normals(self._seed, self._kind, self._trajs, step_index + _COLORED_STEP_OFFSET)
+        z = self._spectrum.normals(self._seed, KIND_FIELD_COLORED, self._trajs,
+                                   step_index + _COLORED_STEP_OFFSET)
         # a view of whole drawn groups would keep the rows outside the batch alive
         return z if z.base is None or z.base.size == z.size else z.copy()
 
@@ -308,6 +260,31 @@ class ColoredStream:
         self._window.append(new)
         self._next_step += 1
         self._current = None
+
+
+def field_increments(amplitude: np.ndarray, dt: float, seed, trajs, colored: ColoredKernel = None):
+    """Generator whose n-th ``next()`` is step n's integrated potential of
+    the fields of ``trajs`` on the spectrum ``amplitude``, a new array of
+    shape ``(len(trajs),) + amplitude.shape``: the ``KIND_FIELD`` white
+    increment, or under ``colored`` the midpoint rule ``0.5 (V_n + V_{n+1})
+    dt`` of a :class:`ColoredStream`.  The spectrum or stream is built by
+    this call, not at the first ``next()``.
+    """
+    if not dt > 0:
+        raise InputError(f"dt must be positive, got {dt!r}")
+    trajs = list(trajs)
+    if colored is None:
+        white = HalfSpectrum(amplitude, math.sqrt(dt))
+        return (_filter_white_batch(white.normals(seed, KIND_FIELD, trajs, n), white)
+                for n in itertools.count())
+    return _midpoints(ColoredStream(amplitude, colored, dt, seed, trajs), dt)
+
+
+def _midpoints(stream: ColoredStream, dt):
+    while True:
+        v_now = stream.current()
+        stream.advance()
+        yield 0.5 * (v_now + stream.current()) * dt
 
 
 def _filter_white_batch(z: np.ndarray, spectrum: HalfSpectrum) -> np.ndarray:

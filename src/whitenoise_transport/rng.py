@@ -20,8 +20,8 @@ import threading
 import numpy as np
 from numpy.random import Generator, Philox
 
-__all__ = ["stream", "normals", "SeedInfo", "KIND_FIELD", "KIND_FIELD_COLORED", "KIND_CLASSICAL",
-           "STREAM_VERSION", "TRAJ_GROUP"]
+__all__ = ["stream", "normals", "KIND_FIELD", "KIND_FIELD_COLORED", "KIND_CLASSICAL", "STREAM_VERSION",
+           "TRAJ_GROUP"]
 
 #: version of the mapping from draw coordinates to numbers, recorded in every
 #: manifest; it changes whenever a seed would give different draws.  Version 2
@@ -97,23 +97,3 @@ def normals(seed: int, kind: int, trajs, step: int, shape) -> np.ndarray:
     slot = {group: i * TRAJ_GROUP for i, group in enumerate(groups)}
     return drawn[[slot[t // TRAJ_GROUP] + t % TRAJ_GROUP for t in trajs]]
 
-
-class SeedInfo:
-    """Provenance of one random draw: (global seed, trajectory, step)."""
-
-    __slots__ = ("seed", "traj", "step", "kind")
-
-    def __init__(self, seed, traj=0, step=0, kind=KIND_FIELD):
-        self.seed = int(seed)
-        self.traj = int(traj)
-        self.step = int(step)
-        self.kind = int(kind)
-
-    def __repr__(self):
-        return f"SeedInfo(seed={self.seed}, traj={self.traj}, step={self.step}, kind={self.kind})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SeedInfo)
-            and (self.seed, self.traj, self.step, self.kind) == (other.seed, other.traj, other.step, other.kind)
-        )

@@ -306,10 +306,32 @@ MISUSE = {
     "unknown-kind-lattice": ("mc-lattice", dict(LATTICE, initial={"kind": "foo"}), "config.initial.kind"),
     "sigma-too-long": ("mc-continuum", {"initial": {"sigma": [1.0, 1.0]}}, "config.initial.sigma"),
     "window-three-entries": ("analytic-msd", {"fit": {"window": [1.0, 5.0, 10.0]}}, "config.fit.window"),
+    # ranges beyond the type
+    "window-reversed": ("analytic-msd", {"fit": {"window": [10.0, 2.0]}}, "config.fit.window"),
+    "window-empty": ("analytic-msd", {"fit": {"window": [5.0, 5.0]}}, "config.fit.window"),
+    "t-min-above-t-max": ("analytic-msd", {"time": {"t_min": 12.0}}, "config.time.t_min"),
+    "t-min-at-t-max": ("analytic-msd", {"time": {"t_min": 10.0}}, "config.time.t_min"),
+    "hbar-negative": ("analytic-msd", {"model": {"hbar": -1.0}}, "config.model.hbar"),
+    "mass-zero": ("analytic-msd", {"model": {"mass": 0}}, "config.model.mass"),
+    "v0-negative": ("analytic-msd", {"model": {"v0": -0.5}}, "config.model.v0"),
+    "sigma-zero": ("analytic-msd", {"initial": {"sigma": [0.0]}}, "config.initial.sigma[0]"),
+    "trace-negative": ("analytic-msd", {"initial": {"trace": -1.0}}, "config.initial.trace"),
+    "length-zero": ("mc-continuum", {"grid": {"length": 0.0}}, "config.grid.length"),
+    "nu-zero": ("colored-study", {"colored": {"nu_list": [0.4, 0.0]}}, "config.colored.nu_list[1]"),
+    "points-not-power-of-two": ("mc-continuum", {"grid": {"points": 100}}, "config.grid.points"),
+    "sites-not-power-of-two": ("mc-lattice", dict(LATTICE, lattice_box={"sites": 96}),
+                               "config.lattice_box.sites"),
+    "y-box-even": ("evolve-lattice", dict(LATTICE, evolve={"y_box": 8}), "config.evolve.y_box"),
+    "y-box-below-5": ("evolve-lattice", dict(LATTICE, evolve={"y_box": 3}), "config.evolve.y_box"),
     # the route and the config disagree
     "mc-continuum-on-lattice": ("mc-continuum", LATTICE, "config.model.space"),
     "mc-lattice-on-continuum": ("mc-lattice", {"initial": {"kind": "point"}}, "config.model.space"),
     "colored-study-on-lattice": ("colored-study", dict(LATTICE, initial={}), "config.model.space"),
+    "analytic-msd-on-lattice": ("analytic-msd", dict(LATTICE, initial={}), "config.model.space"),
+    "lattice-law-on-continuum": ("lattice-law", {"initial": {"kind": "point"}}, "config.model.space"),
+    "evolve-lattice-on-continuum": ("evolve-lattice", {"initial": {"kind": "point"}}, "config.model.space"),
+    "evolve-lattice-gaussian-state": ("evolve-lattice", dict(LATTICE, initial={"kind": "gaussian"}),
+                                      "config.initial.kind"),
     "missing-table": ("validate", {"correlation": {"kind": "table", "path": "absent.csv"}},
                       "config.correlation.path"),
 }

@@ -7,7 +7,7 @@ from whitenoise_transport import (BoxSizeError, ColoredKernel, FieldGrid, Gaussi
                                   GaussianPureState, InputError, ModelParams, Space, StabilityError,
                                   gaussian_wavepacket, kernel_hat, msd_closed_form, point_state,
                                   run_classical, run_continuum, run_lattice)
-from whitenoise_transport import mc_simulator, noise_field
+from whitenoise_transport import noise_field
 from whitenoise_transport.mc_simulator import (SCHEME_ITO_EULER, _corner_kick_factor,
                                                colored_noise_convergence_study)
 from whitenoise_transport.noise_field import spectral_amplitude
@@ -88,8 +88,7 @@ class TestContinuum:
             calls.append(xi.shape[0])
             return _filter(xi, amplitude)
 
-        for module in (noise_field, mc_simulator):
-            monkeypatch.setattr(module, "_filter_white_batch", counted)
+        monkeypatch.setattr(noise_field, "_filter_white_batch", counted)
         n_steps, batch_size, n_traj = 8, 4, 10
         run_continuum(small_grid, packet, CORR, P, t_max=n_steps * 0.0125, dt=0.0125,
                       n_traj=n_traj, seed=3, record_every=4, threads=1, batch_size=batch_size,

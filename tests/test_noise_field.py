@@ -1,12 +1,12 @@
+import itertools
 import time
 
 import numpy as np
 import pytest
 
 from whitenoise_transport import (ColoredKernel, CovarianceError, FieldGrid, GaussianCorrelation,
-                                  InputError, ModelParams, ResolutionError, SeedInfo,
-                                  TabulatedCorrelation, read_field, rng, sample_colored_path,
-                                  sample_white_increment, spectral_amplitude, write_field)
+                                  InputError, ModelParams, ResolutionError, TabulatedCorrelation,
+                                  field_increments, read_field, rng, spectral_amplitude, write_field)
 from whitenoise_transport import noise_field
 from whitenoise_transport.noise_field import (_COLORED_STEP_OFFSET, ColoredStream, HalfSpectrum,
                                               _filter_white_batch)
@@ -22,6 +22,22 @@ def amp(grid, gaussian_corr, params):
     return spectral_amplitude(grid, gaussian_corr, params)
 
 
+def white_at(amp, dt, seed, traj, step):
+    """Trajectory ``traj``'s white increment at ``step``, as the ensembles draw it."""
+    return next(itertools.islice(field_increments(amp, dt, seed, [traj]), step, None))[0]
+
+
+def colored_path(amp, kern, n_steps, dt, seed, traj):
+    """Snapshots V(x, t_n), n = 0..n_steps-1, of one trajectory's colored potential."""
+    stream = ColoredStream(amp, kern, dt, seed, [traj])
+    out = np.empty((n_steps,) + amp.shape)
+    for n in range(n_steps):
+        out[n] = stream.current()[0]
+        if n < n_steps - 1:
+            stream.advance()
+    return out
+
+
 def test_grid_invariants():
     g = FieldGrid.continuum(2, 64, 32.0)
     assert g.total_sites == 64**2
@@ -31,12 +47,12 @@ def test_grid_invariants():
         FieldGrid.continuum(1, 100, 10.0)
 
 
-def test_same_seed_info_is_bit_identical(grid, gaussian_corr, params):
-    a = sample_white_increment(grid, gaussian_corr, params, 0.05, SeedInfo(7, 3, 11))
-    b = sample_white_increment(grid, gaussian_corr, params, 0.05, SeedInfo(7, 3, 11))
-    assert np.array_equal(a.values, b.values)
-    c = sample_white_increment(grid, gaussian_corr, params, 0.05, SeedInfo(7, 3, 12))
-    assert not np.array_equal(a.values, c.values)
+def test_same_coordinates_are_bit_identical(amp):
+    a = white_at(amp, 0.05, 7, 3, 11)
+    b = white_at(amp, 0.05, 7, 3, 11)
+    assert np.array_equal(a, b)
+    c = white_at(amp, 0.05, 7, 3, 12)
+    assert not np.array_equal(a, c)
 
 
 def test_white_increment_mean_and_covariance(grid, gaussian_corr, amp):
@@ -46,9 +62,9 @@ def test_white_increment_mean_and_covariance(grid, gaussian_corr, amp):
     dt = 0.05
     N = 10_000
     fields = np.empty((N, 256))
+    increments = field_increments(amp13, dt, 42, [0])
     for i in range(N):
-        fields[i] = sample_white_increment(grid, gaussian_corr, params, dt,
-                                           SeedInfo(42, 0, i), amplitude=amp13).values
+        fields[i] = next(increments)[0]
     g0 = float(gaussian_corr.g(np.array(0.0)))
     bound = 4.0 * params.v0 * np.sqrt(g0 * dt / (N * 256))
     assert abs(fields.mean()) < bound
@@ -91,9 +107,10 @@ def test_zero_disorder_gives_zero_field(grid, gaussian_corr, monkeypatch):
     monkeypatch.setattr(noise_field, "normals", refuse)
     params = ModelParams(v0=0.0)
     assert HalfSpectrum(spectral_amplitude(grid, gaussian_corr, params), 1.0).n_normals == 0
-    inc = sample_white_increment(grid, gaussian_corr, params, 0.1, SeedInfo(5))
-    assert inc.values.shape == grid.shape and np.all(inc.values == 0.0)
-    stream = ColoredStream(grid, gaussian_corr, params, ColoredKernel(0.1), 0.05, 5, [0, 1])
+    amp0 = spectral_amplitude(grid, gaussian_corr, params)
+    inc = next(field_increments(amp0, 0.1, 5, [0]))[0]
+    assert inc.shape == grid.shape and np.all(inc == 0.0)
+    stream = ColoredStream(amp0, ColoredKernel(0.1), 0.05, 5, [0, 1])
     stream.advance()
     assert stream.current().shape == (2,) + grid.shape and np.all(stream.current() == 0.0)
 
@@ -113,7 +130,7 @@ class TestColoredKernel:
             ColoredKernel(0.07).width_steps(0.05)
 
 
-def test_colored_path_covariance(grid, gaussian_corr, amp):
+def test_colored_path_covariance(amp):
     params = ModelParams()
     dt, nu = 0.05, 0.4
     kern = ColoredKernel(nu)
@@ -121,10 +138,9 @@ def test_colored_path_covariance(grid, gaussian_corr, amp):
     site = 128
     snaps = np.empty((M, n_steps))
     # trajectories 0..M-1 in batches of 250: each row is that trajectory's
-    # sample_colored_path (see test_colored_stream_matches_path)
+    # colored_path (see test_colored_stream_matches_path)
     for lo in range(0, M, 250):
-        batch = ColoredStream(grid, gaussian_corr, params, kern, dt, 9, range(lo, lo + 250),
-                              amplitude=amp)
+        batch = ColoredStream(amp, kern, dt, 9, range(lo, lo + 250))
         for n in range(n_steps):
             snaps[lo:lo + 250, n] = batch.current()[:, site]
             if n < n_steps - 1:
@@ -139,7 +155,7 @@ def test_colored_path_covariance(grid, gaussian_corr, amp):
     assert abs(snaps[:, 0].var() - snaps[:, 20].var()) < 0.12 / nu
 
 
-def test_colored_paths_cauchy_toward_white(grid, gaussian_corr, params, amp):
+def test_colored_paths_cauchy_toward_white(amp):
     # same white-noise source, nu halved: mean-square distance to the
     # white increments (scaled 1/sqrt(dt)-rate) shrinks like 1/dt - 1/nu
     dt = 0.05
@@ -151,8 +167,7 @@ def test_colored_paths_cauchy_toward_white(grid, gaussian_corr, params, amp):
         kern = ColoredKernel(nu)
         total = 0.0
         for i in range(M):
-            path = sample_colored_path(grid, gaussian_corr, params, kern, n_steps, dt,
-                                       SeedInfo(77, i, 0), amplitude=amp)
+            path = colored_path(amp, kern, n_steps, dt, 77, i)
             # matching white rate from the same stream: increments at the
             # same absolute indexing used inside the colored construction
             rate = np.empty_like(path)
@@ -167,13 +182,12 @@ def test_colored_paths_cauchy_toward_white(grid, gaussian_corr, params, amp):
         assert abs(d - theory[nu]) / theory[nu] < 0.15
 
 
-def test_colored_stream_matches_path(grid, gaussian_corr, params, amp):
+def test_colored_stream_matches_path(amp):
     dt, nu, n_steps = 0.05, 0.2, 12
     kern = ColoredKernel(nu)
     for trajs in ([0, 1], [248, 249, 250, 251], [17, 3]):
-        paths = [sample_colored_path(grid, gaussian_corr, params, kern, n_steps, dt,
-                                     SeedInfo(5, traj, 0), amplitude=amp) for traj in trajs]
-        stream = ColoredStream(grid, gaussian_corr, params, kern, dt, 5, trajs, amplitude=amp)
+        paths = [colored_path(amp, kern, n_steps, dt, 5, traj) for traj in trajs]
+        stream = ColoredStream(amp, kern, dt, 5, trajs)
         for n in range(n_steps):
             cur = stream.current()
             for b in range(len(trajs)):
@@ -183,15 +197,13 @@ def test_colored_stream_matches_path(grid, gaussian_corr, params, amp):
 
 @pytest.mark.parametrize("q", [1, 8])
 @pytest.mark.parametrize("trajs", [[0, 1], [17, 3], [248, 249, 250, 251]])
-def test_colored_stream_is_the_window_sum_of_filtered_increments(grid, gaussian_corr, params, amp,
-                                                                 q, trajs):
+def test_colored_stream_is_the_window_sum_of_filtered_increments(amp, q, trajs):
     # V_n = sum_{j=n-q}^{n-1} W_j / nu, past the first full window, where W_j
     # is the white increment synthesised from the colored lane's step-j draws
     dt = 0.05
     nu = q * dt
     white = HalfSpectrum(amp, np.sqrt(dt))
-    stream = ColoredStream(grid, gaussian_corr, params, ColoredKernel(nu), dt, 5, trajs,
-                           amplitude=amp)
+    stream = ColoredStream(amp, ColoredKernel(nu), dt, 5, trajs)
     for n in range(2 * q + 3):
         if n > q:
             expected = sum(
@@ -204,9 +216,50 @@ def test_colored_stream_is_the_window_sum_of_filtered_increments(grid, gaussian_
         stream.advance()
 
 
-def test_colored_stream_current_is_cached_and_read_only(grid, gaussian_corr, params, amp):
-    stream = ColoredStream(grid, gaussian_corr, params, ColoredKernel(0.2), 0.05, 5, [0, 1],
-                           amplitude=amp)
+@pytest.mark.parametrize("colored", [None, ColoredKernel(0.1)], ids=["white", "colored"])
+def test_field_increments_are_the_lane_draws(amp, colored):
+    # white: the KIND_FIELD increments of step n; colored: the midpoint rule
+    # on the stream's samples; either way a trajectory's rows do not depend
+    # on its batch
+    dt, trajs, n_steps = 0.05, [17, 3, 4], 4
+    got = list(itertools.islice(field_increments(amp, dt, 5, trajs, colored), n_steps))
+    if colored is None:
+        white = HalfSpectrum(amp, np.sqrt(dt))
+        expected = [_filter_white_batch(white.normals(5, rng.KIND_FIELD, trajs, n), white)
+                    for n in range(n_steps)]
+    else:
+        stream = ColoredStream(amp, colored, dt, 5, trajs)
+        v = [stream.current()]
+        for _ in range(n_steps):
+            stream.advance()
+            v.append(stream.current())
+        expected = [0.5 * (v[n] + v[n + 1]) * dt for n in range(n_steps)]
+    for g, e in zip(got, expected):
+        np.testing.assert_array_equal(g, e)
+    for b, traj in enumerate(trajs):
+        alone = itertools.islice(field_increments(amp, dt, 5, [traj], colored), n_steps)
+        for g, a in zip(got, alone):
+            np.testing.assert_array_equal(g[b], a[0])
+
+
+def test_field_increments_build_their_source_when_called(amp, monkeypatch):
+    drawn = []
+
+    def counted(*args, _normals=noise_field.normals):
+        drawn.append(args[3])
+        return _normals(*args)
+
+    monkeypatch.setattr(noise_field, "normals", counted)
+    field_increments(amp, 0.05, 5, [0, 1])
+    assert drawn == []
+    field_increments(amp, 0.05, 5, [0, 1], ColoredKernel(0.1))   # the warm-up window, q = 2
+    assert drawn == [_COLORED_STEP_OFFSET - 2, _COLORED_STEP_OFFSET - 1]
+    with pytest.raises(InputError, match="dt must be positive, got 0.0"):
+        field_increments(amp, 0.0, 5, [0])
+
+
+def test_colored_stream_current_is_cached_and_read_only(amp):
+    stream = ColoredStream(amp, ColoredKernel(0.2), 0.05, 5, [0, 1])
     cur = stream.current()
     assert stream.current() is cur
     with pytest.raises(ValueError, match="read-only"):
@@ -258,8 +311,7 @@ def test_half_spectrum_law_is_the_circulant_covariance(grid2, matrix, zero_modes
     assert np.max(np.abs(L @ L.T - circulant)) <= 1e-13 * np.max(np.abs(circulant))
 
 
-def test_batch_step_draws_two_normals_per_nonzero_half_mode(grid, gaussian_corr, params, amp,
-                                                            monkeypatch):
+def test_batch_step_draws_two_normals_per_nonzero_half_mode(grid, amp, monkeypatch):
     drawn = []
 
     def counted(*args, _normals=noise_field.normals):
@@ -270,9 +322,8 @@ def test_batch_step_draws_two_normals_per_nonzero_half_mode(grid, gaussian_corr,
     monkeypatch.setattr(noise_field, "normals", counted)
     n_modes = np.count_nonzero(amp[: grid.points_per_side // 2 + 1])
     assert n_modes < grid.points_per_side // 2 + 1
-    sample_white_increment(grid, gaussian_corr, params, 0.05, SeedInfo(7, 3, 11), amplitude=amp)
-    stream = ColoredStream(grid, gaussian_corr, params, ColoredKernel(0.1), 0.05, 5, [4, 9, 2],
-                           amplitude=amp)
+    next(field_increments(amp, 0.05, 7, [3]))
+    stream = ColoredStream(amp, ColoredKernel(0.1), 0.05, 5, [4, 9, 2])
     stream.advance()
     assert drawn == [(1, 2 * n_modes)] + [(3, 2 * n_modes)] * 3
 
@@ -281,11 +332,11 @@ def test_sampling_cost_scales_like_n_log_n(gaussian_corr, params):
     # O(N log N) regression: 16x more sites must cost far less than 256x
     def cost(n, length, reps):
         grid = FieldGrid.continuum(1, n, length)
-        amp = spectral_amplitude(grid, gaussian_corr, params)
-        sample_white_increment(grid, gaussian_corr, params, 0.01, SeedInfo(1, 0, 0), amplitude=amp)
+        increments = field_increments(spectral_amplitude(grid, gaussian_corr, params), 0.01, 1, [0])
+        next(increments)
         t0 = time.perf_counter()
-        for r in range(reps):
-            sample_white_increment(grid, gaussian_corr, params, 0.01, SeedInfo(1, 0, r), amplitude=amp)
+        for _ in range(reps):
+            next(increments)
         return (time.perf_counter() - t0) / reps
 
     small = cost(2**12, 409.6, 40)
@@ -293,17 +344,17 @@ def test_sampling_cost_scales_like_n_log_n(gaussian_corr, params):
     assert big / small < 60.0
 
 
-def test_field_dump_roundtrip(tmp_path, grid, gaussian_corr, params):
-    inc = sample_white_increment(grid, gaussian_corr, params, 0.05, SeedInfo(3, 1, 4))
+def test_field_dump_roundtrip(tmp_path, grid, amp):
+    inc = white_at(amp, 0.05, 3, 1, 4)
     path = tmp_path / "field.qtnf"
-    write_field(path, inc.values, grid, inc.dt)
+    write_field(path, inc, grid, 0.05)
     raw = path.read_bytes()
     assert raw[:4] == b"QTNF"
     assert len(raw) == 32 + 8 * grid.total_sites
     values, dim, n, dt = read_field(path)
     assert (dim, n) == (1, 256)
     assert dt == 0.05
-    np.testing.assert_array_equal(values, inc.values)
+    np.testing.assert_array_equal(values, inc)
 
 
 def test_field_dump_complex(tmp_path):

@@ -1,5 +1,8 @@
 """Stream-version guard: pinned digests of the draws at fixed coordinates.
 
+The field draws are pinned where the ensembles make them:
+``noise_field.field_increments`` and the ``ColoredStream`` it runs.
+
 A change that moves what a seed draws must bump ``rng.STREAM_VERSION`` (it
 is recorded in every manifest) and re-pin the digests here.  The fields
 are rounded to 10 decimals before hashing, so FFT rounding differences
@@ -8,16 +11,18 @@ does.
 """
 
 import hashlib
+import itertools
 
 import numpy as np
 
 from whitenoise_transport import (ColoredKernel, FieldGrid, GaussianCorrelation, ModelParams,
-                                  SeedInfo, rng, sample_white_increment)
+                                  field_increments, rng, spectral_amplitude)
 from whitenoise_transport.noise_field import ColoredStream
 
 # 64 points on a box of 12.8: 10 of the 33 half-spectrum modes are zero
 GRID = FieldGrid.continuum(1, 64, 12.8)
 CORR = GaussianCorrelation([[1.0]])
+AMP = spectral_amplitude(GRID, CORR, ModelParams())
 
 
 def digest(values, decimals=None):
@@ -37,11 +42,12 @@ def test_normals_digest():
 
 
 def test_white_increment_digest():
-    inc = sample_white_increment(GRID, CORR, ModelParams(), 0.05, SeedInfo(12345, 3, 7))
-    assert digest(inc.values, 10) == "d7cbe800c128fd0463597da76ee4a226846320f6b30eeecd08cfacd694870e20"
+    # trajectory 3 at step 7
+    inc = next(itertools.islice(field_increments(AMP, 0.05, 12345, [3]), 7, None))[0]
+    assert digest(inc, 10) == "d7cbe800c128fd0463597da76ee4a226846320f6b30eeecd08cfacd694870e20"
 
 
 def test_colored_stream_digest():
-    stream = ColoredStream(GRID, CORR, ModelParams(), ColoredKernel(0.1), 0.05, 12345, [0, 11])
+    stream = ColoredStream(AMP, ColoredKernel(0.1), 0.05, 12345, [0, 11])
     stream.advance()
     assert digest(stream.current(), 10) == "33cd25aa664d7fd872dca288c6060224dff8bbc785b6287bb7289bbb04bfc2e3"
