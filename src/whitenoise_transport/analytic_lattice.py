@@ -28,7 +28,6 @@ docs/conventions.md.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,7 @@ __all__ = [
     "laplace_msd",
     "msd_inverse_laplace_closed_form",
     "diffusion_constant",
-    "law_to_json",
+    "law_payload",
 ]
 
 
@@ -201,12 +200,11 @@ def diffusion_constant(inputs: LatticeMomentInputs, trace: float):
     return float((2.0 * inputs.c1) ** 2 * trace * np.sum(1.0 / gamma))
 
 
-def law_to_json(law: LatticeMSDLaw, inputs: LatticeMomentInputs, trace: float, **kwargs) -> str:
-    """Serialise {Cd, gamma[], D or "ballistic"}."""
+def law_payload(law: LatticeMSDLaw, inputs: LatticeMomentInputs, trace: float) -> dict:
+    """{Cd, gamma[], D or "ballistic"}, ready for a JSON writer."""
     d = diffusion_constant(inputs, trace)
-    payload = {
+    return {
         "Cd": law.cd,
         "gamma": [float(g) for g in law.gamma],
         "D": "ballistic" if isinstance(d, BallisticFlag) else d,
     }
-    return json.dumps(payload, **kwargs)

@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .analytic_continuum import (GaussianPureState, MomentSeries, Provenance, cubic_coefficient,
                                  msd_closed_form)
-from .analytic_lattice import (LatticeMSDLaw, LatticeMomentInputs, law_to_json,
+from .analytic_lattice import (LatticeMSDLaw, LatticeMomentInputs, law_payload,
                                msd_inverse_laplace_closed_form)
 from .core_model import (GaussianCorrelation, ModelParams, Space, laplacian_g_at_zero,
                          load_correlation_csv, step_count, validate_hypotheses)
@@ -322,7 +322,7 @@ def _route_analytic_msd(s: _Setup, out_dir):
 def _route_lattice_law(s: _Setup, out_dir):
     inputs = LatticeMomentInputs.point_localized(s.corr, s.params)
     law = LatticeMSDLaw.from_inputs(inputs)
-    payload = json.loads(law_to_json(law, inputs, 1.0))
+    payload = law_payload(law, inputs, 1.0)
     _write_json(out_dir / "law.json", payload)
     times = s.times[s.times >= 0]
     series = MomentSeries(times=times, msd=msd_inverse_laplace_closed_form(times, law),

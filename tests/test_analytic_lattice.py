@@ -1,4 +1,3 @@
-import json
 import re
 
 import numpy as np
@@ -10,7 +9,7 @@ from whitenoise_transport import (BALLISTIC, InputError, LatticeMSDLaw, LatticeM
                                   ModelParams, Space, diffusion_constant,
                                   inverse_laplace_numeric, laplace_msd,
                                   msd_inverse_laplace_closed_form)
-from whitenoise_transport.analytic_lattice import law_to_json
+from whitenoise_transport.analytic_lattice import law_payload
 from whitenoise_transport.errors import PoleError
 
 
@@ -175,10 +174,10 @@ class TestDiffusionConstant:
 
 def test_law_json_export(point_inputs):
     law = LatticeMSDLaw.from_inputs(point_inputs)
-    payload = json.loads(law_to_json(law, point_inputs, trace=1.0))
+    payload = law_payload(law, point_inputs, trace=1.0)
     assert payload["Cd"] == pytest.approx(4.0)
     assert payload["gamma"] == [pytest.approx(1.0)]
     assert payload["D"] == pytest.approx(4.0)
     flat = LatticeMomentInputs(c1=1.0, r000=1.0, gamma=[0.0], gamma2=[0.0])
-    payload2 = json.loads(law_to_json(LatticeMSDLaw.from_inputs(flat), flat, trace=1.0))
+    payload2 = law_payload(LatticeMSDLaw.from_inputs(flat), flat, trace=1.0)
     assert payload2["D"] == "ballistic"

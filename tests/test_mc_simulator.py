@@ -9,6 +9,7 @@ from whitenoise_transport import (BoxSizeError, ColoredKernel, FieldGrid, Gaussi
                                   run_classical, run_continuum, run_lattice)
 from whitenoise_transport import noise_field
 from whitenoise_transport.mc_simulator import (SCHEME_ITO_EULER, _corner_kick_factor,
+                                               _potential_phase,
                                                colored_noise_convergence_study)
 from whitenoise_transport.noise_field import spectral_amplitude
 from whitenoise_transport.rng import KIND_CLASSICAL, TRAJ_GROUP, stream
@@ -166,6 +167,31 @@ class TestContinuum:
         dev = np.mean((res.per_traj_msd[:, mask] - cf[mask]) / cf[mask], axis=1)
         z = dev.mean() / (dev.std(ddof=1) / np.sqrt(res.n_traj))
         assert z > 3.0
+
+
+class TestPotentialPhase:
+    EDGES = [0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 1e-300, 1e3, -1e3]
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.37, 2.5])
+    def test_matches_complex_exponential(self, hbar):
+        dw = np.random.default_rng(5).normal(scale=4.0, size=(3, 257))
+        dw[0, :len(self.EDGES)] = self.EDGES
+        out = np.empty(dw.shape, dtype=complex)
+        assert _potential_phase(dw.copy(), hbar, out) is out
+        np.testing.assert_allclose(out, np.exp(-1j * dw / hbar), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(np.abs(out), 1.0, rtol=0, atol=1e-15)
+
+    def test_tiny_increment_keeps_its_first_order_term(self):
+        out = np.empty(2, dtype=complex)
+        _potential_phase(np.array([1e-300, -1e-300]), 1.0, out)
+        assert out.real.tolist() == [1.0, 1.0]
+        assert out.imag.tolist() == [-1e-300, 1e-300]
+
+    def test_nan_gives_nan(self):
+        out = np.empty(2, dtype=complex)
+        _potential_phase(np.array([np.nan, 0.5]), 1.0, out)
+        assert np.isnan(out.real[0]) and np.isnan(out.imag[0])
+        assert np.isfinite(out[1])
 
 
 class TestLattice:
