@@ -15,7 +15,7 @@ from whitenoise_transport import (GaussianCorrelation, ModelParams, fit_power_la
 params = ModelParams()
 corr = GaussianCorrelation([[1.0]])
 
-res = run_classical(1, corr, params, v0_init=[0.0], t_max=10.0, dt=0.01, n_traj=500,
+res = run_classical(corr, params, v0_init=[0.0], t_max=10.0, dt=0.01, n_traj=500,
                     seed=4242, record_every=50)
 
 A = np.vstack([res.times, np.ones_like(res.times)]).T
@@ -35,7 +35,7 @@ print(f"msd(10) = {res.msd_mean[-1]:.1f} +- {res.msd_stderr[-1]:.1f}; "
       f"kicked-random-walk value (2/3) t^3 = {2 / 3 * 10**3:.1f}")
 
 # with the force off the motion is exactly inertial
-free = run_classical(1, corr, ModelParams(v0=0.0), v0_init=[0.5], t_max=10.0, dt=0.05,
+free = run_classical(corr, ModelParams(v0=0.0), v0_init=[0.5], t_max=10.0, dt=0.05,
                      n_traj=2, seed=1, record_every=20)
 print("\nv0 = 0, launch speed 0.5: msd(t) == (0.5 t)^2 exactly:",
       bool(np.allclose(free.msd_mean, (0.5 * free.times) ** 2)))

@@ -19,13 +19,13 @@ or a lattice dephasing channel vanishes.
 
 __version__ = "0.1.0"
 
-from .analytic_continuum import (GaussianPureState, MomentSeries, PhaseQuery, Provenance,
-                                 cubic_coefficient, kernel_hat, laplace_kernel_1d,
-                                 msd_by_kernel_differences, msd_closed_form, phase)
-from .analytic_lattice import (BALLISTIC, BallisticFlag, LatticeMSDLaw, LatticeMomentInputs,
-                               diffusion_constant, laplace_msd, msd_inverse_laplace_closed_form)
-from .core_model import (GaussianCorrelation, LatticeCorrelationData, ModelParams, Space,
-                         TabulatedCorrelation, laplacian_g_at_zero, load_correlation_csv,
+from .analytic_continuum import (GaussianPureState, MomentSeries, PhaseQuery, cubic_coefficient,
+                                 kernel_hat, laplace_kernel_1d, msd_by_kernel_differences,
+                                 msd_closed_form, phase)
+from .analytic_lattice import (BALLISTIC, LatticeMSDLaw, LatticeMomentInputs, diffusion_constant,
+                               laplace_msd, msd_inverse_laplace_closed_form)
+from .core_model import (GaussianCorrelation, ModelParams, Space, TabulatedCorrelation,
+                         dephasing_rate, laplacian_g_at_zero, load_correlation_csv,
                          validate_hypotheses)
 from .errors import (BoxSizeError, ConfigError, CovarianceError, Error, InputError,
                      NumericalError, PoleError, ResolutionError, StabilityError,

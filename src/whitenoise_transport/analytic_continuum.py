@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .errors import InputError, NumericalError
 __all__ = [
     "PhaseQuery",
     "GaussianPureState",
-    "Provenance",
     "MomentSeries",
     "phase",
     "kernel_hat",
@@ -46,13 +44,6 @@ __all__ = [
     "cubic_coefficient",
     "laplace_kernel_1d",
 ]
-
-
-class Provenance(Enum):
-    CLOSED_FORM = "closed-form"
-    FINITE_DIFFERENCE_OF_KERNEL = "finite-difference-of-kernel"
-    MONTE_CARLO = "monte-carlo"
-    DETERMINISTIC_EVOLUTION = "deterministic-evolution"
 
 
 @dataclass(frozen=True)
@@ -81,7 +72,6 @@ class MomentSeries:
     times: np.ndarray
     msd: np.ndarray
     energy: np.ndarray = None
-    provenance: Provenance = Provenance.CLOSED_FORM
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -117,7 +107,8 @@ class MomentSeries:
                 fh.close()
 
     @classmethod
-    def from_csv(cls, path_or_buf, provenance=Provenance.CLOSED_FORM):
+    def from_csv(cls, path_or_buf):
+        """Read ``t,msd,...`` back: columns 0 and 1, and the column named ``energy`` if any."""
         own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
         fh = open(path_or_buf, newline="") if own else path_or_buf
         try:
@@ -128,8 +119,8 @@ class MomentSeries:
             if own:
                 fh.close()
         data = np.asarray(rows, dtype=float)
-        energy = data[:, 2] if len(header) > 2 else None
-        return cls(times=data[:, 0], msd=data[:, 1], energy=energy, provenance=provenance)
+        energy = data[:, header.index("energy")] if "energy" in header else None
+        return cls(times=data[:, 0], msd=data[:, 1], energy=energy)
 
 
 class GaussianPureState:
@@ -283,7 +274,7 @@ def msd_closed_form(times, init, corr, params: ModelParams, fd_base_step=None) -
     # one k-point per time: the initial-kernel factor along the characteristic
     lap_w = _laplacian_k(lambda k: init.kernel_at(k, shift * k), d, base).real
     msd = -norm * (phase_hess_rate * times**3 * k000 + lap_w)
-    return MomentSeries(times=times, msd=msd, provenance=Provenance.CLOSED_FORM)
+    return MomentSeries(times=times, msd=msd)
 
 
 def msd_by_kernel_differences(times, init, corr, params: ModelParams, fd_base_step=None) -> MomentSeries:
@@ -301,7 +292,7 @@ def msd_by_kernel_differences(times, init, corr, params: ModelParams, fd_base_st
         base = fd_base_step if fd_base_step is not None else _fd_base_step(params, t, t_max)
         lap = _laplacian_k(lambda k: kernel_hat(k, np.zeros(d), t, init, corr, params), d, base).real
         msd[i] = -norm * lap
-    return MomentSeries(times=times, msd=msd, provenance=Provenance.FINITE_DIFFERENCE_OF_KERNEL)
+    return MomentSeries(times=times, msd=msd)
 
 
 def laplace_kernel_1d(k, s, init, corr, params: ModelParams, quad_tol=1e-10) -> complex:

@@ -17,7 +17,9 @@ the stencil {0, +-e_m, +-2e_m}.
 For Hermitian initial kernels every assembled quantity is manifestly real
 at real s.  The small-s pole structure 1/(s^2 (s + Gamma_m)) inverts in
 closed form; its long-time slope defines the diffusion constant, and a
-vanishing Gamma_m short-circuits to the ballistic branch.
+vanishing Gamma_m short-circuits to the ballistic branch.  The rates come
+from ``core_model.dephasing_rate``, and a rate at or below ``_ZERO_GAMMA``
+is the one test of a vanishing rate (:data:`BALLISTIC`).
 
 Normalization caveat: these expressions are the raw k-Laplacian of the
 transformed kernel.  The physical mean-square displacement on the lattice
@@ -32,11 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import LatticeCorrelationData, ModelParams
+from .core_model import ModelParams, dephasing_rate
 from .errors import InputError, PoleError
 
 __all__ = [
-    "BallisticFlag",
     "BALLISTIC",
     "LatticeMomentInputs",
     "LatticeMSDLaw",
@@ -47,20 +48,13 @@ __all__ = [
 ]
 
 
-class BallisticFlag:
-    """Returned where a vanishing dephasing rate makes the motion ballistic."""
-
+class _Ballistic:
     def __repr__(self):
         return "BALLISTIC"
 
-    def __eq__(self, other):
-        return isinstance(other, BallisticFlag)
 
-    def __hash__(self):
-        return hash("BallisticFlag")
-
-
-BALLISTIC = BallisticFlag()
+#: returned where a vanishing dephasing rate makes the motion ballistic
+BALLISTIC = _Ballistic()
 
 
 @dataclass(frozen=True)
@@ -106,8 +100,14 @@ class LatticeMomentInputs:
     @classmethod
     def point_localized(cls, corr, params: ModelParams):
         """Particle initially at one site: K(0, Y, 0) = delta(Y), trace 1."""
-        data = LatticeCorrelationData.from_correlation(corr, params)
-        return cls(c1=params.hbar / params.mass, r000=1.0, gamma=data.gamma, gamma2=data.gamma2)
+        eye = np.eye(params.dim)
+        gamma = dephasing_rate(corr, params, eye)
+        gamma2 = dephasing_rate(corr, params, 2 * eye)
+        g0 = float(corr.g(np.zeros(params.dim)))
+        if np.any(gamma < -1e-13 * max(abs(g0), 1.0)):
+            raise InputError("g(0) < g(e_m): correlation increases away from the origin")
+        return cls(c1=params.hbar / params.mass, r000=1.0, gamma=np.maximum(gamma, 0.0),
+                   gamma2=np.maximum(gamma2, 0.0))
 
 
 def laplace_msd(s, inputs: LatticeMomentInputs):
@@ -206,5 +206,5 @@ def law_payload(law: LatticeMSDLaw, inputs: LatticeMomentInputs, trace: float) -
     return {
         "Cd": law.cd,
         "gamma": [float(g) for g in law.gamma],
-        "D": "ballistic" if isinstance(d, BallisticFlag) else d,
+        "D": "ballistic" if d is BALLISTIC else d,
     }

@@ -30,8 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytic_continuum import (GaussianPureState, MomentSeries, Provenance, cubic_coefficient,
-                                 msd_closed_form)
+from .analytic_continuum import GaussianPureState, MomentSeries, cubic_coefficient, msd_closed_form
 from .analytic_lattice import (LatticeMSDLaw, LatticeMomentInputs, law_payload,
                                msd_inverse_laplace_closed_form)
 from .core_model import (GaussianCorrelation, ModelParams, Space, laplacian_g_at_zero,
@@ -325,8 +324,7 @@ def _route_lattice_law(s: _Setup, out_dir):
     payload = law_payload(law, inputs, 1.0)
     _write_json(out_dir / "law.json", payload)
     times = s.times[s.times >= 0]
-    series = MomentSeries(times=times, msd=msd_inverse_laplace_closed_form(times, law),
-                          provenance=Provenance.CLOSED_FORM)
+    series = MomentSeries(times=times, msd=msd_inverse_laplace_closed_form(times, law))
     series.to_csv(out_dir / "msd_lattice_law.csv")
     print(f"Cd {law.cd:.6g}, gamma {payload['gamma']}, D {payload['D']}")
     return 0
@@ -355,10 +353,9 @@ def _route_mc(s: _Setup, out_dir):
 
 def _route_classical(s: _Setup, out_dir):
     params = s.params
-    result = run_classical(params.dim, s.corr, params, **s.ensemble)
+    result = run_classical(s.corr, params, **s.ensemble)
     result.to_series().to_csv(out_dir / "msd_classical.csv")
-    vseries = MomentSeries(times=result.times, msd=np.maximum(result.vvar_mean, 0.0),
-                           provenance=Provenance.MONTE_CARLO)
+    vseries = MomentSeries(times=result.times, msd=np.maximum(result.vvar_mean, 0.0))
     vseries.to_csv(out_dir / "velocity_variance.csv")
     fit = fit_power_law(result.times, result.msd_mean, window=s.window)
     _write_json(out_dir / "fit.json", fit.to_dict())
@@ -468,8 +465,7 @@ def _route_compare(s: _Setup, out_dir):
         mask = series.times > 0
         lawvals = msd_inverse_laplace_closed_form(series.times[mask], law)
         calib = float(series.msd[mask][-1] / lawvals[-1])
-        table = MomentSeries(times=series.times[mask], msd=calib * lawvals,
-                             provenance=Provenance.CLOSED_FORM)
+        table = MomentSeries(times=series.times[mask], msd=calib * lawvals)
         table.to_csv(out_dir / "msd_lattice_law_calibrated.csv")
         ratio = _write_ratio(out_dir / "pointwise_ratio.csv", "msd_evolve,law_calibrated",
                              series.times[mask], series.msd[mask], calib * lawvals)

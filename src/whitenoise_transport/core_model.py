@@ -5,7 +5,9 @@ correlated in space through an even correlation function ``g``.  Everything
 downstream (closed-form kernels, deterministic evolution, Monte Carlo)
 consumes the two objects defined here: :class:`ModelParams` and a
 correlation object (:class:`GaussianCorrelation` or
-:class:`TabulatedCorrelation`).
+:class:`TabulatedCorrelation`).  The lattice law and evolution take their
+dephasing rate from :func:`dephasing_rate`, and every time-stepping driver
+its steps and record schedule from :func:`step_count` and ``_record_steps``.
 
 The admissibility conditions on ``g`` are checked numerically by
 :func:`validate_hypotheses`: evenness, vanishing gradient at the origin,
@@ -17,7 +19,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -29,12 +32,12 @@ __all__ = [
     "ModelParams",
     "GaussianCorrelation",
     "TabulatedCorrelation",
-    "LatticeCorrelationData",
     "HypothesisReport",
     "validate_hypotheses",
     "laplacian_g_at_zero",
     "load_correlation_csv",
     "step_count",
+    "dephasing_rate",
 ]
 
 
@@ -56,6 +59,26 @@ def step_count(t_max, dt) -> int:
         raise InputError(f"t_max = {t_max!r} is not a whole number of steps dt = {dt!r} "
                          f"(t_max / dt = {ratio!r})")
     return n
+
+
+def _check_counts(**counts):
+    """Reject counts (trajectories, batch size, record gap) that are not positive integers."""
+    for name, val in counts.items():
+        if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < 1:
+            raise InputError(f"{name} must be a positive integer, got {val!r}")
+
+
+def _record_steps(n_steps: int, record_every) -> np.ndarray:
+    """The record schedule [0, r, 2r, ..., n_steps] of a run of ``n_steps`` steps.
+
+    ``record_every`` = r must be a positive integer (an :class:`InputError`
+    otherwise); the last step is recorded whether or not r divides it.
+    """
+    _check_counts(record_every=record_every)
+    steps = np.arange(0, n_steps + 1, record_every)
+    if steps[-1] != n_steps:
+        steps = np.append(steps, n_steps)
+    return steps
 
 
 class Space(Enum):
@@ -101,8 +124,6 @@ class GaussianCorrelation:
     Gradient and Hessian are analytic.  The Fourier transform is a Gaussian,
     hence positive, so this family always defines a valid correlation.
     """
-
-    kind = "gaussian-quadratic"
 
     def __init__(self, matrix):
         A = np.atleast_2d(np.asarray(matrix, dtype=float))
@@ -156,8 +177,6 @@ class TabulatedCorrelation:
     g(-x) = g(x) holds exactly.  Gradient and Hessian come from central
     finite differences on the interpolant.
     """
-
-    kind = "tabulated"
 
     def __init__(self, x, values, dim=1):
         x = np.asarray(x, dtype=float)
@@ -260,38 +279,13 @@ def load_correlation_csv(path, dim=1) -> TabulatedCorrelation:
     return TabulatedCorrelation(xs, vs, dim=dim)
 
 
-@dataclass(frozen=True)
-class LatticeCorrelationData:
-    """Correlation values the lattice moment algebra needs.
+def dephasing_rate(corr, params: ModelParams, Y):
+    """Dephasing rate (v0/hbar)^2 [g(0) - g(Y)] at the points ``Y`` (trailing axis of length d).
 
-    gamma[m] = (v0/hbar)^2 [g(0) - g(e_m)] is the dephasing rate of the
-    m-th axis; gamma2[m] is the same quantity at 2 e_m (it enters the
-    second-derivative recursion).  Axes with gamma[m] = 0 are ballistic
-    channels and are listed in ``ballistic_channels``.
+    An axis m whose rate at Y = e_m vanishes is ballistic on the lattice.
     """
-
-    g0: float
-    g_nn: np.ndarray
-    gamma: np.ndarray
-    gamma2: np.ndarray = None
-    ballistic_channels: tuple = field(default=())
-
-    @classmethod
-    def from_correlation(cls, corr, params: ModelParams):
-        zero = 1e-13  # relative size below which a dephasing rate counts as zero
-        d = params.dim
-        eye = np.eye(d)
-        g0 = float(corr.g(np.zeros(d)))
-        g_nn = np.array([float(corr.g(eye[m])) for m in range(d)])
-        g_2nn = np.array([float(corr.g(2 * eye[m])) for m in range(d)])
-        gamma = params.coupling * (g0 - g_nn)
-        gamma2 = params.coupling * (g0 - g_2nn)
-        if np.any(gamma < -zero * max(abs(g0), 1.0)):
-            raise InputError("g(0) < g(e_m): correlation increases away from the origin")
-        gamma = np.maximum(gamma, 0.0)
-        gamma2 = np.maximum(gamma2, 0.0)
-        flat = tuple(int(m) for m in range(d) if gamma[m] <= zero * max(params.coupling * abs(g0), 1e-300))
-        return cls(g0=g0, g_nn=g_nn, gamma=gamma, gamma2=gamma2, ballistic_channels=flat)
+    g0 = float(corr.g(np.zeros(params.dim)))
+    return params.coupling * (g0 - np.asarray(corr.g(Y), dtype=float))
 
 
 @dataclass(frozen=True)

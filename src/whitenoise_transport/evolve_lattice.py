@@ -32,13 +32,12 @@ convention; see docs/conventions.md).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic_continuum import MomentSeries, Provenance
-from .core_model import ModelParams, step_count
+from .analytic_continuum import MomentSeries
+from .core_model import ModelParams, _record_steps, dephasing_rate, step_count
 from .errors import BoxSizeError, InputError, StabilityError
 
 __all__ = [
@@ -62,11 +61,8 @@ def _box_axes(side: int) -> np.ndarray:
 
 def gamma_on_box(corr, params: ModelParams, side: int) -> np.ndarray:
     """Dephasing rate (v0/hbar)^2 [g(0) - g(Y)] over the Y-box."""
-    d = params.dim
-    axes = np.meshgrid(*[_box_axes(side)] * d, indexing="ij")
-    coords = np.stack(axes, axis=-1).astype(float)
-    g0 = float(corr.g(np.zeros(d)))
-    return params.coupling * (g0 - np.asarray(corr.g(coords), dtype=float))
+    axes = np.meshgrid(*[_box_axes(side)] * params.dim, indexing="ij")
+    return dephasing_rate(corr, params, np.stack(axes, axis=-1).astype(float))
 
 
 @dataclass
@@ -189,14 +185,6 @@ class _StepOperator:
             yield n, y
 
 
-def _check_times(t_max: float, dt: float, record_every=1) -> int:
-    """Validate the time inputs; returns the number of steps."""
-    n_steps = step_count(t_max, dt)
-    if isinstance(record_every, bool) or not isinstance(record_every, numbers.Integral) or record_every < 1:
-        raise InputError(f"record_every must be a positive integer, got {record_every!r}")
-    return n_steps
-
-
 def _check_dt(params: ModelParams, gamma_max: float, dt: float):
     limit = 0.1 * min(params.mass / params.hbar, 1.0 / gamma_max if gamma_max > 0 else np.inf)
     if dt > limit * (1 + 1e-12):
@@ -227,7 +215,8 @@ def evolve_hierarchy(init: LatticeInitialData, corr, params: ModelParams, t_max:
     ``info`` carries the drift actually observed, the largest imaginary
     residue of the extracted MSD, and the boundary mass seen.
     """
-    n_steps = _check_times(t_max, dt, record_every)
+    n_steps = step_count(t_max, dt)
+    record_steps = _record_steps(n_steps, record_every)
     d, side = init.dim, init.side
     if side % 2 == 0:
         raise InputError("Y-box side must be odd")
@@ -255,8 +244,7 @@ def evolve_hierarchy(init: LatticeInitialData, corr, params: ModelParams, t_max:
     max_drift = 0.0
     max_boundary = 0.0
 
-    record_steps = list(range(record_every, n_steps, record_every)) + [n_steps]
-    for n_done, y in step.propagate(y0, record_steps):
+    for n_done, y in step.propagate(y0, record_steps[1:].tolist()):
         m0, m1, m2 = unpack(y)
         second = np.sum(m2[(slice(None),) + center])
         times.append(n_done * dt)
@@ -271,8 +259,7 @@ def evolve_hierarchy(init: LatticeInitialData, corr, params: ModelParams, t_max:
                 f"enlarge the box (evolve.y_box, now {side})"
             )
 
-    series = MomentSeries(times=np.array(times), msd=np.array(msd),
-                          provenance=Provenance.DETERMINISTIC_EVOLUTION)
+    series = MomentSeries(times=np.array(times), msd=np.array(msd))
     info = {
         "trace_drift": float(max_drift),
         "max_imag_residue": float(max_imag),
@@ -290,7 +277,7 @@ def evolve_full_kernel(k_batch, init_kernel, corr, params: ModelParams, t_max: f
     a callable k -> array.  Returns (record_times, snapshots) with
     snapshots of shape (len(k_batch), len(record_times)) + box.
     """
-    n_steps = _check_times(t_max, dt)
+    n_steps = step_count(t_max, dt)
     k_batch = np.atleast_2d(np.asarray(k_batch, dtype=float))
     d = params.dim
     if k_batch.shape[1] != d:

@@ -15,21 +15,22 @@ trajectory group, step) - for the classical kicks, by 1024-step block - so
 ensembles are bit-reproducible for any thread count or batch split.
 Cross-trajectory reductions run in fixed index order with compensated
 summation.  Ensembles run on ``DEFAULT_THREADS`` worker threads unless
-told otherwise.
+told otherwise.  Every driver records on the schedule of
+``core_model._record_steps``; ``run_classical`` takes its dimension from
+``params.dim``, and a grid of another dimension is an :class:`InputError`.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic_continuum import MomentSeries, Provenance, msd_closed_form
-from .core_model import ModelParams, Space, step_count
+from .analytic_continuum import MomentSeries, msd_closed_form
+from .core_model import ModelParams, Space, _check_counts, _record_steps, step_count
 from .errors import BoxSizeError, InputError, StabilityError
 from .noise_field import ColoredKernel, FieldGrid, field_increments, spectral_amplitude
 from .rng import KIND_CLASSICAL, normals
@@ -79,14 +80,8 @@ class EnsembleResult:
     per_traj_msd: np.ndarray
     norm_drift_max: float
     boundary_mass_max: float
-    kernel_probe_k: np.ndarray = None
     kernel_probe_mean: np.ndarray = None
     kernel_probe_stderr: np.ndarray = None
-    provenance: Provenance = Provenance.MONTE_CARLO
-
-    def to_series(self) -> MomentSeries:
-        return MomentSeries(times=self.times, msd=self.msd_mean, energy=self.energy_mean,
-                            provenance=Provenance.MONTE_CARLO)
 
     def to_csv(self, path_or_buf):
         """CSV ``t,msd,stderr,energy`` with 17-significant-digit decimals."""
@@ -117,7 +112,7 @@ class ClassicalResult:
     per_traj_msd: np.ndarray
 
     def to_series(self) -> MomentSeries:
-        return MomentSeries(times=self.times, msd=self.msd_mean, provenance=Provenance.MONTE_CARLO)
+        return MomentSeries(times=self.times, msd=self.msd_mean)
 
 
 def gaussian_wavepacket(grid: FieldGrid, sigma) -> np.ndarray:
@@ -158,13 +153,6 @@ def _kinetic_multipliers(grid: FieldGrid, params: ModelParams, dt: float):
     return half, half * half
 
 
-def _check_counts(**counts):
-    """Reject trajectory, batch and record counts that are not positive integers."""
-    for name, val in counts.items():
-        if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < 1:
-            raise InputError(f"{name} must be a positive integer, got {val!r}")
-
-
 def _run_batches(work, n_traj, batch_size, threads) -> list:
     """``work(trajs)`` of each batch of at most ``batch_size`` consecutive
     trajectories, in batch order, on ``threads`` worker threads."""
@@ -182,13 +170,6 @@ def _mean_stderr(samples: np.ndarray):
     mean = np.array([math.fsum(samples[:, j]) / n for j in range(n_rec)])
     stderr = samples.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(n_rec)
     return mean, stderr
-
-
-def _record_steps(n_steps: int, record_every: int) -> np.ndarray:
-    steps = np.arange(0, n_steps + 1, record_every)
-    if steps[-1] != n_steps:
-        steps = np.append(steps, n_steps)
-    return steps
 
 
 class _Observables:
@@ -350,7 +331,7 @@ def _simulate_batch(traj_indices, grid, psi0, corr, params, dt, n_steps, record_
 def _run_quantum(grid, psi0, corr, params, t_max, dt, n_traj, seed, record_every, boundary_tol,
                  scheme, threads, batch_size, probe_k, colored):
     n_steps = step_count(t_max, dt)
-    _check_counts(n_traj=n_traj, batch_size=batch_size, record_every=record_every)
+    _check_counts(n_traj=n_traj, batch_size=batch_size)
     record_steps = _record_steps(n_steps, record_every)
     amplitude = spectral_amplitude(grid, corr, params)
     obs = _Observables(grid, params, probe_k=probe_k)
@@ -364,10 +345,9 @@ def _run_quantum(grid, psi0, corr, params, t_max, dt, n_traj, seed, record_every
     msd_mean, msd_stderr = _mean_stderr(msd)
     energy_mean, energy_stderr = _mean_stderr(energy)
 
-    kp_mean = kp_err = kp = None
+    kp_mean = kp_err = None
     if probe_k is not None:
         probe_arr = np.concatenate([r[2] for r in results], axis=0)  # (n_traj, n_k, n_rec)
-        kp = np.atleast_2d(np.asarray(probe_k, dtype=float))
         kp_mean = probe_arr.mean(axis=0)
         kp_err = (probe_arr.real.std(axis=0, ddof=1) + 1j * probe_arr.imag.std(axis=0, ddof=1)) / math.sqrt(n_traj)
 
@@ -381,7 +361,6 @@ def _run_quantum(grid, psi0, corr, params, t_max, dt, n_traj, seed, record_every
         per_traj_msd=msd,
         norm_drift_max=max(r[3] for r in results),
         boundary_mass_max=max(r[4] for r in results),
-        kernel_probe_k=kp,
         kernel_probe_mean=kp_mean,
         kernel_probe_stderr=kp_err,
     )
@@ -455,10 +434,10 @@ def _corner_kick_factor(grid: FieldGrid, corr, params: ModelParams, dt: float) -
     return V * np.sqrt(np.clip(lam, 0.0, None))
 
 
-def run_classical(dim, corr, params: ModelParams, v0_init, t_max, dt, n_traj, seed,
+def run_classical(corr, params: ModelParams, v0_init, t_max, dt, n_traj, seed,
                   grid: FieldGrid = None, record_every=10, threads=DEFAULT_THREADS,
                   batch_size=500) -> ClassicalResult:
-    """Classical particle kicked by the white-noise force field.
+    """Classical particle kicked by the white-noise force field, in ``params.dim`` dimensions.
 
     Symplectic Euler: per step the velocity receives -grad dW(q)/m, the
     gradient of a fresh field increment on the periodic ``grid`` (spectral
@@ -474,15 +453,16 @@ def run_classical(dim, corr, params: ModelParams, v0_init, t_max, dt, n_traj, se
     covariance, v0^2 (-Hess g)(0) dt up to the grid's resolution.
     """
     n_steps = step_count(t_max, dt)
-    _check_counts(n_traj=n_traj, batch_size=batch_size, record_every=record_every)
+    _check_counts(n_traj=n_traj, batch_size=batch_size)
+    record_steps = _record_steps(n_steps, record_every)
+    dim = params.dim
     if grid is None:
         length = 16.0 * corr.correlation_length()
         n = 256 if dim == 1 else 64
         grid = FieldGrid.continuum(dim, n, length)
     elif grid.dim != dim:
-        raise InputError(f"run_classical has dim {dim}, grid has dim {grid.dim}")
+        raise InputError(f"model has dim {dim}, grid has dim {grid.dim}")
     v0_init = np.broadcast_to(np.asarray(v0_init, dtype=float), (dim,))
-    record_steps = _record_steps(n_steps, record_every)
     factor = _corner_kick_factor(grid, corr, params, dt)
     n_corners = 2**dim
     n_normals = factor.shape[0]

@@ -342,7 +342,7 @@ class TestCriterion8EnergyGrowth:
 
 @pytest.fixture(scope="module")
 def classical():
-    return run_classical(1, CORR, P, [0.0], t_max=10.0, dt=0.01, n_traj=2000, seed=SEED,
+    return run_classical(CORR, P, [0.0], t_max=10.0, dt=0.01, n_traj=2000, seed=SEED,
                          record_every=20)
 
 

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whitenoise_transport import (GaussianCorrelation, GaussianPureState, InputError, ModelParams,
-                                  MomentSeries, PhaseQuery, cubic_coefficient, fit_power_law,
+from whitenoise_transport import (EnsembleResult, GaussianCorrelation, GaussianPureState, InputError,
+                                  ModelParams, MomentSeries, PhaseQuery, cubic_coefficient, fit_power_law,
                                   kernel_hat, laplace_kernel_1d, laplace_transform_numeric,
                                   msd_by_kernel_differences, msd_closed_form, phase)
-from whitenoise_transport.analytic_continuum import Provenance, _fd_base_step, _laplacian_k
+from whitenoise_transport.analytic_continuum import _fd_base_step, _laplacian_k
 from whitenoise_transport.core_model import laplacian_g_at_zero
 
 
@@ -210,7 +210,7 @@ class TestLaplaceKernel1d:
 class TestMomentSeries:
     def test_csv_round_trip(self, tmp_path):
         s = MomentSeries(times=np.array([0.0, 0.5, 1.0]), msd=np.array([1.0, 1.5, 3.0]),
-                         energy=np.array([0.1, 0.2, 0.3]), provenance=Provenance.MONTE_CARLO)
+                         energy=np.array([0.1, 0.2, 0.3]))
         path = tmp_path / "series.csv"
         s.to_csv(path)
         text = path.read_text()
@@ -220,6 +220,27 @@ class TestMomentSeries:
         np.testing.assert_array_equal(back.times, s.times)
         np.testing.assert_array_equal(back.msd, s.msd)
         np.testing.assert_array_equal(back.energy, s.energy)
+
+    def test_ensemble_csv_round_trip(self, tmp_path):
+        # an ensemble CSV is t,msd,stderr,energy: energy is the column so named
+        times = np.array([0.0, 0.5, 1.0])
+        res = EnsembleResult(times=times, msd_mean=np.array([1.0, 1.5, 3.0]),
+                             msd_stderr=np.array([0.0, 0.0011, 0.0037]),
+                             energy_mean=np.array([0.125, 0.173, 0.225]), energy_stderr=np.zeros(3),
+                             n_traj=2, per_traj_msd=np.zeros((2, 3)), norm_drift_max=0.0,
+                             boundary_mass_max=0.0)
+        path = tmp_path / "ensemble.csv"
+        res.to_csv(path)
+        back = MomentSeries.from_csv(path)
+        np.testing.assert_array_equal(back.times, times)
+        np.testing.assert_array_equal(back.msd, res.msd_mean)
+        np.testing.assert_array_equal(back.energy, res.energy_mean)
+
+    def test_csv_without_energy_column(self):
+        buf = io.StringIO("t,msd_mc,msd_closed_form,ratio\n1,2,4,0.5\n2,3,6,0.5\n")
+        back = MomentSeries.from_csv(buf)
+        np.testing.assert_array_equal(back.msd, [2.0, 3.0])
+        assert back.energy is None
 
     def test_seventeen_digit_precision(self):
         val = 1.2345678901234567

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
-from whitenoise_transport import (GaussianCorrelation, InputError, LatticeCorrelationData,
-                                  ModelParams, Space, TabulatedCorrelation, laplacian_g_at_zero,
-                                  load_correlation_csv, validate_hypotheses)
-from whitenoise_transport.core_model import step_count
+from whitenoise_transport import (BALLISTIC, GaussianCorrelation, InputError, LatticeMSDLaw,
+                                  LatticeMomentInputs, ModelParams, Space, TabulatedCorrelation,
+                                  dephasing_rate, diffusion_constant, laplacian_g_at_zero,
+                                  load_correlation_csv, msd_inverse_laplace_closed_form,
+                                  validate_hypotheses)
+from whitenoise_transport.analytic_lattice import _ZERO_GAMMA
+from whitenoise_transport.core_model import _record_steps, step_count
+from whitenoise_transport.evolve_lattice import gamma_on_box
 
 
 class OddContamination:
     """g(x) = exp(-x^2) + 0.1 x: violates evenness (test double)."""
 
     dim = 1
-    kind = "test-odd"
 
     def g(self, x):
         x = np.asarray(x, dtype=float)
@@ -157,10 +160,10 @@ def test_load_correlation_csv(tmp_path):
 
 def test_lattice_correlation_data(sharp_corr):
     params = ModelParams(space=Space.LATTICE)
-    data = LatticeCorrelationData.from_correlation(sharp_corr, params)
-    assert data.gamma[0] == pytest.approx(1.0, abs=1e-15)
-    assert data.gamma2[0] == pytest.approx(1.0, abs=1e-15)
-    assert data.ballistic_channels == ()
+    inputs = LatticeMomentInputs.point_localized(sharp_corr, params)
+    assert inputs.gamma[0] == pytest.approx(1.0, abs=1e-15)
+    assert inputs.gamma2[0] == pytest.approx(1.0, abs=1e-15)
+    assert diffusion_constant(inputs, trace=1.0) is not BALLISTIC
 
 
 def test_lattice_ballistic_channel_flagged():
@@ -168,9 +171,51 @@ def test_lattice_ballistic_channel_flagged():
     xs = np.arange(-64, 65) / 16.0
     table = TabulatedCorrelation(xs, np.cos(np.pi * xs) ** 2)
     params = ModelParams(space=Space.LATTICE)
-    data = LatticeCorrelationData.from_correlation(table, params)
-    assert data.gamma[0] == pytest.approx(0.0, abs=1e-12)
-    assert data.ballistic_channels == (0,)
+    inputs = LatticeMomentInputs.point_localized(table, params)
+    assert inputs.gamma[0] == pytest.approx(0.0, abs=1e-12)
+    assert diffusion_constant(inputs, trace=1.0) is BALLISTIC
+
+
+@pytest.mark.parametrize("v0", [1e-8, 1e-7])
+def test_weak_disorder_axis_is_ballistic_on_every_route(sharp_corr, v0):
+    # a rate (v0/hbar)^2 [g(0) - g(e_1)] ~ v0^2 at or below _ZERO_GAMMA: the
+    # rates, the diffusion constant and the closed-form law all call it ballistic
+    inputs = LatticeMomentInputs.point_localized(sharp_corr, ModelParams(v0=v0, space=Space.LATTICE))
+    assert 0.0 < inputs.gamma[0] <= _ZERO_GAMMA
+    assert diffusion_constant(inputs, trace=1.0) is BALLISTIC
+    law = LatticeMSDLaw.from_inputs(inputs)
+    t = np.array([0.0, 1.0, 10.0, 1e4])
+    np.testing.assert_array_equal(msd_inverse_laplace_closed_form(t, law), law.cd * 0.5 * t**2)
+    assert law.t_diffusive_above == np.inf
+
+
+def test_dephasing_rate_is_the_rate_of_both_lattice_routes():
+    params = ModelParams(v0=0.7, dim=2, space=Space.LATTICE)
+    corr = GaussianCorrelation([[40.0, 3.0], [3.0, 2.0]])
+    eye = np.eye(2)
+    inputs = LatticeMomentInputs.point_localized(corr, params)
+    g0 = float(corr.g(np.zeros(2)))
+    expected = params.coupling * (g0 - np.array([corr.g(e) for e in eye]))
+    np.testing.assert_array_equal(dephasing_rate(corr, params, eye), expected)
+    np.testing.assert_array_equal(inputs.gamma, expected)
+    np.testing.assert_array_equal(inputs.gamma2, dephasing_rate(corr, params, 2 * eye))
+    box = gamma_on_box(corr, params, 5)
+    assert box[0, 0] == 0.0
+    assert box[1, 0] == inputs.gamma[0] and box[0, 1] == inputs.gamma[1]
+    assert box[2, 0] == inputs.gamma2[0] and box[0, 2] == inputs.gamma2[1]
+
+
+def test_point_localized_refuses_a_correlation_rising_away_from_the_origin():
+    xs = np.arange(-64, 65) / 16.0
+    rising = TabulatedCorrelation(xs, 1.0 + 0.01 * xs**2)
+    with pytest.raises(InputError, match=r"g\(0\) < g\(e_m\)"):
+        LatticeMomentInputs.point_localized(rising, ModelParams(space=Space.LATTICE))
+
+
+@pytest.mark.parametrize("n_steps, every, steps", [(10, 5, [0, 5, 10]), (10, 4, [0, 4, 8, 10]),
+                                                   (3, 7, [0, 3]), (1, 1, [0, 1])])
+def test_record_steps(n_steps, every, steps):
+    assert _record_steps(n_steps, every).tolist() == steps
 
 
 @pytest.mark.parametrize("t_max, dt, n", [(0.08, 0.01, 8), (1.03, 0.001, 1030), (0.15, 0.0125, 12),

@@ -252,7 +252,7 @@ def test_nan_errors_name_trajectory_time_and_key(small_grid, packet):
     with pytest.raises(StabilityError, match=r"trajectory 0 at t=0; .* reduce time\.dt \(now 0\.01\)"):
         run_continuum(small_grid, bad, CORR, P, t_max=0.1, dt=0.01, n_traj=2, seed=1)
     with pytest.raises(StabilityError, match=r"classical trajectory 0 at t=0\.05; reduce time\.dt"):
-        run_classical(1, CORR, P, [np.nan], t_max=0.1, dt=0.01, n_traj=2, seed=1, record_every=5)
+        run_classical(CORR, P, [np.nan], t_max=0.1, dt=0.01, n_traj=2, seed=1, record_every=5)
 
 
 def test_dimension_mismatch_raises_input_error(small_grid, packet):
@@ -260,28 +260,31 @@ def test_dimension_mismatch_raises_input_error(small_grid, packet):
     with pytest.raises(InputError, match="correlation has dim 2, grid has dim 1"):
         run_continuum(small_grid, packet, GaussianCorrelation(np.eye(2)), P, **kw)
     with pytest.raises(InputError, match="correlation has dim 1, grid has dim 2"):
-        run_classical(2, CORR, P, [0.0, 0.0], **kw)
-    with pytest.raises(InputError, match="run_classical has dim 1, grid has dim 2"):
-        run_classical(1, CORR, P, [0.0], grid=FieldGrid.continuum(2, 16, 8.0), **kw)
+        run_classical(CORR, ModelParams(dim=2), [0.0, 0.0], **kw)
+    with pytest.raises(InputError, match="model has dim 1, grid has dim 2"):
+        run_classical(CORR, P, [0.0], grid=FieldGrid.continuum(2, 16, 8.0), **kw)
+    with pytest.raises(InputError, match="model has dim 2, grid has dim 1"):
+        run_classical(GaussianCorrelation(np.eye(2)), ModelParams(dim=2), [0.0, 0.0],
+                      grid=FieldGrid.continuum(1, 16, 8.0), **kw)
 
 
 class TestClassical:
     def test_free_particle_exact(self):
-        res = run_classical(1, CORR, P_FREE, [0.7], t_max=5.0, dt=0.05, n_traj=3, seed=1,
+        res = run_classical(CORR, P_FREE, [0.7], t_max=5.0, dt=0.05, n_traj=3, seed=1,
                             record_every=20)
         np.testing.assert_allclose(res.msd_mean, (0.7 * res.times) ** 2, atol=1e-24)
         np.testing.assert_allclose(res.vvar_mean, 0.49 * np.ones_like(res.times))
 
     def test_velocity_variance_grows_at_field_curvature_rate(self):
         # slope oracle: -v0^2 (lap g)(0) / m^2 = 2 for these parameters
-        res = run_classical(1, CORR, P, [0.0], t_max=5.0, dt=0.01, n_traj=400, seed=21,
+        res = run_classical(CORR, P, [0.0], t_max=5.0, dt=0.01, n_traj=400, seed=21,
                             record_every=50)
         slope, _, r2 = ols_line(res.times, res.vvar_mean)
         assert slope == pytest.approx(2.0, rel=0.2)
         assert r2 > 0.98
 
     def test_superballistic_displacement(self):
-        res = run_classical(1, CORR, P, [0.0], t_max=8.0, dt=0.01, n_traj=300, seed=23,
+        res = run_classical(CORR, P, [0.0], t_max=8.0, dt=0.01, n_traj=300, seed=23,
                             record_every=80)
         from whitenoise_transport import fit_power_law
 
@@ -291,8 +294,8 @@ class TestClassical:
 
     def test_bit_reproducible_across_thread_counts_and_batches(self):
         kw = dict(t_max=0.2, dt=0.01, n_traj=30, seed=31, record_every=5)
-        a = run_classical(1, CORR, P, [0.0], threads=1, batch_size=500, **kw)
-        b = run_classical(1, CORR, P, [0.0], threads=2, batch_size=7, **kw)
+        a = run_classical(CORR, P, [0.0], threads=1, batch_size=500, **kw)
+        b = run_classical(CORR, P, [0.0], threads=2, batch_size=7, **kw)
         np.testing.assert_array_equal(a.per_traj_msd, b.per_traj_msd)
         np.testing.assert_array_equal(a.vvar_mean, b.vvar_mean)
 
@@ -338,7 +341,7 @@ class TestClassicalKick:
         corr, free = GaussianCorrelation(np.eye(2)), ModelParams(v0=0.0, dim=2)
         assert not np.any(_corner_kick_factor(grid, corr, free, 0.05))
         v = np.array([0.7, -0.2])
-        res = run_classical(2, corr, free, v, t_max=1.0, dt=0.05, n_traj=3, seed=1, grid=grid,
+        res = run_classical(corr, free, v, t_max=1.0, dt=0.05, n_traj=3, seed=1, grid=grid,
                             record_every=1)
         q, expected = np.zeros(2), [0.0]
         for _ in range(20):
@@ -353,7 +356,7 @@ class TestClassicalKick:
         # each the trajectory's row of its group's stream
         grid = FieldGrid.continuum(1, 64, 16.0)
         dt, n_steps, seed = 0.001, 1030, 41
-        res = run_classical(1, CORR, P, [0.3], t_max=n_steps * dt, dt=dt, n_traj=3, seed=seed,
+        res = run_classical(CORR, P, [0.3], t_max=n_steps * dt, dt=dt, n_traj=3, seed=seed,
                             grid=grid, record_every=n_steps, batch_size=2)
         factor = _corner_kick_factor(grid, CORR, P, dt)
         for traj in range(3):
@@ -378,7 +381,7 @@ def test_zero_counts_raise_input_error(small_grid, packet, key):
     calls = [
         lambda: run_continuum(small_grid, packet, CORR, P, **kw),
         lambda: run_lattice(lattice, point_state(lattice), SHARP, P_LAT, **kw),
-        lambda: run_classical(1, CORR, P, [0.0], **kw),
+        lambda: run_classical(CORR, P, [0.0], **kw),
     ]
     for call in calls:
         with pytest.raises(InputError, match=key):
@@ -391,7 +394,7 @@ def test_time_step_longer_than_run_raises_input_error(small_grid, packet):
     calls = [
         lambda: run_continuum(small_grid, packet, CORR, P, **kw),
         lambda: run_lattice(lattice, point_state(lattice), SHARP, P_LAT, **kw),
-        lambda: run_classical(1, CORR, P, [0.0], **kw),
+        lambda: run_classical(CORR, P, [0.0], **kw),
     ]
     for call in calls:
         with pytest.raises(InputError, match="t_max must be at least dt"):
@@ -404,7 +407,7 @@ def test_fractional_step_count_raises_input_error(small_grid, packet):
     calls = [
         lambda: run_continuum(small_grid, packet, CORR, P, **kw),
         lambda: run_lattice(lattice, point_state(lattice), SHARP, P_LAT, **kw),
-        lambda: run_classical(1, CORR, P, [0.0], **kw),
+        lambda: run_classical(CORR, P, [0.0], **kw),
     ]
     for call in calls:
         with pytest.raises(InputError, match="not a whole number of steps"):
