@@ -249,6 +249,12 @@ def cubic_coefficient(init, corr, params: ModelParams) -> float:
     return -(1.0 / (3.0 * 2.0 ** (d + 2))) * (2.0 * params.v0 / params.mass) ** 2 * lap_g * k000
 
 
+def _check_dims(init, corr, params: ModelParams):
+    for name, obj in (("initial state", init), ("correlation", corr)):
+        if getattr(obj, "dim", params.dim) != params.dim:
+            raise InputError(f"{name} has dim {obj.dim}, model has dim {params.dim}")
+
+
 def msd_closed_form(times, init, corr, params: ModelParams, fd_base_step=None) -> MomentSeries:
     """Mean-square displacement from the closed-form kernel.
 
@@ -258,6 +264,7 @@ def msd_closed_form(times, init, corr, params: ModelParams, fd_base_step=None) -
     because grad_k phase(0, t) = 0 (evenness of g).
     """
     times = np.asarray(times, dtype=float)
+    _check_dims(init, corr, params)
     if hasattr(init, "second_moment"):
         init.second_moment()  # raises InputError when not finite/declared
     d = params.dim
@@ -284,6 +291,7 @@ def msd_by_kernel_differences(times, init, corr, params: ModelParams, fd_base_st
     :func:`msd_closed_form`; used as a consistency oracle.
     """
     times = np.asarray(times, dtype=float)
+    _check_dims(init, corr, params)
     d = params.dim
     norm = 1.0 / 2.0 ** (d + 2)
     t_max = float(times.max())

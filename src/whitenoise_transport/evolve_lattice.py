@@ -20,10 +20,12 @@ constant coefficients, y' = A y, so one RK4 step is exactly the linear map
     P = I + hA (I + hA/2 (I + hA/3 (I + hA/4))),
 
 the degree-4 Taylor polynomial of exp(hA).  A is built once as a sparse
-matrix over the flattened state; :class:`_StepOperator` forms P and raises
-it to the step gap between records by binary squaring, so each record
-costs one sparse product.  Powers of P keep P's sparsity: gamma is diagonal and the
-m0 -> m1 -> m2 chain is nilpotent.
+matrix over the flattened state (:class:`_Sparse`, coalesced COO triplets
+in plain numpy); :class:`_StepOperator` forms P.  The hierarchy raises P to
+the step gap between records by binary squaring, so each record costs one
+sparse product; its powers keep P's sparsity, because gamma is diagonal and
+the m0 -> m1 -> m2 chain is nilpotent.  The kernel's powers fill the box,
+so that route applies P once per step.
 
 Mean-square displacement is extracted as -(1/4) Re sum_m m2_m(Y=0, t): on
 the diagonal X = 2x, so the k-Laplacian counts |2x|^2 (the recorded
@@ -101,67 +103,135 @@ class LatticeState:
     dt: float
 
 
-def _shift_operator(side: int, dim: int, axis: int, direction: int):
-    """Sparse S with (S y)[Y] = y[Y + direction e_axis] on the C-order
-    flattened periodic box."""
-    import scipy.sparse as sp
+class _Sparse:
+    """Square sparse matrix over the flattened state, as COO triplets.
 
+    The triplets are kept coalesced: one entry per (row, col), sorted by the
+    key ``row * n + col``, duplicates summed in that fixed order.  Entries
+    that sum to zero stay, so ``nnz`` counts the structure, not the values.
+    """
+
+    def __init__(self, n: int, rows, cols, vals):
+        key = np.asarray(rows, dtype=np.int64) * n + np.asarray(cols, dtype=np.int64)
+        order = np.argsort(key, kind="stable")
+        key, vals = key[order], np.asarray(vals)[order]
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        self.n = n
+        self.rows, self.cols = np.divmod(key[starts], n)
+        self.vals = np.add.reduceat(vals, starts)
+        self._layout = None
+
+    @classmethod
+    def diag(cls, values):
+        values = np.ravel(values)
+        idx = np.arange(values.size)
+        return cls(values.size, idx, idx, values)
+
+    @classmethod
+    def blocks(cls, n_blocks: int, entries):
+        """Block matrix from ``{(block_row, block_col): square block}``."""
+        m = next(iter(entries.values())).n
+        return cls(n_blocks * m,
+                   np.concatenate([b.rows + i * m for (i, _), b in entries.items()]),
+                   np.concatenate([b.cols + j * m for (_, j), b in entries.items()]),
+                   np.concatenate([b.vals for b in entries.values()]))
+
+    @property
+    def nnz(self) -> int:
+        return self.vals.size
+
+    def __add__(self, other):
+        return _Sparse(self.n, np.r_[self.rows, other.rows], np.r_[self.cols, other.cols],
+                       np.r_[self.vals, other.vals])
+
+    def __sub__(self, other):
+        return self + (-1.0) * other
+
+    def __rmul__(self, scalar):
+        return _Sparse(self.n, self.rows, self.cols, scalar * self.vals)
+
+    def __truediv__(self, scalar):
+        return _Sparse(self.n, self.rows, self.cols, self.vals / scalar)
+
+    def __matmul__(self, other):
+        if not isinstance(other, _Sparse):
+            coef, idx = self._fixed_width()
+            return (coef * other[idx]).sum(axis=0)
+        # each entry (i, k, a) of self meets row k of other: (i, j, a * b)
+        start = np.searchsorted(other.rows, np.arange(self.n + 1))
+        counts = (start[1:] - start[:-1])[self.cols]
+        ends = np.cumsum(counts)
+        pos = np.arange(ends[-1]) + np.repeat(start[self.cols] - ends + counts, counts)
+        return _Sparse(self.n, np.repeat(self.rows, counts), other.cols[pos],
+                       np.repeat(self.vals, counts) * other.vals[pos])
+
+    def _fixed_width(self):
+        """(coef, idx) of shape (K, n), K the longest row: row i of the
+        product with y is ``sum_k coef[k, i] * y[idx[k, i]]``; short rows are
+        padded with zero coefficients on their own index."""
+        if self._layout is None:
+            counts = np.bincount(self.rows, minlength=self.n)
+            slot = np.arange(self.nnz) - np.repeat(np.cumsum(counts) - counts, counts)
+            coef = np.zeros((counts.max(), self.n), dtype=self.vals.dtype)
+            idx = np.tile(np.arange(self.n), (coef.shape[0], 1))
+            coef[slot, self.rows] = self.vals
+            idx[slot, self.rows] = self.cols
+            self._layout = coef, idx
+        return self._layout
+
+
+def _shift_operator(side: int, dim: int, axis: int, direction: int) -> _Sparse:
+    """S with (S y)[Y] = y[Y + direction e_axis] on the C-order flattened
+    periodic box."""
     n = side**dim
     cols = np.roll(np.arange(n).reshape((side,) * dim), -direction, axis=axis).ravel()
-    return sp.csr_matrix((np.ones(n), (np.arange(n), cols)), shape=(n, n))
+    return _Sparse(n, np.arange(n), cols, np.ones(n))
 
 
-def _hierarchy_generator(gamma: np.ndarray, c1: float):
+def _hierarchy_generator(gamma: np.ndarray, c1: float) -> _Sparse:
     """Real generator of the k = 0 hierarchy over [m0, m1_1..m1_d, m2_1..m2_d]:
 
     m0' = -gamma m0,  m1_j' = c1 D_j m0 - gamma m1_j,  m2_j' = 2 c1 D_j m1_j - gamma m2_j,
 
     with D_j = S_j(+1) - S_j(-1) the symmetric Y-difference along axis j.
     """
-    import scipy.sparse as sp
-
     d, side = gamma.ndim, gamma.shape[0]
-    decay = sp.diags(-gamma.ravel())
-    blocks = [[None] * (2 * d + 1) for _ in range(2 * d + 1)]
-    blocks[0][0] = decay
+    decay = _Sparse.diag(-gamma)
+    blocks = {(0, 0): decay}
     for j in range(d):
         diff = _shift_operator(side, d, j, +1) - _shift_operator(side, d, j, -1)
-        blocks[1 + j][0] = c1 * diff
-        blocks[1 + j][1 + j] = decay
-        blocks[1 + d + j][1 + j] = 2.0 * c1 * diff
-        blocks[1 + d + j][1 + d + j] = decay
-    return sp.bmat(blocks, format="csr")
+        blocks[1 + j, 0] = c1 * diff
+        blocks[1 + j, 1 + j] = decay
+        blocks[1 + d + j, 1 + j] = 2.0 * c1 * diff
+        blocks[1 + d + j, 1 + d + j] = decay
+    return _Sparse.blocks(2 * d + 1, blocks)
 
 
-def _kernel_generator(gamma: np.ndarray, c: float, mult_plus, mult_minus, diag: float):
+def _kernel_generator(gamma: np.ndarray, c: float, mult_plus, mult_minus, diag: float) -> _Sparse:
     """Complex generator of the transformed kernel at fixed k over the flattened box:
     -(gamma + i c diag) - i c sum_j [mult_plus_j S_j(+1) + mult_minus_j S_j(-1)]."""
-    import scipy.sparse as sp
-
     d, side = gamma.ndim, gamma.shape[0]
-    A = sp.diags(-(gamma.ravel() + 1j * c * diag))
+    A = _Sparse.diag(-(gamma + 1j * c * diag))
     for j in range(d):
         A = A - 1j * c * (mult_plus[j] * _shift_operator(side, d, j, +1)
                           + mult_minus[j] * _shift_operator(side, d, j, -1))
-    return A.tocsr()
+    return A
 
 
 class _StepOperator:
     """Classical RK4 for y' = A y as one sparse linear map P, with its
     powers P^r (binary squaring) cached per step gap r."""
 
-    def __init__(self, A, dt: float):
-        import scipy.sparse as sp
-
-        eye = sp.identity(A.shape[0], dtype=A.dtype, format="csr")
+    def __init__(self, A: _Sparse, dt: float):
+        eye = _Sparse.diag(np.ones(A.n, dtype=A.vals.dtype))
         hA = dt * A
         P = eye + hA / 4.0
         for j in (3.0, 2.0, 1.0):
             P = eye + (hA @ P) / j
-        self._squares = [P.tocsr()]  # P^(2^i)
+        self._squares = [P]  # P^(2^i)
         self._powers = {}
 
-    def power(self, r: int):
+    def power(self, r: int) -> _Sparse:
         """P^r for r >= 1."""
         if r not in self._powers:
             result, bit = None, 0
@@ -228,13 +298,9 @@ def evolve_hierarchy(init: LatticeInitialData, corr, params: ModelParams, t_max:
     n = side**d
 
     def unpack(y):
-        # y: the complex state viewed as real (unknowns, 2) pairs, so the
-        # real operator acts on real and imaginary parts in one product
-        z = y.view(complex).ravel()
-        return z[:n].reshape(box), z[n:(d + 1) * n].reshape((d,) + box), z[(d + 1) * n:].reshape((d,) + box)
+        return y[:n].reshape(box), y[n:(d + 1) * n].reshape((d,) + box), y[(d + 1) * n:].reshape((d,) + box)
 
-    z0 = np.concatenate([init.m0.ravel(), init.m1.ravel(), init.m2.ravel()]).astype(complex)
-    y0 = z0.view(float).reshape(-1, 2)
+    y0 = np.concatenate([init.m0.ravel(), init.m1.ravel(), init.m2.ravel()]).astype(complex)
     m0, m1, m2 = unpack(y0)
 
     center = (0,) * d
@@ -293,6 +359,7 @@ def evolve_full_kernel(k_batch, init_kernel, corr, params: ModelParams, t_max: f
     record_times = np.asarray(record_times, dtype=float)
     record_steps = np.unique(np.clip(np.round(record_times / dt).astype(int), 0, n_steps))
 
+    slot = {n: pos for pos, n in enumerate(record_steps.tolist())}
     out = np.empty((k_batch.shape[0], record_steps.size) + probe.shape, dtype=complex)
     c = params.hbar / params.mass
 
@@ -307,8 +374,10 @@ def evolve_full_kernel(k_batch, init_kernel, corr, params: ModelParams, t_max: f
 
         R = (init_kernel(k) if callable(init_kernel) else np.asarray(init_kernel)).astype(complex).ravel()
         step = _StepOperator(_kernel_generator(gamma, c, mult_plus, mult_minus, diag), dt)
-        for pos, (_, y) in enumerate(step.propagate(R, record_steps)):
-            out[ik, pos] = y.reshape(probe.shape)
+        # powers of this P fill the box, so it is applied once per step
+        for n, y in step.propagate(R, range(record_steps[-1] + 1)):
+            if n in slot:
+                out[ik, slot[n]] = y.reshape(probe.shape)
 
     return record_steps * dt, out
 

@@ -16,8 +16,8 @@ ensembles are bit-reproducible for any thread count or batch split.
 Cross-trajectory reductions run in fixed index order with compensated
 summation.  Ensembles run on ``DEFAULT_THREADS`` worker threads unless
 told otherwise.  Every driver records on the schedule of
-``core_model._record_steps``; ``run_classical`` takes its dimension from
-``params.dim``, and a grid of another dimension is an :class:`InputError`.
+``core_model._record_steps`` and takes its dimension from ``params.dim``; a
+grid of another dimension is an :class:`InputError`.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ class EnsembleResult:
     msd_mean: np.ndarray
     msd_stderr: np.ndarray
     energy_mean: np.ndarray
-    energy_stderr: np.ndarray
     n_traj: int
     per_traj_msd: np.ndarray
     norm_drift_max: float
@@ -163,13 +162,18 @@ def _run_batches(work, n_traj, batch_size, threads) -> list:
     return [work(trajs) for trajs in batches]
 
 
-def _mean_stderr(samples: np.ndarray):
-    """Mean (compensated, per column, so independent of the batch split) and
-    ddof-1 standard error over the trajectories (rows) of ``samples``."""
+def _mean(samples: np.ndarray):
+    """Mean over the trajectories (rows) of ``samples``, compensated and per
+    column, so independent of the batch split."""
     n, n_rec = samples.shape
-    mean = np.array([math.fsum(samples[:, j]) / n for j in range(n_rec)])
+    return np.array([math.fsum(samples[:, j]) / n for j in range(n_rec)])
+
+
+def _mean_stderr(samples: np.ndarray):
+    """:func:`_mean` and the ddof-1 standard error over the rows of ``samples``."""
+    n, n_rec = samples.shape
     stderr = samples.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(n_rec)
-    return mean, stderr
+    return _mean(samples), stderr
 
 
 class _Observables:
@@ -330,6 +334,8 @@ def _simulate_batch(traj_indices, grid, psi0, corr, params, dt, n_steps, record_
 
 def _run_quantum(grid, psi0, corr, params, t_max, dt, n_traj, seed, record_every, boundary_tol,
                  scheme, threads, batch_size, probe_k, colored):
+    if grid.dim != params.dim:
+        raise InputError(f"model has dim {params.dim}, grid has dim {grid.dim}")
     n_steps = step_count(t_max, dt)
     _check_counts(n_traj=n_traj, batch_size=batch_size)
     record_steps = _record_steps(n_steps, record_every)
@@ -343,7 +349,6 @@ def _run_quantum(grid, psi0, corr, params, t_max, dt, n_traj, seed, record_every
     msd = np.concatenate([r[0] for r in results], axis=0)
     energy = np.concatenate([r[1] for r in results], axis=0)
     msd_mean, msd_stderr = _mean_stderr(msd)
-    energy_mean, energy_stderr = _mean_stderr(energy)
 
     kp_mean = kp_err = None
     if probe_k is not None:
@@ -355,8 +360,7 @@ def _run_quantum(grid, psi0, corr, params, t_max, dt, n_traj, seed, record_every
         times=record_steps * dt,
         msd_mean=msd_mean,
         msd_stderr=msd_stderr,
-        energy_mean=energy_mean,
-        energy_stderr=energy_stderr,
+        energy_mean=_mean(energy),
         n_traj=n_traj,
         per_traj_msd=msd,
         norm_drift_max=max(r[3] for r in results),

@@ -130,6 +130,17 @@ class TestMsdClosedForm:
         exact = 2 * (1 + ts**2 / 4) + 2.0 * ts**3  # B = (1/3) * 6 = 2
         np.testing.assert_allclose(series.msd, exact, rtol=1e-9)
 
+    def test_dimension_mismatch_refused(self, gaussian_corr, init):
+        # a 1-D state and correlation under a 2-D model used to give 1.5833
+        # at t = 1, where the 1-D law gives 1.9167
+        ts = [0.0, 1.0]
+        assert msd_closed_form(ts, init, gaussian_corr, ModelParams()).msd[1] == pytest.approx(1.9167, abs=1e-4)
+        for msd in (msd_closed_form, msd_by_kernel_differences):
+            with pytest.raises(InputError, match="initial state has dim 1, model has dim 2"):
+                msd(ts, init, gaussian_corr, ModelParams(dim=2))
+            with pytest.raises(InputError, match="correlation has dim 1, model has dim 2"):
+                msd(ts, GaussianPureState([1.0, 1.0]), gaussian_corr, ModelParams(dim=2))
+
 
 def _msd_per_time(times, init, corr, params, fd_base_step=None):
     """Per-time reference for msd_closed_form: one _laplacian_k stencil per time."""
@@ -226,8 +237,7 @@ class TestMomentSeries:
         times = np.array([0.0, 0.5, 1.0])
         res = EnsembleResult(times=times, msd_mean=np.array([1.0, 1.5, 3.0]),
                              msd_stderr=np.array([0.0, 0.0011, 0.0037]),
-                             energy_mean=np.array([0.125, 0.173, 0.225]), energy_stderr=np.zeros(3),
-                             n_traj=2, per_traj_msd=np.zeros((2, 3)), norm_drift_max=0.0,
+                             energy_mean=np.array([0.125, 0.173, 0.225]), n_traj=2, per_traj_msd=np.zeros((2, 3)), norm_drift_max=0.0,
                              boundary_mass_max=0.0)
         path = tmp_path / "ensemble.csv"
         res.to_csv(path)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whitenoise_transport import (BoxSizeError, GaussianCorrelation, InputError, LatticeInitialData,
                                   LatticeMSDLaw, LatticeMomentInputs, ModelParams, Space,
                                   StabilityError, evolve_full_kernel, evolve_hierarchy,
                                   fit_power_law, msd_inverse_laplace_closed_form)
-from whitenoise_transport.evolve_lattice import _StepOperator, _hierarchy_generator, gamma_on_box
+from whitenoise_transport.evolve_lattice import _box_axes, _StepOperator, _hierarchy_generator, gamma_on_box
 
 LATTICE = ModelParams(space=Space.LATTICE)
 FREE = ModelParams(v0=0.0, space=Space.LATTICE)
@@ -285,6 +287,38 @@ class TestStepOperator:
         assert step.power(1).nnz == nnz
         for r in (2, 3, 10, 1000):
             assert step.power(r).nnz == nnz
+
+
+class TestStepOperatorProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(side=st.sampled_from([5, 7, 9, 11]), dim=st.integers(1, 3), r=st.integers(1, 1000),
+           real=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_power_is_repeated_step(self, side, dim, r, real, seed):
+        params, corr = _lattice(dim)
+        gamma = gamma_on_box(corr, params, side)
+        step = _StepOperator(_hierarchy_generator(gamma, params.hbar / params.mass), 0.01)
+        rng = np.random.default_rng(seed)
+        y = rng.normal(size=(2 * dim + 1) * side**dim)
+        if not real:
+            y = y + 1j * rng.normal(size=y.size)
+        ref = y
+        for _ in range(r):
+            ref = step.power(1) @ ref
+        np.testing.assert_allclose(step.power(r) @ y, ref, rtol=0.0, atol=1e-12 * np.max(np.abs(ref)))
+        assert step.power(r).nnz == step.power(1).nnz
+
+        # the evolution needs a physical kernel (its MSD is nonnegative): a
+        # Gaussian in Y, complex when given a momentum
+        init = LatticeInitialData.point(dim, side)
+        y_axes = np.stack(np.meshgrid(*[_box_axes(side)] * dim, indexing="ij"), axis=-1)
+        q = np.zeros(dim) if real else rng.uniform(-1.0, 1.0, dim)
+        init.m0 = np.exp(-np.sum(y_axes**2, axis=-1) / (2.0 * rng.uniform(0.5, 1.5) ** 2)
+                         + 1j * (y_axes @ q))
+        _, info = evolve_hierarchy(init, corr, params, t_max=0.01 * r, dt=0.01, record_every=r,
+                                   boundary_tol=np.inf)
+        assert info["trace_drift"] == 0.0
+        if real:
+            assert info["max_imag_residue"] == 0.0
 
 
 # the messages of step_count and the record_every check

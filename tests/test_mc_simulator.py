@@ -261,6 +261,12 @@ def test_dimension_mismatch_raises_input_error(small_grid, packet):
         run_continuum(small_grid, packet, GaussianCorrelation(np.eye(2)), P, **kw)
     with pytest.raises(InputError, match="correlation has dim 1, grid has dim 2"):
         run_classical(CORR, ModelParams(dim=2), [0.0, 0.0], **kw)
+    # the quantum drivers used to run a 1-D grid under a 3-D or 2-D model
+    with pytest.raises(InputError, match="model has dim 3, grid has dim 1"):
+        run_continuum(FieldGrid.continuum(1, 64, 16.0), packet[::8], CORR, ModelParams(dim=3), **kw)
+    lattice = FieldGrid.lattice(1, 64)
+    with pytest.raises(InputError, match="model has dim 2, grid has dim 1"):
+        run_lattice(lattice, point_state(lattice), CORR, ModelParams(space=Space.LATTICE, dim=2), **kw)
     with pytest.raises(InputError, match="model has dim 1, grid has dim 2"):
         run_classical(CORR, P, [0.0], grid=FieldGrid.continuum(2, 16, 8.0), **kw)
     with pytest.raises(InputError, match="model has dim 2, grid has dim 1"):

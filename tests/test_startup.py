@@ -2,8 +2,9 @@
 
 scipy costs most of a cold start (``scipy.integrate`` alone about 0.8 s of
 1.2 s on a 2-core VM), so it is imported only inside the code that uses
-it: ``quad`` in the quadrature oracles and ``scipy.sparse`` in the
-lattice step operator.
+it: ``quad`` in the quadrature oracles and ``CubicSpline`` for tabulated
+data.  The lattice step operator is plain numpy, so the deterministic
+lattice routes load no scipy at all.
 A scipy import put back at the top of any module makes these tests fail.
 """
 
@@ -51,22 +52,35 @@ def test_package_import_loads_no_scipy(tmp_path):
     assert _scipy_loaded("import whitenoise_transport\n", tmp_path) == set()
 
 
+LATTICE = dict(model={"space": "lattice"}, correlation={"kind": "gaussian", "matrix": [[40.0]]},
+               initial={"kind": "point"}, fit={"window": [2.0, 5.0]},
+               evolve={"t_max": 5.0, "dt": 0.01, "record_every": 20, "y_box": 7})
+
+
 @pytest.mark.parametrize("route, cfg", [
     ("mc-continuum", dict(MC, grid={"points": 128, "length": 40.0})),
     ("classical", MC),
     ("analytic-msd", dict(time={"t_max": 20.0, "n_points": 41}, fit={"window": [5.0, 20.0]})),
+    ("compare", LATTICE),
+    ("evolve-lattice", LATTICE),
+    ("lattice-law", dict(LATTICE, time={"t_max": 5.0, "n_points": 21})),
 ])
 def test_routes_load_no_scipy(tmp_path, route, cfg):
     assert _scipy_loaded(_route(tmp_path, route, cfg), tmp_path) == set()
 
 
-def test_compare_loads_sparse_only(tmp_path):
-    cfg = dict(model={"space": "lattice"}, correlation={"kind": "gaussian", "matrix": [[40.0]]},
-               initial={"kind": "point"}, fit={"window": [2.0, 5.0]},
-               evolve={"t_max": 5.0, "dt": 0.01, "record_every": 20, "y_box": 7})
-    loaded = _scipy_loaded(_route(tmp_path, "compare", cfg), tmp_path)
-    assert "scipy.sparse" in loaded
-    assert "scipy.integrate" not in loaded
+def test_3d_hierarchy_loads_no_scipy(tmp_path):
+    code = (
+        "import numpy as np\n"
+        "from whitenoise_transport import (GaussianCorrelation, LatticeInitialData, ModelParams,\n"
+        "                                  Space, evolve_hierarchy)\n"
+        "params = ModelParams(space=Space.LATTICE, dim=3)\n"
+        "series, info = evolve_hierarchy(LatticeInitialData.point(3, 5),\n"
+        "                                GaussianCorrelation(40.0 * np.eye(3)), params,\n"
+        "                                t_max=0.1, dt=0.01, boundary_tol=1.0)\n"
+        "assert info['trace_drift'] == 0.0 and series.msd[-1] > 0.0\n"
+    )
+    assert _scipy_loaded(code, tmp_path) == set()
 
 
 def test_quadrature_oracles_import_on_demand(tmp_path):
