@@ -34,7 +34,6 @@ from .evolve_lattice import LatticeInitialData, evolve_full_kernel, evolve_hiera
 from .mc_simulator import (ClassicalResult, EnsembleResult, colored_noise_convergence_study,
                            gaussian_wavepacket, point_state, run_classical, run_continuum,
                            run_lattice)
-from .noise_field import (ColoredKernel, FieldGrid, field_increments, read_field, spectral_amplitude,
-                          write_field)
+from .noise_field import ColoredKernel, FieldGrid, field_increments, spectral_amplitude
 from .transforms_fit import (FitResult, fit_power_law, inverse_laplace_numeric,
                              laplace_transform_numeric)

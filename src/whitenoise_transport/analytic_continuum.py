@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import ModelParams, laplacian_g_at_zero
+from .core_model import ModelParams, _open_text, _write_csv, laplacian_g_at_zero
 from .errors import InputError, NumericalError
 
 __all__ = [
@@ -91,33 +91,19 @@ class MomentSeries:
             object.__setattr__(self, "energy", e)
 
     def to_csv(self, path_or_buf):
-        """CSV ``t,msd[,energy]`` with 17-significant-digit decimals, LF."""
-        own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-        fh = open(path_or_buf, "w", newline="\n") if own else path_or_buf
-        try:
-            cols = ["t", "msd"] + (["energy"] if self.energy is not None else [])
-            fh.write(",".join(cols) + "\n")
-            for i in range(self.times.size):
-                row = [f"{self.times[i]:.17g}", f"{self.msd[i]:.17g}"]
-                if self.energy is not None:
-                    row.append(f"{self.energy[i]:.17g}")
-                fh.write(",".join(row) + "\n")
-        finally:
-            if own:
-                fh.close()
+        """CSV ``t,msd[,energy]`` (see ``core_model._write_csv``)."""
+        if self.energy is None:
+            _write_csv(path_or_buf, ("t", "msd"), (self.times, self.msd))
+        else:
+            _write_csv(path_or_buf, ("t", "msd", "energy"), (self.times, self.msd, self.energy))
 
     @classmethod
     def from_csv(cls, path_or_buf):
         """Read ``t,msd,...`` back: columns 0 and 1, and the column named ``energy`` if any."""
-        own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-        fh = open(path_or_buf, newline="") if own else path_or_buf
-        try:
+        with _open_text(path_or_buf, "r") as fh:
             reader = csv.reader(fh)
             header = next(reader)
             rows = [[float(v) for v in row] for row in reader if row]
-        finally:
-            if own:
-                fh.close()
         data = np.asarray(rows, dtype=float)
         energy = data[:, header.index("energy")] if "energy" in header else None
         return cls(times=data[:, 0], msd=data[:, 1], energy=energy)

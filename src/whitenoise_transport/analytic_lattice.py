@@ -9,17 +9,14 @@ gamma(Y) = (v0/hbar)^2 [g(0) - g(Y)] (h(0, s) = s exactly), the chain
     h(Y, s) M1_m = c1 [M0(Y + e_m) - M0(Y - e_m)] + d_m K(0, Y, 0)
     s       M2_m(0) = 2 c1 [M1_m(e_m) - M1_m(-e_m)] + d_m^2 K(0, 0, 0)
 
-closes after two steps (c1 = hbar/m).  The Laplace transform of the
-second-moment sum is then explicit: a (2 hbar/m)^2 / (s^2 h(e_m, s))
-leading term plus O(1/s) remainders built from initial-kernel probes on
-the stencil {0, +-e_m, +-2e_m}.
-
-For Hermitian initial kernels every assembled quantity is manifestly real
-at real s.  The small-s pole structure 1/(s^2 (s + Gamma_m)) inverts in
-closed form; its long-time slope defines the diffusion constant, and a
-vanishing Gamma_m short-circuits to the ballistic branch.  The rates come
-from ``core_model.dephasing_rate``, and a rate at or below ``_ZERO_GAMMA``
-is the one test of a vanishing rate (:data:`BALLISTIC`).
+closes after two steps (c1 = hbar/m).  Every route starts the particle on
+one site, K(0, Y, 0) = K(0, 0, 0) delta(Y): the chain's other initial
+probes vanish, and the transform of the second-moment sum is exactly
+(2 c1)^2 K(0, 0, 0) sum_m 1/(s^2 (s + Gamma_m)), Gamma_m = gamma(e_m).
+It inverts in closed form; its long-time slope defines the diffusion
+constant, and a vanishing Gamma_m short-circuits to the ballistic branch.
+The rates come from ``core_model.dephasing_rate``, and a rate at or below
+``_ZERO_GAMMA`` is the one test of a vanishing rate (:data:`BALLISTIC`).
 
 Normalization caveat: these expressions are the raw k-Laplacian of the
 transformed kernel.  The physical mean-square displacement on the lattice
@@ -59,83 +56,51 @@ BALLISTIC = _Ballistic()
 
 @dataclass(frozen=True)
 class LatticeMomentInputs:
-    """Everything the moment chain needs at k = 0.
-
-    Per-axis arrays of length d: dephasing rates at e_m and 2 e_m, kernel
-    probes K(0, +-e_m, 0), K(0, +-2e_m, 0), derivative probes
-    d_m K(0, +-e_m, 0) and d_m^2 K(0, 0, 0).  ``r000`` is K(0, 0, 0) > 0.
-    """
+    """Everything the point-start moment chain needs at k = 0: ``c1`` =
+    hbar/m, ``r000`` = K(0, 0, 0) > 0 and the per-axis dephasing rates
+    ``gamma`` = Gamma_m, one per lattice axis."""
 
     c1: float
     r000: float
     gamma: np.ndarray
-    gamma2: np.ndarray
-    r_e: np.ndarray = None
-    r_minus_e: np.ndarray = None
-    r_2e: np.ndarray = None
-    r_minus_2e: np.ndarray = None
-    d1_e: np.ndarray = None
-    d1_minus_e: np.ndarray = None
-    d2_zero: np.ndarray = None
 
     def __post_init__(self):
-        gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
-        gamma2 = np.atleast_1d(np.asarray(self.gamma2, dtype=float))
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "gamma2", gamma2)
+        object.__setattr__(self, "gamma", np.atleast_1d(np.asarray(self.gamma, dtype=float)))
         if not self.r000 > 0:
             raise InputError(f"K(0,0,0) must be positive, got {self.r000}")
-        d = gamma.size
-        for name in ("r_e", "r_minus_e", "r_2e", "r_minus_2e", "d1_e", "d1_minus_e", "d2_zero"):
-            val = getattr(self, name)
-            arr = np.zeros(d, dtype=complex) if val is None else np.atleast_1d(np.asarray(val, dtype=complex))
-            if arr.size != d:
-                raise InputError(f"{name} must have one entry per axis")
-            object.__setattr__(self, name, arr)
-
-    @property
-    def dim(self) -> int:
-        return self.gamma.size
 
     @classmethod
     def point_localized(cls, corr, params: ModelParams):
         """Particle initially at one site: K(0, Y, 0) = delta(Y), trace 1."""
-        eye = np.eye(params.dim)
-        gamma = dephasing_rate(corr, params, eye)
-        gamma2 = dephasing_rate(corr, params, 2 * eye)
+        gamma = dephasing_rate(corr, params, np.eye(params.dim))
         g0 = float(corr.g(np.zeros(params.dim)))
         if np.any(gamma < -1e-13 * max(abs(g0), 1.0)):
             raise InputError("g(0) < g(e_m): correlation increases away from the origin")
-        return cls(c1=params.hbar / params.mass, r000=1.0, gamma=np.maximum(gamma, 0.0),
-                   gamma2=np.maximum(gamma2, 0.0))
+        return cls(c1=params.hbar / params.mass, r000=1.0, gamma=np.maximum(gamma, 0.0))
 
 
 def laplace_msd(s, inputs: LatticeMomentInputs):
     """-sum_m d^2/dk_m^2 of the transformed kernel at (k, Y) = (0, 0).
 
-    Assembled exactly from the closed moment chain; the leading small-s
-    behaviour is (2 c1)^2 / s^2 * sum_m 1/h(e_m, s) * K(0,0,0) and the
-    O(1/s) remainder from the initial-kernel probes is kept explicitly.
-    Real at real s for Hermitian inputs.  Poles: s = 0, s = -gamma values.
+    The point-start chain: M1_m(e_m) - M1_m(-e_m) = -2 c1 K(0,0,0) / (s
+    h(e_m, s)) and s M2_m(0) is 2 c1 times that.  Real at real s.  Poles:
+    s = 0 and s = -Gamma_m.
 
     ``s`` may be a scalar, which gives a ``complex``, or an array of any
     shape, which gives a complex array of that shape: each point is
-    broadcast against the per-axis arrays of ``inputs`` and summed over the
-    axes.  A pole at any point raises :class:`PoleError`.
+    broadcast against the per-axis rates and summed over the axes.  A pole
+    at any point raises :class:`PoleError`.
     """
     s = np.asarray(s, dtype=complex)
     s_col = s[..., np.newaxis]  # trailing axis runs over the lattice axes m
     c1 = inputs.c1
     h1 = s_col + inputs.gamma
-    h2 = s_col + inputs.gamma2
-    pole = (s == 0) | np.any(h1 == 0, axis=-1) | np.any(h2 == 0, axis=-1)
+    pole = (s == 0) | np.any(h1 == 0, axis=-1)
     if np.any(pole):
         raise PoleError(f"laplace_msd evaluated at a pole: s={s[pole][0]}, gamma={inputs.gamma}")
 
-    # first-derivative difference M1_m(e_m) - M1_m(-e_m), axis-wise
-    m1_diff = (c1 * ((inputs.r_2e + inputs.r_minus_2e) / h2 - 2.0 * inputs.r000 / s_col)
-               + (inputs.d1_e - inputs.d1_minus_e)) / h1
-    s_m2 = 2.0 * c1 * m1_diff + inputs.d2_zero
+    m1_diff = c1 * -(2.0 * inputs.r000 / s_col) / h1
+    s_m2 = 2.0 * c1 * m1_diff
     total = -(np.sum(s_m2, axis=-1) / s)
     return complex(total) if total.ndim == 0 else total
 

@@ -33,7 +33,7 @@ from . import __version__
 from .analytic_continuum import GaussianPureState, MomentSeries, cubic_coefficient, msd_closed_form
 from .analytic_lattice import (LatticeMSDLaw, LatticeMomentInputs, law_payload,
                                msd_inverse_laplace_closed_form)
-from .core_model import (GaussianCorrelation, ModelParams, Space, laplacian_g_at_zero,
+from .core_model import (GaussianCorrelation, ModelParams, Space, _write_csv, laplacian_g_at_zero,
                          load_correlation_csv, step_count, validate_hypotheses)
 from .errors import ConfigError, Error, InputError, NumericalError
 from .evolve_lattice import LatticeInitialData, evolve_hierarchy
@@ -70,23 +70,31 @@ _CHOICES = {"config.model.space": tuple(s.value for s in Space),
             "config.initial.kind": ("gaussian", "point"),
             "config.mc.scheme": (SCHEME_STRATONOVICH, SCHEME_ITO_EULER)}
 
-# counts that loops step or divide by, and array sizes: each must be >= 1
-_POSITIVE_COUNTS = {"config.mc.n_traj", "config.mc.batch_size", "config.time.record_every",
-                    "config.evolve.record_every", "config.grid.points", "config.lattice_box.sites",
-                    "config.evolve.y_box", "config.time.n_points", "config.model.dim"}
+_POSITIVE = ("positive", lambda v: v > 0)
+# counts that loops step or divide by, and array sizes
+_COUNT = ("a positive integer", lambda v: v >= 1)
+_POWER_OF_TWO = ("a power of two", lambda v: v >= 1 and v & (v - 1) == 0)
 
 # ranges beyond the type, checked after it: (what a value must be, its
 # test); a list's rule holds for each entry
-_RANGES = {"config.model.hbar": ("positive", lambda v: v > 0),
-           "config.model.mass": ("positive", lambda v: v > 0),
+_RANGES = {"config.model.hbar": _POSITIVE,
+           "config.model.mass": _POSITIVE,
            "config.model.v0": ("nonnegative", lambda v: v >= 0),
-           "config.initial.sigma": ("positive", lambda v: v > 0),
-           "config.initial.trace": ("positive", lambda v: v > 0),
-           "config.grid.length": ("positive", lambda v: v > 0),
-           "config.colored.nu_list": ("positive", lambda v: v > 0),
-           "config.grid.points": ("a power of two", lambda v: v & (v - 1) == 0),
-           "config.lattice_box.sites": ("a power of two", lambda v: v & (v - 1) == 0),
-           "config.evolve.y_box": ("odd and at least 5", lambda v: v % 2 == 1 and v >= 5)}
+           "config.model.dim": _COUNT,
+           "config.initial.sigma": _POSITIVE,
+           "config.initial.trace": _POSITIVE,
+           "config.grid.points": _POWER_OF_TWO,
+           "config.grid.length": _POSITIVE,
+           "config.lattice_box.sites": _POWER_OF_TWO,
+           "config.evolve.y_box": ("odd and at least 5", lambda v: v % 2 == 1 and v >= 5),
+           "config.evolve.dt": _POSITIVE,
+           "config.evolve.record_every": _COUNT,
+           "config.time.dt": _POSITIVE,
+           "config.time.record_every": _COUNT,
+           "config.time.n_points": _COUNT,
+           "config.mc.n_traj": _COUNT,
+           "config.mc.batch_size": _COUNT,
+           "config.colored.nu_list": _POSITIVE}
 
 
 def _checked(val, default, path):
@@ -114,8 +122,6 @@ def _checked(val, default, path):
     elif isinstance(default, int):
         if isinstance(val, bool) or not isinstance(val, int):
             raise ConfigError(f"{path}: must be an integer, got {val!r}")
-        if path in _POSITIVE_COUNTS and val < 1:
-            raise ConfigError(f"{path}: must be a positive integer, got {val!r}")
     elif isinstance(default, float):
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise ConfigError(f"{path}: must be a number, got {val!r}")
@@ -133,12 +139,9 @@ def _checked(val, default, path):
 
 
 def _check_step_times(cfg, section):
-    """``section.dt`` positive and ``section.t_max`` a whole number of at least one step."""
-    dt, t_max = cfg[section]["dt"], cfg[section]["t_max"]
-    if not dt > 0:
-        raise ConfigError(f"config.{section}.dt: must be positive, got {dt!r}")
+    """``section.t_max`` a whole number of at least one step ``section.dt``."""
     try:
-        step_count(t_max, dt)
+        step_count(cfg[section]["t_max"], cfg[section]["dt"])
     except InputError as exc:
         raise ConfigError(f"config.{section}.t_max: {exc}") from None
 
@@ -282,13 +285,11 @@ def _write_manifest(out_dir: Path, cfg, route):
     save_config(cfg, out_dir / "config.json")
 
 
-def _write_ratio(path, columns, times, a, b) -> np.ndarray:
-    """Write the CSV ``t,<columns>,ratio`` of series a, b and a / b; returns a / b."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"t,{columns},ratio\n")
-        for t_i, a_i, b_i in zip(times, a, b):
-            fh.write(f"{t_i:.17g},{a_i:.17g},{b_i:.17g},{a_i / b_i:.17g}\n")
-    return a / b
+def _write_ratio(path, names, times, a, b) -> np.ndarray:
+    """Write the CSV ``t,<names>,ratio`` of series a, b and a / b; returns a / b."""
+    ratio = a / b
+    _write_csv(path, ("t", *names, "ratio"), (times, a, b, ratio))
+    return ratio
 
 
 def _evolve(s: _Setup, out_dir):
@@ -443,7 +444,7 @@ def _route_compare(s: _Setup, out_dir):
 
         adj = cubic_adjudication(mc, s.state, corr, params, window)
         mask = (times >= window[0]) & (times <= window[1])
-        ratio = _write_ratio(out_dir / "pointwise_ratio.csv", "msd_mc,msd_closed_form",
+        ratio = _write_ratio(out_dir / "pointwise_ratio.csv", ("msd_mc", "msd_closed_form"),
                              times[mask], mc.msd_mean[mask], cf.msd[mask])
         adj["pointwise_ratio_minmax"] = [float(ratio.min()), float(ratio.max())]
         adj["exponent_closed_form"] = fit_power_law(cf, window=window).exponent
@@ -467,7 +468,7 @@ def _route_compare(s: _Setup, out_dir):
         calib = float(series.msd[mask][-1] / lawvals[-1])
         table = MomentSeries(times=series.times[mask], msd=calib * lawvals)
         table.to_csv(out_dir / "msd_lattice_law_calibrated.csv")
-        ratio = _write_ratio(out_dir / "pointwise_ratio.csv", "msd_evolve,law_calibrated",
+        ratio = _write_ratio(out_dir / "pointwise_ratio.csv", ("msd_evolve", "law_calibrated"),
                              series.times[mask], series.msd[mask], calib * lawvals)
         report = {"lattice": {
             "calibration_constant": calib,

@@ -8,6 +8,7 @@ correlation object (:class:`GaussianCorrelation` or
 :class:`TabulatedCorrelation`).  The lattice law and evolution take their
 dephasing rate from :func:`dephasing_rate`, and every time-stepping driver
 its steps and record schedule from :func:`step_count` and ``_record_steps``.
+Every data CSV the package writes goes through ``_write_csv``.
 
 The admissibility conditions on ``g`` are checked numerically by
 :func:`validate_hypotheses`: evenness, vanishing gradient at the origin,
@@ -17,6 +18,7 @@ negative-definite Hessian at the origin, and a nonnegative sampled spectrum
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import numbers
@@ -79,6 +81,23 @@ def _record_steps(n_steps: int, record_every) -> np.ndarray:
     if steps[-1] != n_steps:
         steps = np.append(steps, n_steps)
     return steps
+
+
+def _open_text(path_or_buf, mode):
+    """A path opened as text in ``mode`` ("r" or "w", LF line ends), or an
+    open buffer as is, left open after the ``with``."""
+    if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
+        return open(path_or_buf, mode, newline="\n" if mode == "w" else "")
+    return contextlib.nullcontext(path_or_buf)
+
+
+def _write_csv(path_or_buf, header, columns):
+    """The CSV of ``columns`` under the names ``header``: 17-significant-digit
+    decimals and LF line ends, to a path or an open text buffer."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    with _open_text(path_or_buf, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % tuple(row) for row in np.column_stack(columns).tolist())
 
 
 class Space(Enum):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic_continuum import MomentSeries, msd_closed_form
-from .core_model import ModelParams, Space, _check_counts, _record_steps, step_count
+from .core_model import ModelParams, Space, _check_counts, _record_steps, _write_csv, step_count
 from .errors import BoxSizeError, InputError, StabilityError
 from .noise_field import ColoredKernel, FieldGrid, field_increments, spectral_amplitude
 from .rng import KIND_CLASSICAL, normals
@@ -83,19 +83,9 @@ class EnsembleResult:
     kernel_probe_stderr: np.ndarray = None
 
     def to_csv(self, path_or_buf):
-        """CSV ``t,msd,stderr,energy`` with 17-significant-digit decimals."""
-        own = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-        fh = open(path_or_buf, "w", newline="\n") if own else path_or_buf
-        try:
-            fh.write("t,msd,stderr,energy\n")
-            for i in range(self.times.size):
-                fh.write(
-                    f"{self.times[i]:.17g},{self.msd_mean[i]:.17g},"
-                    f"{self.msd_stderr[i]:.17g},{self.energy_mean[i]:.17g}\n"
-                )
-        finally:
-            if own:
-                fh.close()
+        """CSV ``t,msd,stderr,energy`` (see ``core_model._write_csv``)."""
+        _write_csv(path_or_buf, ("t", "msd", "stderr", "energy"),
+                   (self.times, self.msd_mean, self.msd_stderr, self.energy_mean))
 
 
 @dataclass

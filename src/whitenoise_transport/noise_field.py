@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +43,6 @@ __all__ = [
     "spectral_amplitude",
     "HalfSpectrum",
     "field_increments",
-    "write_field",
-    "read_field",
 ]
 
 
@@ -85,10 +82,6 @@ class FieldGrid:
     @property
     def shape(self) -> tuple:
         return (self.points_per_side,) * self.dim
-
-    @property
-    def total_sites(self) -> int:
-        return self.points_per_side**self.dim
 
     def axis_coords(self) -> np.ndarray:
         """Minimum-image site coordinates along one axis, centred on 0."""
@@ -188,10 +181,6 @@ class ColoredKernel:
         if not self.nu > 0:
             raise InputError(f"nu must be positive, got {self.nu}")
 
-    def h(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.clip(self.nu - np.abs(u), 0.0, None) / self.nu**2
-
     def width_steps(self, dt: float) -> int:
         if self.nu < dt - 1e-12 * dt:
             raise ResolutionError(f"kernel width nu={self.nu} is below the step dt={dt}")
@@ -199,11 +188,6 @@ class ColoredKernel:
         if abs(q * dt - self.nu) > 1e-9 * self.nu:
             raise ResolutionError(f"nu={self.nu} must be an integer multiple of dt={dt}")
         return q
-
-    def discrete_samples(self, dt: float) -> np.ndarray:
-        """h at multiples of dt; sums to 1/dt exactly (unit mass * dt)."""
-        q = self.width_steps(dt)
-        return self.h(np.arange(-q, q + 1) * dt)
 
 
 # step-counter offset for colored paths: lets warm-up increments (negative
@@ -298,42 +282,3 @@ def _filter_white_batch(z: np.ndarray, spectrum: HalfSpectrum) -> np.ndarray:
     half = coeffs.view(complex).reshape((batch,) + spectrum.half_shape)
     return np.fft.irfftn(half, s=spectrum.shape, axes=tuple(range(1, half.ndim)))
 
-
-_MAGIC = b"QTNF"
-_HEADER = struct.Struct("<4sIId12x")  # magic, dim, points_per_side, dt; 32 bytes total
-
-
-def write_field(path, values: np.ndarray, grid=None, dt: float = 0.0, dim=None, points_per_side=None):
-    """Dump a sampled field: 32-byte header then little-endian float64.
-
-    Complex arrays are stored as interleaved (real, imag) pairs in the
-    trailing axis; the header layout is ``<4s I I d`` plus 12 padding
-    bytes.  Pass either a grid-like object (``dim`` / ``points_per_side``
-    attributes) or the two values directly - the format itself puts no
-    power-of-two constraint on the side, so kernel snapshots on odd boxes
-    use the same files.
-    """
-    if grid is not None:
-        dim, points_per_side = grid.dim, grid.points_per_side
-    if dim is None or points_per_side is None:
-        raise InputError("write_field needs a grid or explicit dim/points_per_side")
-    arr = np.asarray(values)
-    if np.iscomplexobj(arr):
-        arr = np.stack([arr.real, arr.imag], axis=-1)
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, dim, points_per_side, float(dt)))
-        fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def read_field(path):
-    """Read a field dump; returns (values, dim, points_per_side, dt)."""
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        magic, dim, n, dt = _HEADER.unpack(header)
-        if magic != _MAGIC:
-            raise InputError(f"{path}: bad magic {magic!r}")
-        flat = np.frombuffer(fh.read(), dtype="<f8")
-    per_field = n**dim
-    if flat.size == per_field:
-        return flat.reshape((n,) * dim).copy(), dim, n, dt
-    return flat.reshape((n,) * dim + (-1,)).copy(), dim, n, dt

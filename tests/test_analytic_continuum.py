@@ -41,11 +41,18 @@ class TestPhase:
         oracle = -(1.0 * 2.0 - integral)
         assert got == pytest.approx(oracle, rel=1e-8)
 
-    def test_nonpositive_everywhere(self, gaussian_corr, params):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            q = PhaseQuery(k=[rng.uniform(-2, 2)], t=rng.uniform(0, 20))
-            assert phase(q, gaussian_corr, params) <= 1e-14
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from([1, 2]), st.floats(0.0, 20.0))
+    def test_nonpositive_everywhere(self, data, dim, t):
+        # g peaks at 0, so g(0) t bounds the line integral; at k = k0 = 0
+        # the phase vanishes exactly
+        corr = GaussianCorrelation([[1.0]] if dim == 1 else [[1.0, 0.3], [0.3, 0.5]])
+        params = ModelParams(dim=dim)
+        vec = st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)
+        k, k0 = data.draw(vec, label="k"), data.draw(vec, label="k0")
+        assert phase(PhaseQuery(k=k, t=t, k0=k0), corr, params) <= 1e-14
+        assert phase(PhaseQuery(k=k, t=t), corr, params) <= 1e-14
+        assert phase(PhaseQuery(k=[0.0] * dim, t=t), corr, params) == 0.0
 
     def test_gradient_vanishes_at_k_zero(self, gaussian_corr, params):
         # evenness of g makes the phase stationary at k = 0

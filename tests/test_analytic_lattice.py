@@ -40,20 +40,14 @@ class TestLaplaceMsd:
         val = (s**3 * laplace_msd(s, point_inputs)).real
         assert val == pytest.approx(4.0, rel=2e-3)  # h(e_m, s) ~ s dominates
 
-    def test_real_at_real_s_for_hermitian_inputs(self):
-        # Hermitian initial kernel: K(0,-Y,0) = conj K(0,Y,0) and
-        # d_m K(0,-Y,0) = -conj d_m K(0,Y,0)
-        z1 = 0.3 + 0.7j
-        z2 = -0.1 + 0.2j
-        w = 0.05 + 0.4j
-        inputs = LatticeMomentInputs(
-            c1=1.0, r000=1.0, gamma=[1.0], gamma2=[0.8],
-            r_e=[z1], r_minus_e=[np.conj(z1)], r_2e=[z2], r_minus_2e=[np.conj(z2)],
-            d1_e=[w], d1_minus_e=[-np.conj(w)], d2_zero=[-0.3],
-        )
-        for s in (0.1, 1.0, 17.3):
-            val = laplace_msd(s, inputs)
-            assert abs(val.imag) <= 1e-12 * abs(val)
+    @pytest.mark.parametrize("gamma", [[1.0], [0.0], [0.7, 1.9], [0.0, 0.4, 2.5]])
+    def test_is_the_transform_of_the_closed_form_law(self, gamma):
+        # a point start leaves only the leading term: Cd sum_m 1/(s^2 (s + Gamma_m))
+        inputs = LatticeMomentInputs(c1=0.8, r000=1.2, gamma=gamma)
+        cd = LatticeMSDLaw.from_inputs(inputs).cd
+        s = np.array([1e-3, 0.1, 1.0 + 2.0j, 17.3, -0.2 + 0.5j, 3.0 - 1.0j, 1e3])
+        exact = cd * np.sum(1.0 / (s[:, np.newaxis] ** 2 * (s[:, np.newaxis] + gamma)), axis=-1)
+        np.testing.assert_allclose(laplace_msd(s, inputs), exact, rtol=1e-14, atol=0.0)
 
     def test_pole_errors(self, point_inputs):
         with pytest.raises(PoleError, match=re.escape("at a pole: s=0j, gamma=[1.]")):
@@ -62,13 +56,8 @@ class TestLaplaceMsd:
             laplace_msd(-1.0, point_inputs)  # s = -gamma
 
     @pytest.mark.parametrize("inputs", [
-        LatticeMomentInputs(c1=1.3, r000=0.9, gamma=[0.7], gamma2=[1.1], r_e=[0.3 + 0.7j],
-                            r_minus_e=[0.3 - 0.7j], r_2e=[-0.1 + 0.2j], r_minus_2e=[0.05 - 0.3j],
-                            d1_e=[0.05 + 0.4j], d1_minus_e=[-0.2 + 0.1j], d2_zero=[-0.3 + 0.05j]),
-        LatticeMomentInputs(c1=0.8, r000=1.2, gamma=[0.7, 1.9], gamma2=[1.1, 2.5],
-                            r_e=[0.3 + 0.7j, -0.2j], r_minus_e=[0.3 - 0.7j, 0.4], r_2e=[-0.1 + 0.2j, 0.6],
-                            r_minus_2e=[0.05 - 0.3j, 0.1 + 0.1j], d1_e=[0.05 + 0.4j, -0.3],
-                            d1_minus_e=[-0.2 + 0.1j, 0.7j], d2_zero=[-0.3 + 0.05j, 0.2 - 0.1j]),
+        LatticeMomentInputs(c1=1.3, r000=0.9, gamma=[0.7]),
+        LatticeMomentInputs(c1=0.8, r000=1.2, gamma=[0.7, 1.9]),
     ], ids=["1d", "2d"])
     def test_array_equals_scalar_calls(self, inputs):
         s = np.array([[0.1, 1.0 + 2.0j, 17.3, -0.2 + 0.5j],
@@ -81,16 +70,16 @@ class TestLaplaceMsd:
         assert type(laplace_msd(0.1, inputs)) is complex
 
     def test_pole_anywhere_in_array(self):
-        inputs = LatticeMomentInputs(c1=1.0, r000=1.0, gamma=[0.7, 1.9], gamma2=[1.1, 2.5])
-        # s = 0, and one axis's h(e_m, s) or h(2 e_m, s) vanishing
-        for pole in (0.0, -1.9, -1.1):
+        inputs = LatticeMomentInputs(c1=1.0, r000=1.0, gamma=[0.7, 1.9])
+        # s = 0, and one axis's h(e_m, s) vanishing
+        for pole in (0.0, -1.9):
             s = np.array([0.5, 1.0 + 1.0j, pole, 2.0])
             with pytest.raises(PoleError, match=re.escape(f"s={complex(pole)},")):
                 laplace_msd(s, inputs)
 
     def test_r000_must_be_positive(self):
         with pytest.raises(InputError, match=re.escape("K(0,0,0) must be positive, got 0.0")):
-            LatticeMomentInputs(c1=1.0, r000=0.0, gamma=[1.0], gamma2=[1.0])
+            LatticeMomentInputs(c1=1.0, r000=0.0, gamma=[1.0])
 
 
 class TestClosedFormLaw:
@@ -118,7 +107,7 @@ class TestClosedFormLaw:
         # closed form on t in [0.1, 50] for several decay rates
         ts = np.linspace(0.1, 50, 40)
         for g in (0.5, 1.0, 2.0):
-            inputs = LatticeMomentInputs(c1=1.0, r000=1.0, gamma=[g], gamma2=[g])
+            inputs = LatticeMomentInputs(c1=1.0, r000=1.0, gamma=[g])
             law = LatticeMSDLaw.from_inputs(inputs)
             num = inverse_laplace_numeric(lambda s: laplace_msd(s, inputs), ts)
             exact = msd_inverse_laplace_closed_form(ts, law)
@@ -150,11 +139,11 @@ class TestClosedFormLaw:
 class TestDiffusionConstant:
     def test_worked_example(self):
         # hbar=m=1, v0=1, g(0)-g(e1)=0.5, trace=1: D = 4 / 0.5 = 8
-        inputs = LatticeMomentInputs(c1=1.0, r000=1.0, gamma=[0.5], gamma2=[0.5])
+        inputs = LatticeMomentInputs(c1=1.0, r000=1.0, gamma=[0.5])
         assert diffusion_constant(inputs, trace=1.0) == pytest.approx(8.0)
 
     def test_ballistic_flag(self):
-        inputs = LatticeMomentInputs(c1=1.0, r000=1.0, gamma=[0.0, 1.0], gamma2=[0.0, 1.0])
+        inputs = LatticeMomentInputs(c1=1.0, r000=1.0, gamma=[0.0, 1.0])
         assert diffusion_constant(inputs, trace=1.0) == BALLISTIC
 
     def test_quartic_suppression_in_disorder_strength(self, sharp_corr):
@@ -168,7 +157,7 @@ class TestDiffusionConstant:
         rng = np.random.default_rng(5)
         for _ in range(20):
             gam = rng.uniform(0.01, 3.0, size=3)
-            inputs = LatticeMomentInputs(c1=0.7, r000=2.0, gamma=gam, gamma2=gam)
+            inputs = LatticeMomentInputs(c1=0.7, r000=2.0, gamma=gam)
             assert diffusion_constant(inputs, trace=1.0) > 0
 
 
@@ -178,6 +167,6 @@ def test_law_json_export(point_inputs):
     assert payload["Cd"] == pytest.approx(4.0)
     assert payload["gamma"] == [pytest.approx(1.0)]
     assert payload["D"] == pytest.approx(4.0)
-    flat = LatticeMomentInputs(c1=1.0, r000=1.0, gamma=[0.0], gamma2=[0.0])
+    flat = LatticeMomentInputs(c1=1.0, r000=1.0, gamma=[0.0])
     payload2 = law_payload(LatticeMSDLaw.from_inputs(flat), flat, trace=1.0)
     assert payload2["D"] == "ballistic"

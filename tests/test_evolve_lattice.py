@@ -147,21 +147,6 @@ class TestFullKernel:
                                t_max=1.0, dt=1.0)
 
 
-def test_snapshot_dump_round_trip(tmp_path, sharp_corr, point_init):
-    # complex kernel snapshots on an odd Y-box go through the field-dump format
-    from whitenoise_transport import read_field, write_field
-
-    times, snaps = evolve_full_kernel(np.array([[0.1]]), point_init.m0, sharp_corr, LATTICE,
-                                      t_max=1.0, dt=0.01, record_times=[0.5, 1.0])
-    for j, t in enumerate(times):
-        path = tmp_path / f"snap_{j}.qtnf"
-        write_field(path, snaps[0, j], dim=1, points_per_side=9, dt=0.01)
-        values, dim, side, dt = read_field(path)
-        assert (dim, side, dt) == (1, 9, 0.01)
-        restored = values[..., 0] + 1j * values[..., 1]
-        np.testing.assert_array_equal(restored, snaps[0, j])
-
-
 def _shift(arr, axis, direction):
     return np.roll(arr, -direction, axis=axis)
 

@@ -222,6 +222,30 @@ class TestLattice:
         np.testing.assert_array_equal(a.msd_mean, b.msd_mean)
 
 
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([1, 2]), space=st.sampled_from(list(Space)), log2_n=st.integers(3, 6),
+       spacing=st.floats(0.25, 1.0), width=st.floats(0.02, 0.1), sigma=st.floats(0.02, 0.2),
+       dt=st.floats(1e-3, 0.1), n_steps=st.integers(1, 40), v0=st.floats(0.0, 5.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_stratonovich_norm_is_conserved(dim, space, log2_n, spacing, width, sigma, dt, n_steps,
+                                        v0, seed):
+    # the split-step scheme is unitary: every potential phase and kinetic
+    # multiplier has modulus one; width and sigma are fractions of the box,
+    # and a correlation below a tenth of it keeps the sampled spectrum positive
+    n = 2**log2_n
+    if space is Space.LATTICE:
+        grid, drive = FieldGrid.lattice(dim, n), run_lattice
+        psi = point_state(grid)
+    else:
+        grid, drive = FieldGrid.continuum(dim, n, n * spacing), run_continuum
+        psi = gaussian_wavepacket(grid, sigma * grid.side_length)
+    corr = GaussianCorrelation(np.eye(dim) / (width * grid.side_length) ** 2)
+    res = drive(grid, psi, corr, ModelParams(v0=v0, dim=dim, space=space), t_max=n_steps * dt,
+                dt=dt, n_traj=2, seed=seed, record_every=max(1, n_steps // 4), boundary_tol=1.0,
+                threads=1)
+    assert res.norm_drift_max <= 1e-10
+
+
 @settings(max_examples=25, deadline=None)
 @given(n_traj=st.integers(1, 23), batch_size=st.integers(1, 25), threads=st.sampled_from([1, 2]))
 def test_lattice_any_batch_split_matches_one_batch(n_traj, batch_size, threads):
@@ -316,7 +340,8 @@ def _field_corner_gradients(grid, corr, params, dt, cell):
     kaxes = np.meshgrid(*[freqs] * (d - 1), freqs[: n // 2 + 1], indexing="ij")
     half_amp = spectral_amplitude(grid, corr, params)[..., : n // 2 + 1]
     axes = tuple(range(1, d + 1))
-    units = np.eye(grid.total_sites).reshape((grid.total_sites,) + grid.shape)
+    sites = grid.points_per_side**d
+    units = np.eye(sites).reshape((sites,) + grid.shape)
     spec = np.fft.rfftn(units, axes=axes)
     grads = [np.fft.irfftn(spec * (1j * k * half_amp * np.sqrt(dt)), s=grid.shape, axes=axes)
              for k in kaxes]

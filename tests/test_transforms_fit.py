@@ -229,6 +229,17 @@ class TestInverseLaplaceArrays:
         assert err.value.achieved == pytest.approx(ref[1][1], rel=1e-12)
         assert sizes == [(3 * 20,), (3 * 24,), (2 * 48,)]
 
+    @pytest.mark.parametrize("t, rtol", [(40.0, 1e-4), (60.0, 1e-9)])
+    def test_contour_that_misses_the_poles_is_refused(self, t, rtol):
+        # the poles at +-0.5i lie outside the 20- and 24-node contours, which
+        # cross the imaginary axis at 2 pi M / (10 t): both rules agree on
+        # 4.0, the inverse without the poles' residues (40: 4.00025 against
+        # 3.99999 within 1e-4; 60: 4.0 to 3e-10), while the exact value is
+        # 4 (1 - cos(t / 2)), 2.36767 and 3.38290
+        with pytest.raises(NumericalError, match=f"t={t:g} ") as err:
+            inverse_laplace_numeric(self.F, t, rtol=rtol)
+        assert err.value.achieved > 1.0
+
     def test_too_few_nodes_is_input_error(self):
         with pytest.raises(InputError, match="n_nodes"):
             inverse_laplace_numeric(self.F, [1.0], n_nodes=6)
