@@ -71,6 +71,7 @@ _CHOICES = {"config.model.space": tuple(s.value for s in Space),
             "config.mc.scheme": (SCHEME_STRATONOVICH, SCHEME_ITO_EULER)}
 
 _POSITIVE = ("positive", lambda v: v > 0)
+_NONNEGATIVE = ("nonnegative", lambda v: v >= 0)
 # counts that loops step or divide by, and array sizes
 _COUNT = ("a positive integer", lambda v: v >= 1)
 _POWER_OF_TWO = ("a power of two", lambda v: v >= 1 and v & (v - 1) == 0)
@@ -79,7 +80,7 @@ _POWER_OF_TWO = ("a power of two", lambda v: v >= 1 and v & (v - 1) == 0)
 # test); a list's rule holds for each entry
 _RANGES = {"config.model.hbar": _POSITIVE,
            "config.model.mass": _POSITIVE,
-           "config.model.v0": ("nonnegative", lambda v: v >= 0),
+           "config.model.v0": _NONNEGATIVE,
            "config.model.dim": _COUNT,
            "config.initial.sigma": _POSITIVE,
            "config.initial.trace": _POSITIVE,
@@ -94,6 +95,7 @@ _RANGES = {"config.model.hbar": _POSITIVE,
            "config.time.n_points": _COUNT,
            "config.mc.n_traj": _COUNT,
            "config.mc.batch_size": _COUNT,
+           "config.mc.boundary_tol": _NONNEGATIVE,
            "config.colored.nu_list": _POSITIVE}
 
 
@@ -347,8 +349,9 @@ def _route_mc(s: _Setup, out_dir):
     result.to_csv(out_dir / "ensemble.csv")
     fit = fit_power_law(result.times, result.msd_mean, window=s.window)
     _write_json(out_dir / "fit.json", fit.to_dict())
+    kedge = "" if result.kspace_edge_max is None else f", k-space edge {result.kspace_edge_max:.2e}"
     print(f"exponent {fit.exponent:.4f} +- {fit.stderr_exponent:.4f} on {fit.window}; "
-          f"norm drift {result.norm_drift_max:.2e}, boundary {result.boundary_mass_max:.2e}")
+          f"norm drift {result.norm_drift_max:.2e}, boundary {result.boundary_mass_max:.2e}{kedge}")
     return 0
 
 

@@ -95,9 +95,11 @@ def _write_csv(path_or_buf, header, columns):
     """The CSV of ``columns`` under the names ``header``: 17-significant-digit
     decimals and LF line ends, to a path or an open text buffer."""
     line = ",".join(["%.17g"] * len(header)) + "\n"
+    table = np.column_stack(columns)
     with _open_text(path_or_buf, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(line % tuple(row) for row in np.column_stack(columns).tolist())
+        # one format operation over the whole table, row-major
+        fh.write((line * len(table)) % tuple(table.ravel().tolist()))
 
 
 class Space(Enum):

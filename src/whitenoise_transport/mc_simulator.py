@@ -79,6 +79,9 @@ class EnsembleResult:
     per_traj_msd: np.ndarray
     norm_drift_max: float
     boundary_mass_max: float
+    #: largest fraction of |psi_k|^2 at |k_axis| >= 7/8 k_max on some axis
+    #: (momentum aliasing); None on the lattice, where the wrap is physical
+    kspace_edge_max: float = None
     kernel_probe_mean: np.ndarray = None
     kernel_probe_stderr: np.ndarray = None
 
@@ -184,6 +187,13 @@ class _Observables:
             sl = [slice(None)] * grid.dim
             sl[ax] = np.abs(coords1) >= lim
             self.edge_mask[tuple(sl)] = True
+        # flat fftn-order indices of the modes with |k_axis| >= 7/8 k_max on
+        # some axis; k_axis = 2 pi m / (n a) and k_max = pi / a, so |m| >= 7n/16
+        self.kedge_idx = None
+        if params.space is Space.CONTINUUM:
+            on_edge = 16 * np.abs(np.fft.fftfreq(n, 1.0 / n)) >= 7 * n
+            self.kedge_idx = np.flatnonzero(
+                np.logical_or.reduce(np.meshgrid(*[on_edge] * grid.dim, indexing="ij")))
         self.probe_k = probe_k
         if probe_k is not None:
             pk = np.atleast_2d(np.asarray(probe_k, dtype=float))
@@ -205,15 +215,19 @@ class _Observables:
         norm = np.sum(density, axis=fft_axes) * self.w
         msd = np.sum(density * self.r2, axis=fft_axes) * self.w
         dens_k = np.abs(psi_k) ** 2
-        energy = np.sum(dens_k * self.h0, axis=fft_axes) / np.sum(dens_k, axis=fft_axes)
+        total_k = np.sum(dens_k, axis=fft_axes)
+        energy = np.sum(dens_k * self.h0, axis=fft_axes) / total_k
         boundary = np.sum(density * self.edge_mask, axis=fft_axes) * self.w / norm
+        kedge = None
+        if self.kedge_idx is not None:
+            kedge = dens_k.reshape(len(dens_k), -1)[:, self.kedge_idx].sum(axis=1) / total_k
         probes = None
         if self.probe_k is not None:
             probes = (
                 np.stack([np.sum(density * wv, axis=fft_axes) * self.w for wv in self.probe_waves], axis=1)
                 * 2.0**self.grid.dim
             )
-        return norm, msd, energy, boundary, probes
+        return norm, msd, energy, boundary, kedge, probes
 
 
 def _potential_phase(w, hbar, out):
@@ -249,6 +263,7 @@ def _simulate_batch(traj_indices, grid, psi0, corr, params, dt, n_steps, record_
     energy = np.empty((B, n_rec))
     norms = np.empty((B, n_rec))
     boundary_max = 0.0
+    kedge_max = None if obs.kedge_idx is None else 0.0
     probes = None
 
     # potential phase exp(-i dW / hbar), written in place once per step
@@ -257,12 +272,14 @@ def _simulate_batch(traj_indices, grid, psi0, corr, params, dt, n_steps, record_
     increments = field_increments(amplitude, dt, seed, traj_indices, colored)
 
     def record(pos, psi_rec, psi_k):
-        nonlocal boundary_max, probes
-        nrm, m, e, bd, pr = obs.measure(psi_rec, psi_k, fft_axes)
+        nonlocal boundary_max, kedge_max, probes
+        nrm, m, e, bd, ke, pr = obs.measure(psi_rec, psi_k, fft_axes)
         norms[:, pos] = nrm
         msd[:, pos] = m
         energy[:, pos] = e
         boundary_max = max(boundary_max, float(bd.max()))
+        if ke is not None:
+            kedge_max = max(kedge_max, float(ke.max()))
         if pr is not None:
             if probes is None:
                 probes = np.empty((B, pr.shape[1], n_rec), dtype=complex)
@@ -319,13 +336,15 @@ def _simulate_batch(traj_indices, grid, psi0, corr, params, dt, n_steps, record_
             del psi_hat
 
     norm_drift = float(np.max(np.abs(norms - norms[:, :1]))) if n_rec else 0.0
-    return msd, energy, probes, norm_drift, boundary_max
+    return msd, energy, probes, norm_drift, boundary_max, kedge_max
 
 
 def _run_quantum(grid, psi0, corr, params, t_max, dt, n_traj, seed, record_every, boundary_tol,
                  scheme, threads, batch_size, probe_k, colored):
     if grid.dim != params.dim:
         raise InputError(f"model has dim {params.dim}, grid has dim {grid.dim}")
+    if not boundary_tol >= 0:
+        raise InputError(f"boundary_tol must be nonnegative (inf turns the monitor off), got {boundary_tol}")
     n_steps = step_count(t_max, dt)
     _check_counts(n_traj=n_traj, batch_size=batch_size)
     record_steps = _record_steps(n_steps, record_every)
@@ -355,6 +374,7 @@ def _run_quantum(grid, psi0, corr, params, t_max, dt, n_traj, seed, record_every
         per_traj_msd=msd,
         norm_drift_max=max(r[3] for r in results),
         boundary_mass_max=max(r[4] for r in results),
+        kspace_edge_max=None if obs.kedge_idx is None else max(r[5] for r in results),
         kernel_probe_mean=kp_mean,
         kernel_probe_stderr=kp_err,
     )

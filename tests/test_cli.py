@@ -317,6 +317,7 @@ MISUSE = {
     "sigma-zero": ("analytic-msd", {"initial": {"sigma": [0.0]}}, "config.initial.sigma[0]"),
     "trace-negative": ("analytic-msd", {"initial": {"trace": -1.0}}, "config.initial.trace"),
     "length-zero": ("mc-continuum", {"grid": {"length": 0.0}}, "config.grid.length"),
+    "boundary-tol-negative": ("mc-continuum", {"mc": {"boundary_tol": -1e-6}}, "config.mc.boundary_tol"),
     "nu-zero": ("colored-study", {"colored": {"nu_list": [0.4, 0.0]}}, "config.colored.nu_list[1]"),
     "points-not-power-of-two": ("mc-continuum", {"grid": {"points": 100}}, "config.grid.points"),
     "sites-not-power-of-two": ("mc-lattice", dict(LATTICE, lattice_box={"sites": 96}),

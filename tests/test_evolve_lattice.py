@@ -325,3 +325,115 @@ class TestTimeInputs:
         with pytest.raises(InputError, match=BAD_TIMES):
             evolve_full_kernel(np.array([[0.1]]), point_init.m0, sharp_corr, LATTICE,
                                t_max=t_max, dt=dt)
+
+
+class TestModelInputs:
+    def test_correlation_of_another_dim_rejected(self, point_init):
+        corr_2d = GaussianCorrelation(40.0 * np.eye(2))
+        with pytest.raises(InputError, match="model has dim 1, correlation has dim 2"):
+            evolve_hierarchy(point_init, corr_2d, LATTICE, t_max=1.0, dt=0.01)
+        # the kernel route shares the check through gamma_on_box
+        with pytest.raises(InputError, match="model has dim 1, correlation has dim 2"):
+            evolve_full_kernel(np.array([[0.1]]), point_init.m0, corr_2d, LATTICE, t_max=1.0, dt=0.01)
+
+    def test_initial_data_of_another_dim_rejected(self, sharp_corr):
+        with pytest.raises(InputError, match="model has dim 1, initial data has dim 2"):
+            evolve_hierarchy(LatticeInitialData.point(2, 9), sharp_corr, LATTICE, t_max=1.0, dt=0.01)
+        params_2d, corr_2d = _lattice(2)
+        with pytest.raises(InputError, match="model has dim 2, initial data has dim 1"):
+            evolve_hierarchy(LatticeInitialData.point(1, 9), corr_2d, params_2d, t_max=1.0, dt=0.01)
+        with pytest.raises(InputError, match="model has dim 1, initial kernel has dim 2"):
+            evolve_full_kernel(np.array([[0.1]]), LatticeInitialData.point(2, 9).m0, sharp_corr, LATTICE,
+                               t_max=1.0, dt=0.01)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-8])
+    def test_nan_or_negative_boundary_tol_rejected(self, sharp_corr, point_init, tol):
+        # a NaN tolerance would silently turn the box monitor off
+        with pytest.raises(InputError, match="boundary_tol must be nonnegative"):
+            evolve_hierarchy(point_init, sharp_corr, LATTICE, t_max=1.0, dt=0.01, boundary_tol=tol)
+
+
+def _shell_max(arr, dim):
+    """Largest |value| of the per-axis blocks ``arr`` on the outermost
+    minimum-image shell of the box, one axis at a time."""
+    side = arr.shape[-1]
+    on_edge = np.abs(_box_axes(side)) >= side // 2
+    worst = 0.0
+    for ax in range(dim):
+        sl = [slice(None)] * arr.ndim
+        sl[arr.ndim - dim + ax] = on_edge
+        worst = max(worst, float(np.max(np.abs(arr[tuple(sl)]))))
+    return worst
+
+
+def _diagnostics_oracle(init, corr, params, t_max, dt, record_every):
+    """Record times, MSD and per-record (trace drift, |Im sum_j m2_j(0)|,
+    shell mass of m1 and m2) of every recorded state, each state unpacked
+    into its moment arrays and read by array indexing."""
+    d, side = init.dim, init.side
+    box, n = (side,) * d, side**d
+    center = (0,) * d
+    gamma = gamma_on_box(corr, params, side)
+    step = _StepOperator(_hierarchy_generator(gamma, params.hbar / params.mass), dt)
+    n_steps = int(round(t_max / dt))
+    record_steps = sorted(set(range(0, n_steps, record_every)) | {n_steps})
+    y0 = np.concatenate([init.m0.ravel(), init.m1.ravel(), init.m2.ravel()]).astype(complex)
+    times, msd, drift, imag, shell = [], [], [], [], []
+    for n_done, y in step.propagate(y0, record_steps):
+        m0 = y[:n].reshape(box)
+        m1 = y[n:(d + 1) * n].reshape((d,) + box)
+        m2 = y[(d + 1) * n:].reshape((d,) + box)
+        second = np.sum(m2[(slice(None),) + center])
+        times.append(n_done * dt)
+        msd.append(-0.25 * float(second.real))
+        drift.append(abs(m0[center] - y0[0]))
+        imag.append(abs(second.imag))
+        shell.append(max(_shell_max(m1, d), _shell_max(m2, d)))
+    return np.array(times), np.array(msd), np.array(drift), np.array(imag), np.array(shell)
+
+
+def _random_init(dim, side, seed):
+    """Complex, non-Hermitian moment data with mass on the box edge."""
+    rng = np.random.default_rng(seed)
+    init = LatticeInitialData.point(dim, side)
+    shape = (side,) * dim
+    init.m0 = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    init.m1 = rng.normal(size=(dim,) + shape) + 1j * rng.normal(size=(dim,) + shape)
+    init.m2 = rng.normal(size=(dim,) + shape) + 1j * rng.normal(size=(dim,) + shape)
+    init.m2[(slice(None),) + (0,) * dim] -= 20.0  # keeps the MSD positive
+    return init
+
+
+class TestDiagnostics:
+    @pytest.mark.parametrize("dim, side, t_max, record_every", [
+        (1, 9, 0.5, 7),     # 50 steps, final gap 1
+        (2, 7, 0.3, 8),     # 30 steps, final gap 6
+        (3, 5, 0.1, 3),     # 10 steps, final gap 1
+    ])
+    def test_match_per_record_oracle(self, dim, side, t_max, record_every):
+        params, corr = _lattice(dim)
+        init = _random_init(dim, side, seed=dim)
+        series, info = evolve_hierarchy(init, corr, params, t_max=t_max, dt=0.01,
+                                        record_every=record_every, boundary_tol=np.inf)
+        times, msd, drift, imag, shell = _diagnostics_oracle(init, corr, params, t_max, 0.01,
+                                                             record_every)
+        np.testing.assert_array_equal(series.times, times)
+        np.testing.assert_array_equal(series.msd, msd)
+        # the box monitor and the trace drift start at the first record after t = 0
+        assert info["trace_drift"] == drift[1:].max()
+        assert info["max_imag_residue"] == imag.max() > 0.0
+        assert info["max_boundary_mass"] == shell[1:].max() > 0.0
+
+    def test_box_error_names_the_first_breaching_record(self):
+        params, corr = _lattice(2)
+        init = LatticeInitialData.point(2, 9)
+        y_axes = np.stack(np.meshgrid(*[_box_axes(9)] * 2, indexing="ij"), axis=-1)
+        init.m0 = np.exp(-np.sum(y_axes**2, axis=-1) / 3.0).astype(complex)
+        times, _, _, _, shell = _diagnostics_oracle(init, corr, params, 0.3, 0.01, 2)
+        tol = shell[5]
+        first = int(np.argmax(shell[1:] > tol)) + 1
+        assert first > 1  # a later record than the first breaches
+        with pytest.raises(BoxSizeError, match=rf"moment mass {shell[first]:.3e} reached the Y-box "
+                                               rf"edge at t={times[first]:.4g}; enlarge the box "
+                                               rf"\(evolve\.y_box, now 9\)"):
+            evolve_hierarchy(init, corr, params, t_max=0.3, dt=0.01, record_every=2, boundary_tol=tol)

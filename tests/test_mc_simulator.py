@@ -9,7 +9,7 @@ from whitenoise_transport import (BoxSizeError, ColoredKernel, FieldGrid, Gaussi
                                   run_classical, run_continuum, run_lattice)
 from whitenoise_transport import noise_field
 from whitenoise_transport.mc_simulator import (SCHEME_ITO_EULER, _corner_kick_factor,
-                                               _potential_phase,
+                                               _Observables, _potential_phase,
                                                colored_noise_convergence_study)
 from whitenoise_transport.noise_field import spectral_amplitude
 from whitenoise_transport.rng import KIND_CLASSICAL, TRAJ_GROUP, stream
@@ -157,6 +157,23 @@ class TestContinuum:
             run_continuum(grid, psi, CORR, P, t_max=6.0, dt=0.01, n_traj=2, seed=2,
                           record_every=25, boundary_tol=1e-6)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-6])
+    def test_nan_or_negative_boundary_tol_rejected(self, tol):
+        # x > nan is always False: a NaN tolerance would turn the monitor off
+        grid = FieldGrid.continuum(1, 64, 16.0)
+        with pytest.raises(InputError, match="boundary_tol must be nonnegative"):
+            run_continuum(grid, gaussian_wavepacket(grid, 1.0), CORR, P, t_max=3.0, dt=0.05,
+                          n_traj=4, seed=1, boundary_tol=tol, threads=1, batch_size=4)
+
+    def test_kspace_edge_mass_grows_on_a_coarse_grid(self):
+        # momenta kicked towards the Nyquist wavenumber alias on a coarse grid
+        kw = dict(t_max=2.0, dt=0.01, n_traj=4, seed=3, boundary_tol=1e-2, threads=1)
+        edge = {}
+        for n in (64, 128):
+            grid = FieldGrid.continuum(1, n, 32.0)
+            edge[n] = run_continuum(grid, gaussian_wavepacket(grid, 1.0), CORR, P, **kw).kspace_edge_max
+        assert edge[64] > 10.0 * edge[128]
+
     def test_ito_control_violates_trace_and_msd(self, small_grid, packet):
         res = run_continuum(small_grid, packet, CORR, P, t_max=2.0, dt=0.01, n_traj=100,
                             seed=13, record_every=50, boundary_tol=1e-3,
@@ -167,6 +184,28 @@ class TestContinuum:
         dev = np.mean((res.per_traj_msd[:, mask] - cf[mask]) / cf[mask], axis=1)
         z = dev.mean() / (dev.std(ddof=1) / np.sqrt(res.n_traj))
         assert z > 3.0
+
+
+class TestKspaceEdge:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_plane_wave_near_nyquist_and_gaussian_at_rest(self, dim):
+        grid = FieldGrid.continuum(dim, 32, 16.0)
+        obs = _Observables(grid, P)
+        axes = tuple(range(1, dim + 1))
+        x = grid.axis_coords()
+        # along the last axis, mode 15 of spacing 2 pi / L, one below the Nyquist mode 16
+        wave = np.broadcast_to(np.exp(1j * 2 * np.pi * 15 / 16.0 * x), grid.shape)
+        for psi, expected in ((wave, 1.0), (gaussian_wavepacket(grid, 1.0), 0.0)):
+            psi = psi[None].astype(complex)
+            *_, kedge, _ = obs.measure(psi, np.fft.fftn(psi, axes=axes), axes)
+            assert kedge[0] == pytest.approx(expected, abs=1e-9)
+
+    def test_lattice_has_none(self):
+        grid = FieldGrid.lattice(1, 64)
+        assert _Observables(grid, P_LAT).kedge_idx is None
+        res = run_lattice(grid, point_state(grid), SHARP, P_LAT, t_max=0.1, dt=0.01, n_traj=2,
+                          seed=1, threads=1)
+        assert res.kspace_edge_max is None
 
 
 class TestPotentialPhase:
