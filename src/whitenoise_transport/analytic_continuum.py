@@ -142,10 +142,6 @@ class GaussianPureState:
         expo = -np.sum(Y**2 / (8 * self.sigma**2) + 2 * self.sigma**2 * k**2, axis=-1)
         return self.trace * (2.0**self.dim) * np.exp(expo)
 
-    def second_moment(self) -> float:
-        """Initial <|x|^2> = sum_j sigma_j^2 (times the trace)."""
-        return float(self.trace * np.sum(self.sigma**2))
-
     def free_msd(self, t, params: ModelParams):
         """Free-spreading law sum_j [sigma_j^2 + (hbar t / (2 m sigma_j))^2]."""
         t = np.asarray(t, dtype=float)
@@ -241,32 +237,17 @@ def _check_dims(init, corr, params: ModelParams):
             raise InputError(f"{name} has dim {obj.dim}, model has dim {params.dim}")
 
 
-def msd_closed_form(times, init, corr, params: ModelParams, fd_base_step=None) -> MomentSeries:
-    """Mean-square displacement from the closed-form kernel.
+def msd_closed_form(times, init, corr, params: ModelParams) -> MomentSeries:
+    """Mean-square displacement from the closed-form kernel, an exact law.
 
-    The phase part of the k-Laplacian is analytic (exactly cubic in t for
-    k0 = 0); the initial-kernel factor is differentiated numerically with
-    Richardson-extrapolated central differences.  The two contributions add
-    because grad_k phase(0, t) = 0 (evenness of g).
+    The initial kernel's part of the k-Laplacian is the free spreading of
+    the initial state (``init.free_msd``), and the phase's part is exactly
+    cubic in t (:func:`cubic_coefficient`).  The two add because
+    grad_k phase(0, t) = 0 (evenness of g).
     """
     times = np.asarray(times, dtype=float)
     _check_dims(init, corr, params)
-    if hasattr(init, "second_moment"):
-        init.second_moment()  # raises InputError when not finite/declared
-    d = params.dim
-    norm = 1.0 / 2.0 ** (d + 2)
-    k000 = init.kernel_at(np.zeros(d), np.zeros(d)).real
-    lap_g = laplacian_g_at_zero(corr)
-    phase_hess_rate = params.coupling * (2.0 * params.hbar / params.mass) ** 2 * lap_g / 3.0
-    t_max = float(times.max())
-
-    c = 2.0 * params.hbar / params.mass
-    base = (np.full_like(times, fd_base_step) if fd_base_step is not None
-            else _fd_base_step(params, times, t_max))
-    shift = -(c * times)[:, np.newaxis]
-    # one k-point per time: the initial-kernel factor along the characteristic
-    lap_w = _laplacian_k(lambda k: init.kernel_at(k, shift * k), d, base).real
-    msd = -norm * (phase_hess_rate * times**3 * k000 + lap_w)
+    msd = init.free_msd(times, params) + cubic_coefficient(init, corr, params) * times**3
     return MomentSeries(times=times, msd=msd)
 
 

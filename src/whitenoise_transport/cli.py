@@ -248,7 +248,11 @@ def _build(cfg, route, threads) -> _Setup:
             s.grid = FieldGrid.continuum(params.dim, cfg["grid"]["points"], cfg["grid"]["length"])
         else:
             s.grid = FieldGrid.lattice(params.dim, cfg["lattice_box"]["sites"])
-        s.psi0 = point_state(s.grid) if state == "point" else gaussian_wavepacket(s.grid, ini["sigma"])
+        if state == "point":
+            s.psi0 = point_state(s.grid)
+        else:
+            # norm^2 = trace: the estimator is the unnormalised second moment
+            s.psi0 = gaussian_wavepacket(s.grid, ini["sigma"]) * math.sqrt(float(ini["trace"]))
     if plan in ("mc-continuum", "mc-lattice", "classical", "colored-study", "compare-continuum"):
         s.ensemble = dict(t_max=float(t["t_max"]), dt=float(t["dt"]), n_traj=mc["n_traj"],
                           seed=cfg["seed"], record_every=t["record_every"], threads=threads,

@@ -83,6 +83,12 @@ def _record_steps(n_steps: int, record_every) -> np.ndarray:
     return steps
 
 
+def _on_some_axis(flags, dim: int) -> np.ndarray:
+    """Boolean mask over a ``dim``-D cube of side ``len(flags)``: the sites
+    whose index along some axis is flagged in the 1-D ``flags``."""
+    return np.logical_or.reduce(np.meshgrid(*[flags] * dim, indexing="ij"))
+
+
 def _open_text(path_or_buf, mode):
     """A path opened as text in ``mode`` ("r" or "w", LF line ends), or an
     open buffer as is, left open after the ``with``."""

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic_continuum import MomentSeries
-from .core_model import ModelParams, _record_steps, dephasing_rate, step_count
+from .core_model import ModelParams, _on_some_axis, _record_steps, dephasing_rate, step_count
 from .errors import BoxSizeError, InputError, StabilityError
 
 __all__ = [
@@ -298,7 +298,7 @@ def evolve_hierarchy(init: LatticeInitialData, corr, params: ModelParams, t_max:
     # index 0 is Y = 0; the shell is the sites with |Y_j| = side // 2 on some axis j
     second_idx = (d + 1 + np.arange(d)) * n
     on_edge = np.abs(_box_axes(side)) == side // 2
-    shell = np.flatnonzero(np.logical_or.reduce(np.meshgrid(*[on_edge] * d, indexing="ij")))
+    shell = np.flatnonzero(_on_some_axis(on_edge, d))
     shell_idx = (np.arange(1, 2 * d + 1)[:, None] * n + shell).ravel()
 
     y = np.concatenate([init.m0.ravel(), init.m1.ravel(), init.m2.ravel()]).astype(complex)

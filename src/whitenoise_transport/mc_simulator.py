@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic_continuum import MomentSeries, msd_closed_form
-from .core_model import ModelParams, Space, _check_counts, _record_steps, _write_csv, step_count
+from .core_model import (ModelParams, Space, _check_counts, _on_some_axis, _record_steps, _write_csv,
+                         step_count)
 from .errors import BoxSizeError, InputError, StabilityError
 from .noise_field import ColoredKernel, FieldGrid, field_increments, spectral_amplitude
 from .rng import KIND_CLASSICAL, normals
@@ -108,8 +109,11 @@ class ClassicalResult:
 
 
 def gaussian_wavepacket(grid: FieldGrid, sigma) -> np.ndarray:
-    """Zero-momentum product Gaussian, unit norm in the grid measure."""
+    """Zero-momentum product Gaussian, unit norm in the grid measure; one
+    ``sigma`` for every axis or one per axis."""
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
+    if sigma.size not in (1, grid.dim):
+        raise InputError(f"need 1 or {grid.dim} sigmas for a {grid.dim}-D grid, got {sigma.size}")
     if sigma.size == 1:
         sigma = np.full(grid.dim, sigma[0])
     axes = np.meshgrid(*[grid.axis_coords()] * grid.dim, indexing="ij")
@@ -182,18 +186,13 @@ class _Observables:
         edge = max(1, n // 128)
         coords1 = grid.axis_coords()
         lim = (n // 2 - edge + 1) * grid.spacing
-        self.edge_mask = np.zeros(grid.shape, dtype=bool)
-        for ax in range(grid.dim):
-            sl = [slice(None)] * grid.dim
-            sl[ax] = np.abs(coords1) >= lim
-            self.edge_mask[tuple(sl)] = True
+        self.edge_mask = _on_some_axis(np.abs(coords1) >= lim, grid.dim)
         # flat fftn-order indices of the modes with |k_axis| >= 7/8 k_max on
         # some axis; k_axis = 2 pi m / (n a) and k_max = pi / a, so |m| >= 7n/16
         self.kedge_idx = None
         if params.space is Space.CONTINUUM:
             on_edge = 16 * np.abs(np.fft.fftfreq(n, 1.0 / n)) >= 7 * n
-            self.kedge_idx = np.flatnonzero(
-                np.logical_or.reduce(np.meshgrid(*[on_edge] * grid.dim, indexing="ij")))
+            self.kedge_idx = np.flatnonzero(_on_some_axis(on_edge, grid.dim))
         self.probe_k = probe_k
         if probe_k is not None:
             pk = np.atleast_2d(np.asarray(probe_k, dtype=float))
@@ -208,9 +207,9 @@ class _Observables:
         # phase per mode), which give the energy.
         # msd is the raw second moment of |psi|^2, not divided by the norm:
         # the transport law concerns the disorder average of the
-        # unnormalized density, and unitary schemes keep the norm at 1
-        # anyway.  A norm-violating scheme (Ito control) therefore shows up
-        # directly in this estimator.
+        # unnormalized density, whose norm is the initial trace, which
+        # unitary schemes keep.  A norm-violating scheme (Ito control)
+        # therefore shows up directly in this estimator.
         density = np.abs(psi) ** 2
         norm = np.sum(density, axis=fft_axes) * self.w
         msd = np.sum(density * self.r2, axis=fft_axes) * self.w
@@ -320,10 +319,8 @@ def _simulate_batch(traj_indices, grid, psi0, corr, params, dt, n_steps, record_
         w_field = next(increments)
         if scheme == SCHEME_STRATONOVICH:
             psi *= _potential_phase(w_field, params.hbar, phase)
-        elif scheme == SCHEME_ITO_EULER:
+        else:  # SCHEME_ITO_EULER; _run_quantum refuses any other scheme
             psi = psi * (1.0 - 1j * inv_hbar * w_field)
-        else:
-            raise InputError(f"unknown scheme {scheme!r}")
 
         psi_hat = np.fft.fftn(psi, axes=fft_axes)
         del psi
@@ -343,6 +340,10 @@ def _run_quantum(grid, psi0, corr, params, t_max, dt, n_traj, seed, record_every
                  scheme, threads, batch_size, probe_k, colored):
     if grid.dim != params.dim:
         raise InputError(f"model has dim {params.dim}, grid has dim {grid.dim}")
+    if np.shape(psi0) != grid.shape:
+        raise InputError(f"psi0 has shape {np.shape(psi0)}, grid has shape {grid.shape}")
+    if scheme not in (SCHEME_STRATONOVICH, SCHEME_ITO_EULER):
+        raise InputError(f"unknown scheme {scheme!r}")
     if not boundary_tol >= 0:
         raise InputError(f"boundary_tol must be nonnegative (inf turns the monitor off), got {boundary_tol}")
     n_steps = step_count(t_max, dt)

@@ -133,6 +133,23 @@ def test_mc_route_byte_identical_outputs(tmp_path):
     assert b1 == b2
 
 
+def test_mc_psi0_carries_the_initial_trace(tmp_path):
+    # the closed form scales with initial.trace; the Monte Carlo estimator is
+    # the unnormalised second moment, so |psi0|^2 must integrate to the trace
+    base = dict(grid={"points": 256, "length": 60.0},
+                time={"t_max": 0.5, "dt": 0.01, "record_every": 5},
+                mc={"n_traj": 8, "batch_size": 4, "boundary_tol": 1e-3},
+                fit={"window": [0.1, 0.5]}, seed=3)
+    msd = {}
+    for trace in (1.0, 2.0):
+        out = tmp_path / f"t{trace}"
+        cfg = write_cfg(tmp_path, f"t{trace}.json", out_dir=str(out), initial={"trace": trace}, **base)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(cfg, route="mc-continuum", threads=1) == 0
+        msd[trace] = np.loadtxt(out / "ensemble.csv", delimiter=",", skiprows=1)[:, 1]
+    np.testing.assert_allclose(msd[2.0], 2.0 * msd[1.0], rtol=1e-12, atol=0.0)
+
+
 def test_classical_route_batches_by_config(tmp_path, monkeypatch):
     batch_sizes = []
 

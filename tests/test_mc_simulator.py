@@ -7,7 +7,7 @@ from whitenoise_transport import (BoxSizeError, ColoredKernel, FieldGrid, Gaussi
                                   GaussianPureState, InputError, ModelParams, Space, StabilityError,
                                   gaussian_wavepacket, kernel_hat, msd_closed_form, point_state,
                                   run_classical, run_continuum, run_lattice)
-from whitenoise_transport import noise_field
+from whitenoise_transport import mc_simulator, noise_field
 from whitenoise_transport.mc_simulator import (SCHEME_ITO_EULER, _corner_kick_factor,
                                                _Observables, _potential_phase,
                                                colored_noise_convergence_study)
@@ -335,6 +335,34 @@ def test_dimension_mismatch_raises_input_error(small_grid, packet):
     with pytest.raises(InputError, match="model has dim 2, grid has dim 1"):
         run_classical(GaussianCorrelation(np.eye(2)), ModelParams(dim=2), [0.0, 0.0],
                       grid=FieldGrid.continuum(1, 16, 8.0), **kw)
+
+
+def _no_batch(*args, **kwargs):
+    raise AssertionError("a batch ran")
+
+
+def test_psi0_of_another_shape_refused_before_any_batch(small_grid, packet, monkeypatch):
+    monkeypatch.setattr(mc_simulator, "_simulate_batch", _no_batch)
+    kw = dict(t_max=0.1, dt=0.01, n_traj=2, seed=1, threads=1)
+    with pytest.raises(InputError, match=r"psi0 has shape \(256,\), grid has shape \(512,\)"):
+        run_continuum(small_grid, packet[::2], CORR, P, **kw)
+    lattice = FieldGrid.lattice(1, 64)
+    with pytest.raises(InputError, match=r"psi0 has shape \(1, 64\), grid has shape \(64,\)"):
+        run_lattice(lattice, point_state(lattice)[None], SHARP, P_LAT, **kw)
+
+
+def test_unknown_scheme_refused_before_any_batch(small_grid, packet, monkeypatch):
+    monkeypatch.setattr(mc_simulator, "_simulate_batch", _no_batch)
+    with pytest.raises(InputError, match="unknown scheme 'milstein'"):
+        run_continuum(small_grid, packet, CORR, P, t_max=0.1, dt=0.01, n_traj=2, seed=1, threads=1,
+                      scheme="milstein")
+
+
+def test_wavepacket_needs_one_sigma_or_one_per_axis():
+    grid = FieldGrid.continuum(2, 16, 8.0)
+    with pytest.raises(InputError, match="need 1 or 2 sigmas for a 2-D grid, got 3"):
+        gaussian_wavepacket(grid, [1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(gaussian_wavepacket(grid, [0.8, 0.8]), gaussian_wavepacket(grid, 0.8))
 
 
 class TestClassical:
