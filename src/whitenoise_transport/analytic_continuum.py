@@ -185,36 +185,30 @@ def kernel_hat(k, Y0, t, init, corr, params: ModelParams) -> complex:
     return init.kernel_at(k, shift) * np.exp(ph)
 
 
-def _laplacian_k(func, dim, base_step):
+def _laplacian_k(func, dim, step: float):
     """Richardson-extrapolated central second differences summed over axes.
 
-    Steps base, base/2, base/4 per axis; two extrapolation levels give an
-    O(h^6) estimate of sum_j d^2 f / dk_j^2 at k = 0.  ``base_step`` is
-    one step or an array of them, one per point: ``func`` maps k-points of
-    shape ``base_step.shape + (dim,)`` to values of shape
-    ``base_step.shape``, so one call serves every point.
+    Steps ``step``, step/2 and step/4 per axis; two extrapolation levels give
+    an O(h^6) estimate of sum_j d^2 f / dk_j^2 at k = 0, where ``func`` maps
+    one k-point of shape ``(dim,)`` to a value.
     """
-    base = np.asarray(base_step, dtype=float)
-    f0 = func(np.zeros(base.shape + (dim,)))
+    f0 = func(np.zeros(dim))
     total = 0.0
     for j in range(dim):
         e = np.zeros(dim)
         e[j] = 1.0
-        d_vals = []
-        for h in (base, base / 2, base / 4):
-            hk = h[..., np.newaxis] * e
-            d_vals.append((func(hk) - 2.0 * f0 + func(-hk)) / h**2)
+        d_vals = [(func(h * e) - 2.0 * f0 + func(-h * e)) / (h * h) for h in (step, step / 2, step / 4)]
         r1a = (4.0 * d_vals[1] - d_vals[0]) / 3.0
         r1b = (4.0 * d_vals[2] - d_vals[1]) / 3.0
         total = total + (16.0 * r1b - r1a) / 15.0
     return total
 
 
-def _fd_base_step(params: ModelParams, t, t_max: float):
-    # keeps the characteristic shift (2 hbar t/m) k below 1e-2 at every
-    # time; the floor at t_max/50 stops roundoff from dominating the
-    # second differences at small t
-    t_eff = np.maximum(np.maximum(t, 0.02 * t_max), 1e-12)
+def _fd_base_step(params: ModelParams, t: float, t_max: float) -> float:
+    # keeps the characteristic shift (2 hbar t/m) k below 1e-2 at time t;
+    # the floor at t_max/50 stops roundoff from dominating the second
+    # differences at small t
+    t_eff = max(t, 0.02 * t_max, 1e-12)
     return 1e-2 * params.mass / (2.0 * params.hbar * t_eff)
 
 

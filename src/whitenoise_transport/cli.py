@@ -225,6 +225,9 @@ def _build(cfg, route, threads) -> _Setup:
     state = _ROUTE_STATE.get(plan, ini["kind"])
     if state != ini["kind"]:
         raise ConfigError(f"config.initial.kind: {route} needs the {state} initial state, got {ini['kind']!r}")
+    if state == "point" and ini["trace"] != 1.0:
+        # the lattice law, evolution and point_state all start from one unit-norm site
+        raise ConfigError(f"config.initial.trace: the point initial state has trace 1, got {ini['trace']!r}")
     if c["kind"] == "gaussian":
         corr = GaussianCorrelation(c["matrix"])
     elif not c["path"]:

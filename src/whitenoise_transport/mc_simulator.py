@@ -210,22 +210,29 @@ class _Observables:
         # unnormalized density, whose norm is the initial trace, which
         # unitary schemes keep.  A norm-violating scheme (Ito control)
         # therefore shows up directly in this estimator.
-        density = np.abs(psi) ** 2
+        # One real array per space: squared in place, then weighted in place
+        # once the unweighted sums are taken.
+        density = np.abs(psi)
+        np.square(density, out=density)
         norm = np.sum(density, axis=fft_axes) * self.w
-        msd = np.sum(density * self.r2, axis=fft_axes) * self.w
-        dens_k = np.abs(psi_k) ** 2
-        total_k = np.sum(dens_k, axis=fft_axes)
-        energy = np.sum(dens_k * self.h0, axis=fft_axes) / total_k
         boundary = np.sum(density * self.edge_mask, axis=fft_axes) * self.w / norm
-        kedge = None
-        if self.kedge_idx is not None:
-            kedge = dens_k.reshape(len(dens_k), -1)[:, self.kedge_idx].sum(axis=1) / total_k
         probes = None
         if self.probe_k is not None:
             probes = (
                 np.stack([np.sum(density * wv, axis=fft_axes) * self.w for wv in self.probe_waves], axis=1)
                 * 2.0**self.grid.dim
             )
+        density *= self.r2
+        msd = np.sum(density, axis=fft_axes) * self.w
+        del density
+        dens_k = np.abs(psi_k)
+        np.square(dens_k, out=dens_k)
+        total_k = np.sum(dens_k, axis=fft_axes)
+        kedge = None
+        if self.kedge_idx is not None:
+            kedge = dens_k.reshape(len(dens_k), -1)[:, self.kedge_idx].sum(axis=1) / total_k
+        dens_k *= self.h0
+        energy = np.sum(dens_k, axis=fft_axes) / total_k
         return norm, msd, energy, boundary, kedge, probes
 
 
@@ -265,9 +272,6 @@ def _simulate_batch(traj_indices, grid, psi0, corr, params, dt, n_steps, record_
     kedge_max = None if obs.kedge_idx is None else 0.0
     probes = None
 
-    # potential phase exp(-i dW / hbar), written in place once per step
-    phase = np.empty_like(psi) if scheme == SCHEME_STRATONOVICH else None
-
     increments = field_increments(amplitude, dt, seed, traj_indices, colored)
 
     def record(pos, psi_rec, psi_k):
@@ -305,8 +309,12 @@ def _simulate_batch(traj_indices, grid, psi0, corr, params, dt, n_steps, record_
     # half step ifftn(psi_hat * half), the evolved one ifftn(psi_hat * full).
     # A half step only turns the phase of each mode, so psi_hat's mode
     # populations give the recorded state's energy.  Each transform drops
-    # its input, so a batch holds two wavefunction arrays, three during a
-    # record.
+    # its input.  A step holds psi, its potential factor and the real
+    # increment: 2.5 wavefunction arrays (B x sites x 16 B).  A record holds
+    # three, psi_hat, the half-step product and its inverse transform, and
+    # then psi_hat, the recorded state and two real arrays in the
+    # observables (see ``_Observables.measure``).  In d >= 2 a transform
+    # also holds one intermediate array between its axis passes.
     psi_hat = np.fft.fftn(psi, axes=fft_axes)
     record(0, psi, psi_hat)
     rec_pos = 1
@@ -316,11 +324,21 @@ def _simulate_batch(traj_indices, grid, psi0, corr, params, dt, n_steps, record_
         del psi_hat
 
     for n in range(n_steps):
+        # the potential factor dies with the multiply and the increment
+        # right after it, so neither lives through the FFT pair or a record
         w_field = next(increments)
         if scheme == SCHEME_STRATONOVICH:
-            psi *= _potential_phase(w_field, params.hbar, phase)
+            psi *= _potential_phase(w_field, params.hbar, np.empty_like(psi))
         else:  # SCHEME_ITO_EULER; _run_quantum refuses any other scheme
-            psi = psi * (1.0 - 1j * inv_hbar * w_field)
+            # psi = (1 - i dW/hbar) psi, into the factor's array.  A complex
+            # product's rounding depends on its operand order, so the order
+            # is fixed here, not left to NumPy's temporary elision, which
+            # picks it by array size.
+            factor = np.multiply(1j * inv_hbar, w_field)
+            np.subtract(1.0, factor, out=factor)
+            psi = np.multiply(factor, psi, out=factor)
+            del factor  # psi is then the array's only name, which the FFT drops
+        del w_field
 
         psi_hat = np.fft.fftn(psi, axes=fft_axes)
         del psi

@@ -352,6 +352,15 @@ MISUSE = {
                                       "config.initial.kind"),
     "missing-table": ("validate", {"correlation": {"kind": "table", "path": "absent.csv"}},
                       "config.correlation.path"),
+    # the point state is one unit-norm site: a trace other than 1 was ignored
+    "point-trace-lattice-law": ("lattice-law", dict(LATTICE, initial={"kind": "point", "trace": 2.0}),
+                                "config.initial.trace"),
+    "point-trace-evolve-lattice": ("evolve-lattice", dict(LATTICE, initial={"kind": "point", "trace": 2.0}),
+                                   "config.initial.trace"),
+    "point-trace-mc-lattice": ("mc-lattice", dict(LATTICE, initial={"kind": "point", "trace": 0.5}),
+                               "config.initial.trace"),
+    "point-trace-compare-lattice": ("compare", dict(LATTICE, initial={"kind": "point", "trace": 2.0}),
+                                    "config.initial.trace"),
 }
 
 

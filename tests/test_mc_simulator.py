@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,10 @@ from whitenoise_transport import (BoxSizeError, ColoredKernel, FieldGrid, Gaussi
                                   gaussian_wavepacket, kernel_hat, msd_closed_form, point_state,
                                   run_classical, run_continuum, run_lattice)
 from whitenoise_transport import mc_simulator, noise_field
-from whitenoise_transport.mc_simulator import (SCHEME_ITO_EULER, _corner_kick_factor,
-                                               _Observables, _potential_phase,
-                                               colored_noise_convergence_study)
+from whitenoise_transport.core_model import _record_steps
+from whitenoise_transport.mc_simulator import (SCHEME_ITO_EULER, SCHEME_STRATONOVICH,
+                                               _corner_kick_factor, _Observables,
+                                               _potential_phase, colored_noise_convergence_study)
 from whitenoise_transport.noise_field import spectral_amplitude
 from whitenoise_transport.rng import KIND_CLASSICAL, TRAJ_GROUP, stream
 
@@ -185,6 +188,15 @@ class TestContinuum:
         z = dev.mean() / (dev.std(ddof=1) / np.sqrt(res.n_traj))
         assert z > 3.0
 
+    def test_ito_control_bit_reproducible_across_batches(self, small_grid, packet):
+        # a 40 x 512 batch is above NumPy's 256 KiB temporary-elision size and
+        # an 8 x 512 one below it; complex products round by operand order
+        kw = dict(t_max=0.2, dt=0.0125, n_traj=40, seed=7, record_every=4, boundary_tol=1.0,
+                  threads=1, scheme=SCHEME_ITO_EULER)
+        a = run_continuum(small_grid, packet, CORR, P, batch_size=40, **kw)
+        b = run_continuum(small_grid, packet, CORR, P, batch_size=8, **kw)
+        np.testing.assert_array_equal(a.per_traj_msd, b.per_traj_msd)
+
 
 class TestKspaceEdge:
     @pytest.mark.parametrize("dim", [1, 2])
@@ -231,6 +243,84 @@ class TestPotentialPhase:
         _potential_phase(np.array([np.nan, 0.5]), 1.0, out)
         assert np.isnan(out.real[0]) and np.isnan(out.imag[0])
         assert np.isfinite(out[1])
+
+
+def _measure_by_the_formulas(obs, psi, psi_k, axes):
+    """``_Observables.measure`` written out with a temporary per product."""
+    density = np.abs(psi) ** 2
+    norm = np.sum(density, axis=axes) * obs.w
+    msd = np.sum(density * obs.r2, axis=axes) * obs.w
+    dens_k = np.abs(psi_k) ** 2
+    total_k = np.sum(dens_k, axis=axes)
+    energy = np.sum(dens_k * obs.h0, axis=axes) / total_k
+    boundary = np.sum(density * obs.edge_mask, axis=axes) * obs.w / norm
+    kedge = None
+    if obs.kedge_idx is not None:
+        kedge = dens_k.reshape(len(dens_k), -1)[:, obs.kedge_idx].sum(axis=1) / total_k
+    probes = None
+    if obs.probe_k is not None:
+        probes = np.stack([np.sum(density * wv, axis=axes) * obs.w for wv in obs.probe_waves],
+                          axis=1) * 2.0**obs.grid.dim
+    return norm, msd, energy, boundary, kedge, probes
+
+
+class TestObservables:
+    @pytest.mark.parametrize("grid, params, probe_k", [
+        (FieldGrid.continuum(1, 64, 16.0), P, [[0.2], [0.7]]),
+        (FieldGrid.continuum(2, 16, 8.0), ModelParams(dim=2, mass=1.3), [[0.2, -0.1]]),
+        (FieldGrid.lattice(1, 64), P_LAT, [[0.3]]),
+    ])
+    def test_in_place_measure_is_bit_identical_to_the_formulas(self, grid, params, probe_k):
+        obs = _Observables(grid, params, probe_k=probe_k)
+        axes = tuple(range(1, grid.dim + 1))
+        rng = np.random.default_rng(3)
+        psi = rng.normal(size=(5,) + grid.shape) + 1j * rng.normal(size=(5,) + grid.shape)
+        psi_k = np.fft.fftn(psi, axes=axes)
+        got = obs.measure(psi, psi_k, axes)
+        want = _measure_by_the_formulas(obs, psi, psi_k, axes)
+        assert (got[4] is None) == (params.space is Space.LATTICE)
+        for g, w in zip(got, want):
+            if w is None:
+                assert g is None
+            else:
+                np.testing.assert_array_equal(g, w)
+
+
+def _batch_peak_in_wavefunctions(grid, psi0, corr, params, scheme, batch=32):
+    """Traced peak of one ``_simulate_batch`` on this thread, in units of
+    the batch's wavefunction array (batch * sites * 16 B)."""
+    dt, n_steps = 0.01, 6
+    amplitude, obs = spectral_amplitude(grid, corr, params), _Observables(grid, params)
+
+    def run():
+        mc_simulator._simulate_batch(list(range(batch)), grid, psi0, corr, params, dt, n_steps,
+                                     _record_steps(n_steps, 3), seed=1, amplitude=amplitude,
+                                     scheme=scheme, boundary_tol=1.0, obs=obs)
+
+    run()   # NumPy's FFT plan cache fills on the first call
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak / (batch * psi0.size * 16)
+
+
+@pytest.mark.parametrize("space, scheme", [(Space.CONTINUUM, SCHEME_STRATONOVICH),
+                                           (Space.CONTINUUM, SCHEME_ITO_EULER),
+                                           (Space.LATTICE, SCHEME_STRATONOVICH)])
+def test_batch_peaks_at_most_3_6_wavefunction_arrays(space, scheme):
+    # psi, the step's potential factor and increment, or during a record
+    # psi_hat, the half-step product and its inverse transform
+    if space is Space.LATTICE:
+        grid = FieldGrid.lattice(1, 1024)
+        peak = _batch_peak_in_wavefunctions(grid, point_state(grid), SHARP, P_LAT, scheme)
+    else:
+        grid = FieldGrid.continuum(1, 1024, 192.0)
+        peak = _batch_peak_in_wavefunctions(grid, gaussian_wavepacket(grid, 1.0), CORR, P, scheme)
+    assert peak <= 3.6
 
 
 class TestLattice:
