@@ -149,11 +149,17 @@ class _Sparse:
     def __sub__(self, other):
         return self + (-1.0) * other
 
+    def _with_vals(self, vals):
+        """The same coalesced structure with other values, not sorted again."""
+        out = object.__new__(_Sparse)
+        out.n, out.rows, out.cols, out.vals, out._layout = self.n, self.rows, self.cols, vals, None
+        return out
+
     def __rmul__(self, scalar):
-        return _Sparse(self.n, self.rows, self.cols, scalar * self.vals)
+        return self._with_vals(scalar * self.vals)
 
     def __truediv__(self, scalar):
-        return _Sparse(self.n, self.rows, self.cols, self.vals / scalar)
+        return self._with_vals(self.vals / scalar)
 
     def __matmul__(self, other):
         if not isinstance(other, _Sparse):
@@ -269,12 +275,14 @@ def evolve_hierarchy(init: LatticeInitialData, corr, params: ModelParams, t_max:
 
     RK4 with fixed step dt (must satisfy dt <= 0.1 min(m/hbar, 1/max gamma)),
     applied as the precomputed step operator raised to ``record_every``.
-    Each record costs one product with that cached power plus fixed gathers
-    from the state vector at indices computed once: the m2_j(Y=0) for the
-    MSD, m0(Y=0) for the trace, and the outermost Y-shell of every m1 and
-    m2 block for the box monitor.  The monitor watches only that shell of
-    m1 and m2 and raises :class:`BoxSizeError` at the first record where
-    its largest |value| exceeds ``boundary_tol`` (``inf`` turns it off).
+    Each record costs one product with that cached power plus one gather
+    from the state vector, at indices computed once, into its row of one
+    array: m0(Y=0) for the trace, the m2_j(Y=0) for the MSD, and the
+    outermost Y-shell of every m1 and m2 block for the box monitor.  The
+    diagnostics are computed from those rows after the last record.  The
+    monitor watches only that shell of m1 and m2 and raises
+    :class:`BoxSizeError` naming the first record where its largest
+    |value| exceeds ``boundary_tol`` (``inf`` turns it off).
     The trace m0(Y=0) is conserved exactly (gamma(0) = 0 identically);
     ``info`` carries the drift actually observed, the largest imaginary
     residue of the extracted MSD, and the boundary mass seen.
@@ -301,34 +309,31 @@ def evolve_hierarchy(init: LatticeInitialData, corr, params: ModelParams, t_max:
     shell = np.flatnonzero(_on_some_axis(on_edge, d))
     shell_idx = (np.arange(1, 2 * d + 1)[:, None] * n + shell).ravel()
 
+    watch = np.concatenate([[0], second_idx, shell_idx])
     y = np.concatenate([init.m0.ravel(), init.m1.ravel(), init.m2.ravel()]).astype(complex)
-    trace0 = y[0]
-    second = y[second_idx].sum()
-    times, msd = [0.0], [-MSD_KLAPLACIAN_FACTOR * float(second.real)]
-    max_imag = abs(second.imag)
-    max_drift = 0.0
-    max_boundary = 0.0
+    records = np.empty((record_steps.size, watch.size), dtype=complex)
+    for pos, (_, y) in enumerate(step.propagate(y, record_steps.tolist())):
+        records[pos] = y[watch]
 
-    for n_done, y in step.propagate(y, record_steps[1:].tolist()):
-        second = y[second_idx].sum()
-        times.append(n_done * dt)
-        msd.append(-MSD_KLAPLACIAN_FACTOR * float(second.real))
-        max_imag = max(max_imag, abs(second.imag))
-        max_drift = max(max_drift, abs(y[0] - trace0))
-        bm = float(np.abs(y[shell_idx]).max())
-        max_boundary = max(max_boundary, bm)
-        if bm > boundary_tol:
-            raise BoxSizeError(
-                f"moment mass {bm:.3e} reached the Y-box edge at t={n_done * dt:.4g}; "
-                f"enlarge the box (evolve.y_box, now {side})"
-            )
+    times = record_steps * dt
+    second = records[:, 1:d + 1].sum(axis=1)
+    # the trace and the box monitor start at the first record after t = 0
+    drift = np.abs(records[1:, 0] - records[0, 0])
+    shell_mass = np.abs(records[1:, d + 1:]).max(axis=1)
+    over = np.flatnonzero(shell_mass > boundary_tol)
+    if over.size:
+        first = over[0]
+        raise BoxSizeError(
+            f"moment mass {shell_mass[first]:.3e} reached the Y-box edge at t={times[first + 1]:.4g}; "
+            f"enlarge the box (evolve.y_box, now {side})"
+        )
 
     m0, (m1, m2) = y[:n].reshape(box), y[n:].reshape((2, d) + box)
-    series = MomentSeries(times=np.array(times), msd=np.array(msd))
+    series = MomentSeries(times=times, msd=-MSD_KLAPLACIAN_FACTOR * second.real)
     info = {
-        "trace_drift": float(max_drift),
-        "max_imag_residue": float(max_imag),
-        "max_boundary_mass": float(max_boundary),
+        "trace_drift": float(drift.max(initial=0.0)),
+        "max_imag_residue": float(np.abs(second.imag).max()),
+        "max_boundary_mass": float(shell_mass.max(initial=0.0)),
         "state": LatticeState(side=side, dim=d, m0=m0, m1=m1, m2=m2, t=n_steps * dt, dt=dt),
     }
     return series, info

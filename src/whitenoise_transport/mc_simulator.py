@@ -34,7 +34,7 @@ from .core_model import (ModelParams, Space, _check_counts, _on_some_axis, _reco
                          step_count)
 from .errors import BoxSizeError, InputError, StabilityError
 from .noise_field import ColoredKernel, FieldGrid, field_increments, spectral_amplitude
-from .rng import KIND_CLASSICAL, normals
+from .rng import KIND_CLASSICAL, TRAJ_GROUP, normals
 
 __all__ = [
     "EnsembleResult",
@@ -151,12 +151,35 @@ def _kinetic_multipliers(grid: FieldGrid, params: ModelParams, dt: float):
 
 def _run_batches(work, n_traj, batch_size, threads) -> list:
     """``work(trajs)`` of each batch of at most ``batch_size`` consecutive
-    trajectories, in batch order, on ``threads`` worker threads."""
+    trajectories, in batch order, on ``threads`` worker threads, or one per
+    batch if there are fewer batches."""
     batches = [list(range(b, min(b + batch_size, n_traj))) for b in range(0, n_traj, batch_size)]
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=min(threads, len(batches))) as pool:
             return list(pool.map(work, batches))
     return [work(trajs) for trajs in batches]
+
+
+#: bytes of one wavefunction array (rows x sites x 16 B) that a block of a
+#: quantum batch stays within, so a step's arrays stay near the core's L2
+#: cache and a worker's memory is set by the grid, not by the batch
+_BLOCK_BYTES = 1 << 20
+
+
+def _block_rows(sites: int) -> int:
+    """Most rows of a block on ``sites`` sites: the largest multiple of
+    ``TRAJ_GROUP`` whose wavefunction array fits ``_BLOCK_BYTES``, and
+    ``TRAJ_GROUP`` at least."""
+    return max(TRAJ_GROUP, _BLOCK_BYTES // (16 * sites) // TRAJ_GROUP * TRAJ_GROUP)
+
+
+def _blocks(trajs: list, rows: int) -> list:
+    """``trajs`` split into ceil(len / rows) consecutive near-equal blocks,
+    each a multiple of ``TRAJ_GROUP`` long except the last."""
+    n_blocks = -(-len(trajs) // rows)
+    size = -(-len(trajs) // n_blocks)
+    size = -(-size // TRAJ_GROUP) * TRAJ_GROUP
+    return [trajs[i:i + size] for i in range(0, len(trajs), size)]
 
 
 def _mean(samples: np.ndarray):
@@ -256,7 +279,9 @@ def _potential_phase(w, hbar, out):
 
 def _simulate_batch(traj_indices, grid, psi0, corr, params, dt, n_steps, record_steps, seed,
                     amplitude, scheme, boundary_tol, obs, colored: ColoredKernel = None):
-    """Propagate one batch; returns per-trajectory observable arrays (``corr`` is unused)."""
+    """Propagate the trajectories ``traj_indices``, one block of a batch (see
+    :func:`_blocks`); returns per-trajectory observable arrays (``corr`` is
+    unused)."""
     B = len(traj_indices)
     d = grid.dim
     fft_axes = tuple(range(1, d + 1))
@@ -310,11 +335,13 @@ def _simulate_batch(traj_indices, grid, psi0, corr, params, dt, n_steps, record_
     # A half step only turns the phase of each mode, so psi_hat's mode
     # populations give the recorded state's energy.  Each transform drops
     # its input.  A step holds psi, its potential factor and the real
-    # increment: 2.5 wavefunction arrays (B x sites x 16 B).  A record holds
-    # three, psi_hat, the half-step product and its inverse transform, and
-    # then psi_hat, the recorded state and two real arrays in the
-    # observables (see ``_Observables.measure``).  In d >= 2 a transform
-    # also holds one intermediate array between its axis passes.
+    # increment: 2.5 wavefunction arrays (B x sites x 16 B, B the block's
+    # rows, so one array is at most _BLOCK_BYTES wherever TRAJ_GROUP rows
+    # fit in it).  A record holds three, psi_hat, the half-step product and
+    # its inverse transform, and then psi_hat, the recorded state and two
+    # real arrays in the observables (see ``_Observables.measure``).  In
+    # d >= 2 a transform also holds one intermediate array between its axis
+    # passes.
     psi_hat = np.fft.fftn(psi, axes=fft_axes)
     record(0, psi, psi_hat)
     rec_pos = 1
@@ -370,10 +397,16 @@ def _run_quantum(grid, psi0, corr, params, t_max, dt, n_traj, seed, record_every
     amplitude = spectral_amplitude(grid, corr, params)
     obs = _Observables(grid, params, probe_k=probe_k)
 
-    results = _run_batches(
-        lambda trajs: _simulate_batch(trajs, grid, psi0, corr, params, dt, n_steps, record_steps, seed,
-                                      amplitude, scheme, boundary_tol, obs, colored=colored),
-        n_traj, batch_size, threads)
+    rows = _block_rows(math.prod(grid.shape))
+
+    def work(trajs):
+        # a block's trajectories draw, transform and measure as they would
+        # in any batch, so the blocks' results concatenate to the batch's
+        return [_simulate_batch(block, grid, psi0, corr, params, dt, n_steps, record_steps, seed,
+                                amplitude, scheme, boundary_tol, obs, colored=colored)
+                for block in _blocks(trajs, rows)]
+
+    results = [r for blocks in _run_batches(work, n_traj, batch_size, threads) for r in blocks]
     msd = np.concatenate([r[0] for r in results], axis=0)
     energy = np.concatenate([r[1] for r in results], axis=0)
     msd_mean, msd_stderr = _mean_stderr(msd)
@@ -406,7 +439,11 @@ def run_continuum(grid: FieldGrid, psi0, corr, params: ModelParams, t_max, dt, n
     """Ensemble of continuum trajectories under white (or colored) noise.
 
     ``psi0`` is an x-space array on the grid (see
-    :func:`gaussian_wavepacket`).  The run aborts with
+    :func:`gaussian_wavepacket`).  Each of at most ``threads`` workers
+    takes a batch of ``batch_size`` trajectories at a time and steps it in
+    blocks whose wavefunction array stays within 1 MiB (``TRAJ_GROUP``
+    rows at least), so a worker's memory follows the grid, not
+    ``batch_size``; the results depend on neither.  The run aborts with
     :class:`BoxSizeError` when any trajectory's mass within the outermost
     grid shell exceeds ``boundary_tol`` (minimum-image distances stop
     being meaningful), and with :class:`StabilityError` on NaN.
@@ -420,7 +457,8 @@ def run_continuum(grid: FieldGrid, psi0, corr, params: ModelParams, t_max, dt, n
 def run_lattice(grid: FieldGrid, psi0, corr, params: ModelParams, t_max, dt, n_traj, seed,
                 record_every=10, boundary_tol=1e-6, scheme=SCHEME_STRATONOVICH,
                 threads=DEFAULT_THREADS, batch_size=250, probe_k=None) -> EnsembleResult:
-    """Ensemble of lattice trajectories (neighbour-sum kinetic dispersion)."""
+    """Ensemble of lattice trajectories (neighbour-sum kinetic dispersion),
+    batched and stepped in blocks as in :func:`run_continuum`."""
     if params.space is not Space.LATTICE:
         raise InputError("run_lattice requires lattice params")
     if abs(grid.spacing - 1.0) > 1e-12:

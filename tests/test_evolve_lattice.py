@@ -437,3 +437,66 @@ class TestDiagnostics:
                                                rf"edge at t={times[first]:.4g}; enlarge the box "
                                                rf"\(evolve\.y_box, now 9\)"):
             evolve_hierarchy(init, corr, params, t_max=0.3, dt=0.01, record_every=2, boundary_tol=tol)
+
+
+def _hierarchy_record_by_record(init, corr, params, t_max, dt, record_every, boundary_tol):
+    """``evolve_hierarchy`` read one record at a time in a Python loop, with
+    the same step operator: times, MSD, (trace drift, imaginary residue,
+    boundary mass), the final state vector, each record's shell mass, and
+    the box error's message or None."""
+    d, side = init.dim, init.side
+    n = side**d
+    gamma = gamma_on_box(corr, params, side)
+    step = _StepOperator(_hierarchy_generator(gamma, params.hbar / params.mass), dt)
+    n_steps = int(round(t_max / dt))
+    record_steps = sorted(set(range(0, n_steps, record_every)) | {n_steps})
+    second_idx = (d + 1 + np.arange(d)) * n
+    on_edge = np.abs(_box_axes(side)) == side // 2
+    shell = np.flatnonzero(np.any(on_edge[np.indices((side,) * d).reshape(d, -1)], axis=0))
+    shell_idx = np.concatenate([block * n + shell for block in range(1, 2 * d + 1)])
+    y = np.concatenate([init.m0.ravel(), init.m1.ravel(), init.m2.ravel()]).astype(complex)
+    trace0 = y[0]
+    second = y[second_idx].sum()
+    times, msd, shells = [0.0], [-0.25 * float(second.real)], []
+    drift, imag, boundary = 0.0, abs(second.imag), 0.0
+    for n_done, y in step.propagate(y, record_steps[1:]):
+        second = y[second_idx].sum()
+        times.append(n_done * dt)
+        msd.append(-0.25 * float(second.real))
+        drift = max(drift, abs(y[0] - trace0))
+        imag = max(imag, abs(second.imag))
+        shells.append(float(np.abs(y[shell_idx]).max()))
+        boundary = max(boundary, shells[-1])
+        if shells[-1] > boundary_tol:
+            return None, None, None, None, shells, (
+                f"moment mass {shells[-1]:.3e} reached the Y-box edge at t={n_done * dt:.4g}; "
+                f"enlarge the box (evolve.y_box, now {side})")
+    return np.array(times), np.array(msd), (drift, imag, boundary), y, shells, None
+
+
+@pytest.mark.parametrize("dim, side, t_max, record_every", [
+    (1, 9, 0.5, 7),     # 50 steps, final gap 1
+    (2, 7, 0.3, 8),     # 30 steps, final gap 6
+    (3, 5, 0.1, 3),     # 10 steps, final gap 1
+])
+def test_hierarchy_records_match_a_record_by_record_loop(dim, side, t_max, record_every):
+    params, corr = _lattice(dim)
+    init = _random_init(dim, side, seed=10 + dim)
+    series, info = evolve_hierarchy(init, corr, params, t_max=t_max, dt=0.01,
+                                    record_every=record_every, boundary_tol=np.inf)
+    times, msd, maxima, y, shells, _ = _hierarchy_record_by_record(init, corr, params, t_max, 0.01,
+                                                                   record_every, np.inf)
+    np.testing.assert_array_equal(series.times, times)
+    np.testing.assert_array_equal(series.msd, msd)
+    np.testing.assert_array_equal(
+        [info["trace_drift"], info["max_imag_residue"], info["max_boundary_mass"]], maxima)
+    state = info["state"]
+    np.testing.assert_array_equal(np.concatenate([state.m0.ravel(), state.m1.ravel(), state.m2.ravel()]), y)
+
+    # a tolerance that a middle record breaches first names that record
+    tol = sorted(shells)[len(shells) // 2]
+    *_, message = _hierarchy_record_by_record(init, corr, params, t_max, 0.01, record_every, tol)
+    with pytest.raises(BoxSizeError) as err:
+        evolve_hierarchy(init, corr, params, t_max=t_max, dt=0.01, record_every=record_every,
+                         boundary_tol=tol)
+    assert str(err.value) == message

@@ -323,6 +323,101 @@ def test_batch_peaks_at_most_3_6_wavefunction_arrays(space, scheme):
     assert peak <= 3.6
 
 
+def _block_split_case(case):
+    """(ensemble call taking batch_size and threads, n_traj, sites) of a grid
+    whose block rows are fewer than n_traj, so one batch runs as blocks."""
+    if case == "lattice-4096":
+        grid = FieldGrid.lattice(1, 4096)
+        psi, n_traj = point_state(grid), 30
+
+        def run(**kw):
+            return run_lattice(grid, psi, SHARP, P_LAT, t_max=0.15, dt=0.05, n_traj=n_traj, seed=43,
+                               record_every=2, boundary_tol=1.0, probe_k=[[0.3]], **kw)
+        return run, n_traj, grid.points_per_side
+    extra, params, corr, dt = {}, P, CORR, 0.01
+    if case == "white-64x64":
+        grid, n_traj = FieldGrid.continuum(2, 64, 32.0), 30
+        params, corr = ModelParams(dim=2), GaussianCorrelation(np.eye(2))
+    elif case == "colored-512":
+        grid, n_traj, dt = FieldGrid.continuum(1, 512, 120.0), 130, 0.0125
+        extra = {"colored": ColoredKernel(0.1)}     # q = 8
+    else:
+        grid, n_traj = FieldGrid.continuum(1, 1024, 192.0), 130
+        extra = {"probe_k": [[0.2]]}
+        if case == "ito-1024":
+            extra["scheme"] = SCHEME_ITO_EULER
+    psi = gaussian_wavepacket(grid, 1.0)
+
+    def run(**kw):
+        return run_continuum(grid, psi, corr, params, t_max=3 * dt, dt=dt, n_traj=n_traj, seed=47,
+                             record_every=2, boundary_tol=1.0, **extra, **kw)
+    return run, n_traj, psi.size
+
+
+@pytest.mark.parametrize("case", ["white-1024", "ito-1024", "colored-512", "lattice-4096",
+                                  "white-64x64"])
+def test_blocks_that_split_a_batch_keep_every_bit(case, monkeypatch):
+    run, n_traj, sites = _block_split_case(case)
+    rows = mc_simulator._block_rows(sites)
+    assert rows < n_traj
+    blocks = []
+
+    def caught(trajs, *args, _simulate=mc_simulator._simulate_batch, **kwargs):
+        out = _simulate(trajs, *args, **kwargs)
+        blocks.append((trajs[0], len(trajs), out))
+        return out
+
+    monkeypatch.setattr(mc_simulator, "_simulate_batch", caught)
+
+    def arrays(batch_size, threads):
+        blocks.clear()
+        res = run(batch_size=batch_size, threads=threads)
+        blocks.sort(key=lambda b: b[0])
+        lengths = [size for _, size, _ in blocks]
+        assert sum(lengths) == n_traj and max(lengths) <= rows
+        per_traj = [np.concatenate([out[i] for _, _, out in blocks]) for i in (0, 1)]
+        if res.kernel_probe_mean is not None:
+            per_traj.append(np.concatenate([out[2] for _, _, out in blocks]))
+        return per_traj + [res.per_traj_msd, res.msd_mean, res.msd_stderr, res.energy_mean,
+                           res.kernel_probe_mean, res.kernel_probe_stderr, res.norm_drift_max,
+                           res.boundary_mass_max, res.kspace_edge_max], len(blocks)
+
+    want, n_blocks = arrays(n_traj, 1)
+    assert n_blocks > 1   # the one batch ran as blocks
+    for batch_size in (10, 250, n_traj):
+        for threads in (1, 2):
+            got, _ = arrays(batch_size, threads)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("grid, dt, colored", [
+    (FieldGrid.continuum(1, 1024, 192.0), 0.01, None),
+    (FieldGrid.continuum(1, 512, 120.0), 0.0125, ColoredKernel(0.2)),    # q = 16
+])
+def test_ensemble_peak_follows_the_block_not_the_batch(grid, dt, colored):
+    psi = gaussian_wavepacket(grid, 1.0)
+    rows = mc_simulator._block_rows(psi.size)
+
+    def run(batch_size):
+        run_continuum(grid, psi, CORR, P, t_max=3 * dt, dt=dt, n_traj=250, seed=53, record_every=2,
+                      boundary_tol=1.0, threads=1, batch_size=batch_size, colored=colored)
+
+    def peak(batch_size):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run(batch_size)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    run(rows)   # NumPy's FFT plan cache fills on the first call
+    assert rows < 250
+    assert peak(250) <= 1.15 * peak(rows)
+
+
 class TestLattice:
     def test_free_point_state_ballistic(self):
         grid = FieldGrid.lattice(1, 128)
