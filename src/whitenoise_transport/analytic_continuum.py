@@ -67,11 +67,10 @@ class PhaseQuery:
 
 @dataclass(frozen=True)
 class MomentSeries:
-    """Mean-square displacement (and optionally kinetic energy) vs time."""
+    """Mean-square displacement vs time."""
 
     times: np.ndarray
     msd: np.ndarray
-    energy: np.ndarray = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -84,29 +83,20 @@ class MomentSeries:
             raise InputError("times must be strictly increasing")
         if m.size and np.min(m) < -1e-12 * max(float(np.max(np.abs(m))), 1.0):
             raise InputError("msd must be nonnegative")
-        if self.energy is not None:
-            e = np.asarray(self.energy, dtype=float)
-            if e.shape != t.shape:
-                raise InputError("energy must match times")
-            object.__setattr__(self, "energy", e)
 
     def to_csv(self, path_or_buf):
-        """CSV ``t,msd[,energy]`` (see ``core_model._write_csv``)."""
-        if self.energy is None:
-            _write_csv(path_or_buf, ("t", "msd"), (self.times, self.msd))
-        else:
-            _write_csv(path_or_buf, ("t", "msd", "energy"), (self.times, self.msd, self.energy))
+        """CSV ``t,msd`` (see ``core_model._write_csv``)."""
+        _write_csv(path_or_buf, ("t", "msd"), (self.times, self.msd))
 
     @classmethod
     def from_csv(cls, path_or_buf):
-        """Read ``t,msd,...`` back: columns 0 and 1, and the column named ``energy`` if any."""
+        """Read ``t,msd,...`` back: columns 0 and 1, whatever their names."""
         with _open_text(path_or_buf, "r") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            next(reader)
             rows = [[float(v) for v in row] for row in reader if row]
         data = np.asarray(rows, dtype=float)
-        energy = data[:, header.index("energy")] if "energy" in header else None
-        return cls(times=data[:, 0], msd=data[:, 1], energy=energy)
+        return cls(times=data[:, 0], msd=data[:, 1])
 
 
 class GaussianPureState:

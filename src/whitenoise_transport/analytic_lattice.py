@@ -10,9 +10,9 @@ gamma(Y) = (v0/hbar)^2 [g(0) - g(Y)] (h(0, s) = s exactly), the chain
     s       M2_m(0) = 2 c1 [M1_m(e_m) - M1_m(-e_m)] + d_m^2 K(0, 0, 0)
 
 closes after two steps (c1 = hbar/m).  Every route starts the particle on
-one site, K(0, Y, 0) = K(0, 0, 0) delta(Y): the chain's other initial
+one unit-norm site, K(0, Y, 0) = delta(Y): the chain's other initial
 probes vanish, and the transform of the second-moment sum is exactly
-(2 c1)^2 K(0, 0, 0) sum_m 1/(s^2 (s + Gamma_m)), Gamma_m = gamma(e_m).
+(2 c1)^2 sum_m 1/(s^2 (s + Gamma_m)), Gamma_m = gamma(e_m).
 It inverts in closed form; its long-time slope defines the diffusion
 constant, and a vanishing Gamma_m short-circuits to the ballistic branch.
 The rates come from ``core_model.dephasing_rate``, and a rate at or below
@@ -57,17 +57,14 @@ BALLISTIC = _Ballistic()
 @dataclass(frozen=True)
 class LatticeMomentInputs:
     """Everything the point-start moment chain needs at k = 0: ``c1`` =
-    hbar/m, ``r000`` = K(0, 0, 0) > 0 and the per-axis dephasing rates
-    ``gamma`` = Gamma_m, one per lattice axis."""
+    hbar/m and the per-axis dephasing rates ``gamma`` = Gamma_m, one per
+    lattice axis.  The start is one unit-norm site, K(0, 0, 0) = 1."""
 
     c1: float
-    r000: float
     gamma: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", np.atleast_1d(np.asarray(self.gamma, dtype=float)))
-        if not self.r000 > 0:
-            raise InputError(f"K(0,0,0) must be positive, got {self.r000}")
 
     @classmethod
     def point_localized(cls, corr, params: ModelParams):
@@ -76,14 +73,14 @@ class LatticeMomentInputs:
         g0 = float(corr.g(np.zeros(params.dim)))
         if np.any(gamma < -1e-13 * max(abs(g0), 1.0)):
             raise InputError("g(0) < g(e_m): correlation increases away from the origin")
-        return cls(c1=params.hbar / params.mass, r000=1.0, gamma=np.maximum(gamma, 0.0))
+        return cls(c1=params.hbar / params.mass, gamma=np.maximum(gamma, 0.0))
 
 
 def laplace_msd(s, inputs: LatticeMomentInputs):
     """-sum_m d^2/dk_m^2 of the transformed kernel at (k, Y) = (0, 0).
 
-    The point-start chain: M1_m(e_m) - M1_m(-e_m) = -2 c1 K(0,0,0) / (s
-    h(e_m, s)) and s M2_m(0) is 2 c1 times that.  Real at real s.  Poles:
+    The point-start chain: M1_m(e_m) - M1_m(-e_m) = -2 c1 / (s h(e_m, s))
+    and s M2_m(0) is 2 c1 times that.  Real at real s.  Poles:
     s = 0 and s = -Gamma_m.
 
     ``s`` may be a scalar, which gives a ``complex``, or an array of any
@@ -99,7 +96,7 @@ def laplace_msd(s, inputs: LatticeMomentInputs):
     if np.any(pole):
         raise PoleError(f"laplace_msd evaluated at a pole: s={s[pole][0]}, gamma={inputs.gamma}")
 
-    m1_diff = c1 * -(2.0 * inputs.r000 / s_col) / h1
+    m1_diff = c1 * -(2.0 / s_col) / h1
     s_m2 = 2.0 * c1 * m1_diff
     total = -(np.sum(s_m2, axis=-1) / s)
     return complex(total) if total.ndim == 0 else total
@@ -126,7 +123,7 @@ class LatticeMSDLaw:
 
     @classmethod
     def from_inputs(cls, inputs: LatticeMomentInputs):
-        return cls(cd=(2.0 * inputs.c1) ** 2 * float(inputs.r000), gamma=inputs.gamma)
+        return cls(cd=(2.0 * inputs.c1) ** 2, gamma=inputs.gamma)
 
     @property
     def t_ballistic_below(self) -> float:
@@ -154,20 +151,20 @@ def msd_inverse_laplace_closed_form(t, law: LatticeMSDLaw):
     return result if np.ndim(t) else float(result)
 
 
-def diffusion_constant(inputs: LatticeMomentInputs, trace: float):
-    """(2 hbar/m)^2 * trace * sum_m 1/Gamma_m, or BALLISTIC if any Gamma_m = 0.
+def diffusion_constant(inputs: LatticeMomentInputs):
+    """(2 hbar/m)^2 * sum_m 1/Gamma_m, or BALLISTIC if any Gamma_m = 0.
 
     Strictly positive whenever the disorder is on and every axis dephases.
     """
     gamma = inputs.gamma
     if np.any(gamma <= _ZERO_GAMMA):
         return BALLISTIC
-    return float((2.0 * inputs.c1) ** 2 * trace * np.sum(1.0 / gamma))
+    return float((2.0 * inputs.c1) ** 2 * np.sum(1.0 / gamma))
 
 
-def law_payload(law: LatticeMSDLaw, inputs: LatticeMomentInputs, trace: float) -> dict:
+def law_payload(law: LatticeMSDLaw, inputs: LatticeMomentInputs) -> dict:
     """{Cd, gamma[], D or "ballistic"}, ready for a JSON writer."""
-    d = diffusion_constant(inputs, trace)
+    d = diffusion_constant(inputs)
     return {
         "Cd": law.cd,
         "gamma": [float(g) for g in law.gamma],

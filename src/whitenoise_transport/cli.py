@@ -331,7 +331,7 @@ def _route_analytic_msd(s: _Setup, out_dir):
 def _route_lattice_law(s: _Setup, out_dir):
     inputs = LatticeMomentInputs.point_localized(s.corr, s.params)
     law = LatticeMSDLaw.from_inputs(inputs)
-    payload = law_payload(law, inputs, 1.0)
+    payload = law_payload(law, inputs)
     _write_json(out_dir / "law.json", payload)
     times = s.times[s.times >= 0]
     series = MomentSeries(times=times, msd=msd_inverse_laplace_closed_form(times, law))
@@ -365,9 +365,8 @@ def _route_mc(s: _Setup, out_dir):
 def _route_classical(s: _Setup, out_dir):
     params = s.params
     result = run_classical(s.corr, params, **s.ensemble)
-    result.to_series().to_csv(out_dir / "msd_classical.csv")
-    vseries = MomentSeries(times=result.times, msd=np.maximum(result.vvar_mean, 0.0))
-    vseries.to_csv(out_dir / "velocity_variance.csv")
+    MomentSeries(times=result.times, msd=result.msd_mean).to_csv(out_dir / "msd_classical.csv")
+    _write_csv(out_dir / "velocity_variance.csv", ("t", "vvar"), (result.times, result.vvar_mean))
     fit = fit_power_law(result.times, result.msd_mean, window=s.window)
     _write_json(out_dir / "fit.json", fit.to_dict())
 

@@ -83,6 +83,12 @@ def _record_steps(n_steps: int, record_every) -> np.ndarray:
     return steps
 
 
+def _minimum_image(n: int) -> np.ndarray:
+    """Integer offsets of the n sites of a periodic axis from site 0, each
+    taken as its nearest periodic image: 0, 1, ..., then -(n // 2), ..., -1."""
+    return (np.arange(n) + n // 2) % n - n // 2
+
+
 def _on_some_axis(flags, dim: int) -> np.ndarray:
     """Boolean mask over a ``dim``-D cube of side ``len(flags)``: the sites
     whose index along some axis is flagged in the 1-D ``flags``."""
@@ -359,9 +365,8 @@ def _spectrum_grid(corr, params: ModelParams):
         extent = corr.table_extent()
         # keep grid corners inside the evaluable radius of tabulated g
         spacing = 2.0 * extent / (n * np.sqrt(d))
-    axes = np.indices((n,) * d).reshape(d, -1).T
-    coords = ((axes + n // 2) % n - n // 2) * spacing  # minimum image around 0
-    return coords.reshape((n,) * d + (d,)), (n,) * d
+    axes = np.meshgrid(*[_minimum_image(n) * spacing] * d, indexing="ij")
+    return np.stack(axes, axis=-1), (n,) * d
 
 
 def validate_hypotheses(corr, params: ModelParams) -> HypothesisReport:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic_continuum import MomentSeries
-from .core_model import ModelParams, _on_some_axis, _record_steps, dephasing_rate, step_count
+from .core_model import ModelParams, _minimum_image, _on_some_axis, _record_steps, dephasing_rate, step_count
 from .errors import BoxSizeError, InputError, StabilityError
 
 __all__ = [
@@ -55,17 +55,11 @@ __all__ = [
 MSD_KLAPLACIAN_FACTOR = 0.25
 
 
-def _box_axes(side: int) -> np.ndarray:
-    """Minimum-image integer coordinates along one axis of an odd box."""
-    idx = np.arange(side)
-    return (idx + side // 2) % side - side // 2
-
-
 def gamma_on_box(corr, params: ModelParams, side: int) -> np.ndarray:
     """Dephasing rate (v0/hbar)^2 [g(0) - g(Y)] over the Y-box."""
     if getattr(corr, "dim", params.dim) != params.dim:
         raise InputError(f"model has dim {params.dim}, correlation has dim {corr.dim}")
-    axes = np.meshgrid(*[_box_axes(side)] * params.dim, indexing="ij")
+    axes = np.meshgrid(*[_minimum_image(side)] * params.dim, indexing="ij")
     return dephasing_rate(corr, params, np.stack(axes, axis=-1).astype(float))
 
 
@@ -305,7 +299,7 @@ def evolve_hierarchy(init: LatticeInitialData, corr, params: ModelParams, t_max:
     # y = [m0, m1_1..m1_d, m2_1..m2_d], each block a C-order box whose flat
     # index 0 is Y = 0; the shell is the sites with |Y_j| = side // 2 on some axis j
     second_idx = (d + 1 + np.arange(d)) * n
-    on_edge = np.abs(_box_axes(side)) == side // 2
+    on_edge = np.abs(_minimum_image(side)) == side // 2
     shell = np.flatnonzero(_on_some_axis(on_edge, d))
     shell_idx = (np.arange(1, 2 * d + 1)[:, None] * n + shell).ravel()
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic_continuum import MomentSeries, msd_closed_form
+from .analytic_continuum import msd_closed_form
 from .core_model import (ModelParams, Space, _check_counts, _on_some_axis, _record_steps, _write_csv,
                          step_count)
 from .errors import BoxSizeError, InputError, StabilityError
@@ -104,9 +104,6 @@ class ClassicalResult:
     n_traj: int
     per_traj_msd: np.ndarray
 
-    def to_series(self) -> MomentSeries:
-        return MomentSeries(times=self.times, msd=self.msd_mean)
-
 
 def gaussian_wavepacket(grid: FieldGrid, sigma) -> np.ndarray:
     """Zero-momentum product Gaussian, unit norm in the grid measure; one
@@ -129,24 +126,6 @@ def point_state(grid: FieldGrid) -> np.ndarray:
     psi = np.zeros(grid.shape, dtype=complex)
     psi[(0,) * grid.dim] = 1.0 / math.sqrt(grid.spacing**grid.dim)
     return psi
-
-
-def _h0_multiplier(grid: FieldGrid, params: ModelParams) -> np.ndarray:
-    """Kinetic energy H0 per Fourier mode of ``grid`` (``fftn`` ordering)."""
-    n = grid.points_per_side
-    freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
-    axes = np.meshgrid(*[freqs] * grid.dim, indexing="ij")
-    if params.space is Space.CONTINUUM:
-        return params.hbar**2 * sum(a**2 for a in axes) / (2.0 * params.mass)
-    # neighbour-sum Laplacian: H0 multiplier -(hbar^2/m) sum_j cos(theta_j)
-    return -(params.hbar**2 / params.mass) * sum(np.cos(a * grid.spacing) for a in axes)
-
-
-def _kinetic_multipliers(grid: FieldGrid, params: ModelParams, dt: float):
-    """exp(-i H0 dt / (2 hbar)) per Fourier mode (half step), and its square."""
-    h0 = _h0_multiplier(grid, params)
-    half = np.exp(-1j * h0 * dt / (2.0 * params.hbar))
-    return half, half * half
 
 
 def _run_batches(work, n_traj, batch_size, threads) -> list:
@@ -197,26 +176,36 @@ def _mean_stderr(samples: np.ndarray):
 
 
 class _Observables:
-    """Per-batch observable extraction on the x-space wavefunction."""
+    """An ensemble's per-trajectory tables, filled record by record from
+    the x-space wavefunction: ``norm``, ``msd``, ``energy``, ``boundary``
+    and ``kedge`` (None on the lattice) of shape (n_traj, n_rec), and
+    ``probes`` (n_traj, n_k, n_rec), None without ``probe_k``."""
 
-    def __init__(self, grid: FieldGrid, params: ModelParams, probe_k=None):
+    def __init__(self, grid: FieldGrid, params: ModelParams, n_traj, n_rec, probe_k=None):
         self.grid = grid
+        self.axes = tuple(range(1, grid.dim + 1))
         self.w = grid.spacing**grid.dim
-        axes = np.meshgrid(*[grid.axis_coords()] * grid.dim, indexing="ij")
+        coords1 = grid.axis_coords()
+        axes = np.meshgrid(*[coords1] * grid.dim, indexing="ij")
         self.r2 = sum(a**2 for a in axes)
-        self.h0 = _h0_multiplier(grid, params)
         n = grid.points_per_side
         edge = max(1, n // 128)
-        coords1 = grid.axis_coords()
         lim = (n // 2 - edge + 1) * grid.spacing
         self.edge_mask = _on_some_axis(np.abs(coords1) >= lim, grid.dim)
-        # flat fftn-order indices of the modes with |k_axis| >= 7/8 k_max on
-        # some axis; k_axis = 2 pi m / (n a) and k_max = pi / a, so |m| >= 7n/16
-        self.kedge_idx = None
+        self.norm, self.msd, self.energy, self.boundary = (np.empty((n_traj, n_rec)) for _ in range(4))
+        # kinetic energy H0 per Fourier mode (fftn ordering)
+        k_axes = np.meshgrid(*[2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)] * grid.dim, indexing="ij")
         if params.space is Space.CONTINUUM:
+            self.h0 = params.hbar**2 * sum(k**2 for k in k_axes) / (2.0 * params.mass)
+            # flat fftn-order indices of the modes with |k_axis| >= 7/8 k_max on
+            # some axis; k_axis = 2 pi m / (n a) and k_max = pi / a, so |m| >= 7n/16
             on_edge = 16 * np.abs(np.fft.fftfreq(n, 1.0 / n)) >= 7 * n
             self.kedge_idx = np.flatnonzero(_on_some_axis(on_edge, grid.dim))
-        self.probe_k = probe_k
+            self.kedge = np.empty((n_traj, n_rec))
+        else:  # neighbour-sum Laplacian: H0 multiplier -(hbar^2/m) sum_j cos(theta_j)
+            self.h0 = -(params.hbar**2 / params.mass) * sum(np.cos(k * grid.spacing) for k in k_axes)
+            self.kedge_idx = self.kedge = None
+        self.probes = None
         if probe_k is not None:
             pk = np.atleast_2d(np.asarray(probe_k, dtype=float))
             coords = np.stack(axes, axis=-1)
@@ -224,8 +213,11 @@ class _Observables:
             self.probe_waves = np.stack(
                 [np.exp(2j * np.einsum("...i,i->...", coords, k)) for k in pk]
             )
+            self.probes = np.empty((n_traj, len(pk), n_rec), dtype=complex)
 
-    def measure(self, psi, psi_k, fft_axes):
+    def measure(self, rows, pos, psi, psi_k):
+        """Observables of the states ``psi`` (x space) into the tables' ``rows``
+        (a slice) at record ``pos``; ``psi_k`` are their transforms."""
         # |psi_k|^2 are psi's mode populations (psi_k = fftn(psi) up to a
         # phase per mode), which give the energy.
         # msd is the raw second moment of |psi|^2, not divided by the norm:
@@ -235,28 +227,27 @@ class _Observables:
         # therefore shows up directly in this estimator.
         # One real array per space: squared in place, then weighted in place
         # once the unweighted sums are taken.
+        axes = self.axes
         density = np.abs(psi)
         np.square(density, out=density)
-        norm = np.sum(density, axis=fft_axes) * self.w
-        boundary = np.sum(density * self.edge_mask, axis=fft_axes) * self.w / norm
-        probes = None
-        if self.probe_k is not None:
-            probes = (
-                np.stack([np.sum(density * wv, axis=fft_axes) * self.w for wv in self.probe_waves], axis=1)
+        norm = np.sum(density, axis=axes) * self.w
+        self.norm[rows, pos] = norm
+        self.boundary[rows, pos] = np.sum(density * self.edge_mask, axis=axes) * self.w / norm
+        if self.probes is not None:
+            self.probes[rows, :, pos] = (
+                np.stack([np.sum(density * wv, axis=axes) * self.w for wv in self.probe_waves], axis=1)
                 * 2.0**self.grid.dim
             )
         density *= self.r2
-        msd = np.sum(density, axis=fft_axes) * self.w
+        self.msd[rows, pos] = np.sum(density, axis=axes) * self.w
         del density
         dens_k = np.abs(psi_k)
         np.square(dens_k, out=dens_k)
-        total_k = np.sum(dens_k, axis=fft_axes)
-        kedge = None
-        if self.kedge_idx is not None:
-            kedge = dens_k.reshape(len(dens_k), -1)[:, self.kedge_idx].sum(axis=1) / total_k
+        total_k = np.sum(dens_k, axis=axes)
+        if self.kedge is not None:
+            self.kedge[rows, pos] = dens_k.reshape(len(dens_k), -1)[:, self.kedge_idx].sum(axis=1) / total_k
         dens_k *= self.h0
-        energy = np.sum(dens_k, axis=fft_axes) / total_k
-        return norm, msd, energy, boundary, kedge, probes
+        self.energy[rows, pos] = np.sum(dens_k, axis=axes) / total_k
 
 
 def _potential_phase(w, hbar, out):
@@ -277,52 +268,31 @@ def _potential_phase(w, hbar, out):
     return out
 
 
-def _simulate_batch(traj_indices, grid, psi0, corr, params, dt, n_steps, record_steps, seed,
-                    amplitude, scheme, boundary_tol, obs, colored: ColoredKernel = None):
-    """Propagate the trajectories ``traj_indices``, one block of a batch (see
-    :func:`_blocks`); returns per-trajectory observable arrays (``corr`` is
-    unused)."""
-    B = len(traj_indices)
-    d = grid.dim
-    fft_axes = tuple(range(1, d + 1))
-    psi = np.broadcast_to(psi0, (B,) + grid.shape).astype(complex).copy()
-    half, full = _kinetic_multipliers(grid, params, dt)
-    inv_hbar = 1.0 / params.hbar
-
-    n_rec = record_steps.size
-    msd = np.empty((B, n_rec))
-    energy = np.empty((B, n_rec))
-    norms = np.empty((B, n_rec))
-    boundary_max = 0.0
-    kedge_max = None if obs.kedge_idx is None else 0.0
-    probes = None
-
+def _simulate_batch(traj_indices, obs, psi0, half, full, dt, n_steps, record_steps, seed,
+                    amplitude, params, scheme, boundary_tol, colored: ColoredKernel = None):
+    """Propagate the consecutive trajectories ``traj_indices``, one block of a
+    batch (see :func:`_blocks`), and fill their rows of ``obs``'s tables at
+    every record step.  ``half`` is the kinetic multiplier
+    exp(-i H0 dt / (2 hbar)) per Fourier mode and ``full`` its square."""
+    rows = slice(traj_indices[0], traj_indices[-1] + 1)
+    fft_axes = obs.axes
+    psi = np.broadcast_to(psi0, (len(traj_indices),) + obs.grid.shape).astype(complex).copy()
+    box_key = "grid.length" if params.space is Space.CONTINUUM else "lattice_box.sites"
     increments = field_increments(amplitude, dt, seed, traj_indices, colored)
 
     def record(pos, psi_rec, psi_k):
-        nonlocal boundary_max, kedge_max, probes
-        nrm, m, e, bd, ke, pr = obs.measure(psi_rec, psi_k, fft_axes)
-        norms[:, pos] = nrm
-        msd[:, pos] = m
-        energy[:, pos] = e
-        boundary_max = max(boundary_max, float(bd.max()))
-        if ke is not None:
-            kedge_max = max(kedge_max, float(ke.max()))
-        if pr is not None:
-            if probes is None:
-                probes = np.empty((B, pr.shape[1], n_rec), dtype=complex)
-            probes[:, :, pos] = pr
+        obs.measure(rows, pos, psi_rec, psi_k)
         t = record_steps[pos] * dt
-        nan = np.isnan(m)
+        nan = np.isnan(obs.msd[rows, pos])
         if nan.any():
             traj = traj_indices[int(np.argmax(nan))]
             raise StabilityError(
                 f"NaN in the mean-square displacement of trajectory {traj} at t={t:.6g}; "
                 f"evolution unstable, reduce time.dt (now {dt:g})"
             )
-        if boundary_max > boundary_tol:
+        bd = obs.boundary[rows, pos]
+        if bd.max() > boundary_tol:
             worst = int(np.argmax(bd > boundary_tol))
-            box_key = "grid.length" if params.space is Space.CONTINUUM else "lattice_box.sites"
             raise BoxSizeError(
                 f"boundary mass {bd[worst]:.3e} of trajectory {traj_indices[worst]} at t={t:.6g} "
                 f"exceeds mc.boundary_tol={boundary_tol:.1e}; enlarge the box ({box_key}) "
@@ -345,10 +315,9 @@ def _simulate_batch(traj_indices, grid, psi0, corr, params, dt, n_steps, record_
     psi_hat = np.fft.fftn(psi, axes=fft_axes)
     record(0, psi, psi_hat)
     rec_pos = 1
-    if n_steps > 0:
-        psi_hat *= half
-        psi = np.fft.ifftn(psi_hat, axes=fft_axes)
-        del psi_hat
+    psi_hat *= half
+    psi = np.fft.ifftn(psi_hat, axes=fft_axes)
+    del psi_hat
 
     for n in range(n_steps):
         # the potential factor dies with the multiply and the increment
@@ -361,7 +330,7 @@ def _simulate_batch(traj_indices, grid, psi0, corr, params, dt, n_steps, record_
             # product's rounding depends on its operand order, so the order
             # is fixed here, not left to NumPy's temporary elision, which
             # picks it by array size.
-            factor = np.multiply(1j * inv_hbar, w_field)
+            factor = np.multiply(1j / params.hbar, w_field)
             np.subtract(1.0, factor, out=factor)
             psi = np.multiply(factor, psi, out=factor)
             del factor  # psi is then the array's only name, which the FFT drops
@@ -377,12 +346,11 @@ def _simulate_batch(traj_indices, grid, psi0, corr, params, dt, n_steps, record_
             psi = np.fft.ifftn(psi_hat, axes=fft_axes)
             del psi_hat
 
-    norm_drift = float(np.max(np.abs(norms - norms[:, :1]))) if n_rec else 0.0
-    return msd, energy, probes, norm_drift, boundary_max, kedge_max
-
 
 def _run_quantum(grid, psi0, corr, params, t_max, dt, n_traj, seed, record_every, boundary_tol,
                  scheme, threads, batch_size, probe_k, colored):
+    """The ensemble of :func:`run_continuum` and :func:`run_lattice`: its blocks
+    fill one :class:`_Observables`, whose tables give every result field."""
     if grid.dim != params.dim:
         raise InputError(f"model has dim {params.dim}, grid has dim {grid.dim}")
     if np.shape(psi0) != grid.shape:
@@ -395,38 +363,35 @@ def _run_quantum(grid, psi0, corr, params, t_max, dt, n_traj, seed, record_every
     _check_counts(n_traj=n_traj, batch_size=batch_size)
     record_steps = _record_steps(n_steps, record_every)
     amplitude = spectral_amplitude(grid, corr, params)
-    obs = _Observables(grid, params, probe_k=probe_k)
-
+    obs = _Observables(grid, params, n_traj, record_steps.size, probe_k)
+    half = np.exp(-1j * obs.h0 * dt / (2.0 * params.hbar))
+    full = half * half
     rows = _block_rows(math.prod(grid.shape))
 
     def work(trajs):
         # a block's trajectories draw, transform and measure as they would
-        # in any batch, so the blocks' results concatenate to the batch's
-        return [_simulate_batch(block, grid, psi0, corr, params, dt, n_steps, record_steps, seed,
-                                amplitude, scheme, boundary_tol, obs, colored=colored)
-                for block in _blocks(trajs, rows)]
+        # in any batch, so the blocks fill the batch's rows as the batch would
+        for block in _blocks(trajs, rows):
+            _simulate_batch(block, obs, psi0, half, full, dt, n_steps, record_steps, seed, amplitude,
+                            params, scheme, boundary_tol, colored)
 
-    results = [r for blocks in _run_batches(work, n_traj, batch_size, threads) for r in blocks]
-    msd = np.concatenate([r[0] for r in results], axis=0)
-    energy = np.concatenate([r[1] for r in results], axis=0)
-    msd_mean, msd_stderr = _mean_stderr(msd)
-
+    _run_batches(work, n_traj, batch_size, threads)
+    msd_mean, msd_stderr = _mean_stderr(obs.msd)
     kp_mean = kp_err = None
-    if probe_k is not None:
-        probe_arr = np.concatenate([r[2] for r in results], axis=0)  # (n_traj, n_k, n_rec)
-        kp_mean = probe_arr.mean(axis=0)
-        kp_err = (probe_arr.real.std(axis=0, ddof=1) + 1j * probe_arr.imag.std(axis=0, ddof=1)) / math.sqrt(n_traj)
+    if obs.probes is not None:
+        kp_mean = obs.probes.mean(axis=0)
+        kp_err = (obs.probes.real.std(axis=0, ddof=1) + 1j * obs.probes.imag.std(axis=0, ddof=1)) / math.sqrt(n_traj)
 
     return EnsembleResult(
         times=record_steps * dt,
         msd_mean=msd_mean,
         msd_stderr=msd_stderr,
-        energy_mean=_mean(energy),
+        energy_mean=_mean(obs.energy),
         n_traj=n_traj,
-        per_traj_msd=msd,
-        norm_drift_max=max(r[3] for r in results),
-        boundary_mass_max=max(r[4] for r in results),
-        kspace_edge_max=None if obs.kedge_idx is None else max(r[5] for r in results),
+        per_traj_msd=obs.msd,
+        norm_drift_max=float(np.max(np.abs(obs.norm - obs.norm[:, :1]))),
+        boundary_mass_max=float(obs.boundary.max()),
+        kspace_edge_max=None if obs.kedge is None else float(obs.kedge.max()),
         kernel_probe_mean=kp_mean,
         kernel_probe_stderr=kp_err,
     )
@@ -443,10 +408,12 @@ def run_continuum(grid: FieldGrid, psi0, corr, params: ModelParams, t_max, dt, n
     takes a batch of ``batch_size`` trajectories at a time and steps it in
     blocks whose wavefunction array stays within 1 MiB (``TRAJ_GROUP``
     rows at least), so a worker's memory follows the grid, not
-    ``batch_size``; the results depend on neither.  The run aborts with
-    :class:`BoxSizeError` when any trajectory's mass within the outermost
-    grid shell exceeds ``boundary_tol`` (minimum-image distances stop
-    being meaningful), and with :class:`StabilityError` on NaN.
+    ``batch_size``.  Each block writes its own rows of the ensemble's
+    per-trajectory tables, so the results depend on neither.  The run
+    aborts with :class:`BoxSizeError` when any trajectory's mass within
+    the outermost grid shell exceeds ``boundary_tol`` (minimum-image
+    distances stop being meaningful), and with :class:`StabilityError` on
+    NaN.
     """
     if params.space is not Space.CONTINUUM:
         raise InputError("run_continuum requires continuum params")
@@ -521,7 +488,9 @@ def run_classical(corr, params: ModelParams, v0_init, t_max, dt, n_traj, seed,
     d 2^d normals per trajectory and applies the exact factor of R, so the
     law of every trajectory is the one of the interpolated field gradient.
     At grid points the kick covariance equals the discrete field's gradient
-    covariance, v0^2 (-Hess g)(0) dt up to the grid's resolution.
+    covariance, v0^2 (-Hess g)(0) dt up to the grid's resolution.  Each
+    batch writes its own rows of the ensemble's (n_traj, records) MSD and
+    velocity-variance tables.
     """
     n_steps = step_count(t_max, dt)
     _check_counts(n_traj=n_traj, batch_size=batch_size)
@@ -538,18 +507,17 @@ def run_classical(corr, params: ModelParams, v0_init, t_max, dt, n_traj, seed,
     n_corners = 2**dim
     n_normals = factor.shape[0]
 
+    msd = np.empty((n_traj, record_steps.size))
+    vvar = np.empty((n_traj, record_steps.size))
+
     def work(trajs):
         B = len(trajs)
+        rows = slice(trajs[0], trajs[-1] + 1)
         q = np.zeros((B, dim))
         v = np.tile(v0_init, (B, 1))
-        n_rec = record_steps.size
-        msd = np.empty((B, n_rec))
-        vvar = np.empty((B, n_rec))
-        pos = 0
-        if record_steps[0] == 0:
-            msd[:, 0] = np.sum(q**2, axis=1)
-            vvar[:, 0] = np.sum(v**2, axis=1)
-            pos = 1
+        msd[rows, 0] = np.sum(q**2, axis=1)
+        vvar[rows, 0] = np.sum(v**2, axis=1)
+        pos = 1
         for step in range(n_steps):
             row = step % _KICK_BLOCK
             if row == 0:
@@ -573,23 +541,21 @@ def run_classical(corr, params: ModelParams, v0_init, t_max, dt, n_traj, seed,
                 kick = kick + w[:, None] * u[:, row, :, c]
             v = v - kick / params.mass
             q = q + v * dt
-            if pos < n_rec and record_steps[pos] == step + 1:
-                msd[:, pos] = np.sum(q**2, axis=1)
-                vvar[:, pos] = np.sum(v**2, axis=1)
+            if record_steps[pos] == step + 1:
+                msd[rows, pos] = np.sum(q**2, axis=1)
+                vvar[rows, pos] = np.sum(v**2, axis=1)
                 pos += 1
-        nan = np.isnan(msd)
+        nan = np.isnan(msd[rows])
         if nan.any():
             row = int(np.argmax(nan.any(axis=1)))
             t = record_steps[int(np.argmax(nan[row]))] * dt
             raise StabilityError(
                 f"NaN in classical trajectory {trajs[row]} at t={t:.6g}; reduce time.dt (now {dt:g})"
             )
-        return msd, vvar
 
-    results = _run_batches(work, n_traj, batch_size, threads)
-    msd = np.concatenate([r[0] for r in results], axis=0)
+    _run_batches(work, n_traj, batch_size, threads)
     msd_mean, msd_stderr = _mean_stderr(msd)
-    vvar_mean, vvar_stderr = _mean_stderr(np.concatenate([r[1] for r in results], axis=0))
+    vvar_mean, vvar_stderr = _mean_stderr(vvar)
     return ClassicalResult(times=record_steps * dt, msd_mean=msd_mean, msd_stderr=msd_stderr,
                            vvar_mean=vvar_mean, vvar_stderr=vvar_stderr, n_traj=n_traj,
                            per_traj_msd=msd)

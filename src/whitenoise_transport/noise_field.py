@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import ModelParams
+from .core_model import ModelParams, _minimum_image
 from .errors import CovarianceError, InputError, ResolutionError
 from .rng import KIND_FIELD, KIND_FIELD_COLORED, normals
 
@@ -85,9 +85,7 @@ class FieldGrid:
 
     def axis_coords(self) -> np.ndarray:
         """Minimum-image site coordinates along one axis, centred on 0."""
-        n = self.points_per_side
-        idx = np.arange(n)
-        return ((idx + n // 2) % n - n // 2) * self.spacing
+        return _minimum_image(self.points_per_side) * self.spacing
 
     def separations(self) -> np.ndarray:
         """Array of minimum-image separation vectors, shape ``shape + (dim,)``."""

@@ -211,7 +211,7 @@ class TestCriterion4BallisticLimits:
         xs = np.arange(-64, 65) / 16.0
         flat = TabulatedCorrelation(xs, np.cos(np.pi * xs) ** 2)
         inputs = LatticeMomentInputs.point_localized(flat, P_LAT)
-        d = diffusion_constant(inputs, trace=1.0)
+        d = diffusion_constant(inputs)
         ok_flag = d == BALLISTIC
 
         series, _ = evolve_hierarchy(LatticeInitialData.point(1, 9), flat, P_LAT,

@@ -214,20 +214,18 @@ class TestLaplaceKernel1d:
 
 class TestMomentSeries:
     def test_csv_round_trip(self, tmp_path):
-        s = MomentSeries(times=np.array([0.0, 0.5, 1.0]), msd=np.array([1.0, 1.5, 3.0]),
-                         energy=np.array([0.1, 0.2, 0.3]))
+        s = MomentSeries(times=np.array([0.0, 0.5, 1.0]), msd=np.array([1.0, 1.5, 3.0]))
         path = tmp_path / "series.csv"
         s.to_csv(path)
         text = path.read_text()
-        assert text.startswith("t,msd,energy\n")
+        assert text.startswith("t,msd\n")
         assert "\r" not in text
         back = MomentSeries.from_csv(path)
         np.testing.assert_array_equal(back.times, s.times)
         np.testing.assert_array_equal(back.msd, s.msd)
-        np.testing.assert_array_equal(back.energy, s.energy)
 
     def test_ensemble_csv_round_trip(self, tmp_path):
-        # an ensemble CSV is t,msd,stderr,energy: energy is the column so named
+        # an ensemble CSV is t,msd,stderr,energy: msd is column 1
         times = np.array([0.0, 0.5, 1.0])
         res = EnsembleResult(times=times, msd_mean=np.array([1.0, 1.5, 3.0]),
                              msd_stderr=np.array([0.0, 0.0011, 0.0037]),
@@ -238,13 +236,11 @@ class TestMomentSeries:
         back = MomentSeries.from_csv(path)
         np.testing.assert_array_equal(back.times, times)
         np.testing.assert_array_equal(back.msd, res.msd_mean)
-        np.testing.assert_array_equal(back.energy, res.energy_mean)
 
     def test_csv_without_energy_column(self):
         buf = io.StringIO("t,msd_mc,msd_closed_form,ratio\n1,2,4,0.5\n2,3,6,0.5\n")
         back = MomentSeries.from_csv(buf)
         np.testing.assert_array_equal(back.msd, [2.0, 3.0])
-        assert back.energy is None
 
     def test_seventeen_digit_precision(self):
         val = 1.2345678901234567

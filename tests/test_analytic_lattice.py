@@ -43,7 +43,7 @@ class TestLaplaceMsd:
     @pytest.mark.parametrize("gamma", [[1.0], [0.0], [0.7, 1.9], [0.0, 0.4, 2.5]])
     def test_is_the_transform_of_the_closed_form_law(self, gamma):
         # a point start leaves only the leading term: Cd sum_m 1/(s^2 (s + Gamma_m))
-        inputs = LatticeMomentInputs(c1=0.8, r000=1.2, gamma=gamma)
+        inputs = LatticeMomentInputs(c1=0.8, gamma=gamma)
         cd = LatticeMSDLaw.from_inputs(inputs).cd
         s = np.array([1e-3, 0.1, 1.0 + 2.0j, 17.3, -0.2 + 0.5j, 3.0 - 1.0j, 1e3])
         exact = cd * np.sum(1.0 / (s[:, np.newaxis] ** 2 * (s[:, np.newaxis] + gamma)), axis=-1)
@@ -56,8 +56,8 @@ class TestLaplaceMsd:
             laplace_msd(-1.0, point_inputs)  # s = -gamma
 
     @pytest.mark.parametrize("inputs", [
-        LatticeMomentInputs(c1=1.3, r000=0.9, gamma=[0.7]),
-        LatticeMomentInputs(c1=0.8, r000=1.2, gamma=[0.7, 1.9]),
+        LatticeMomentInputs(c1=1.3, gamma=[0.7]),
+        LatticeMomentInputs(c1=0.8, gamma=[0.7, 1.9]),
     ], ids=["1d", "2d"])
     def test_array_equals_scalar_calls(self, inputs):
         s = np.array([[0.1, 1.0 + 2.0j, 17.3, -0.2 + 0.5j],
@@ -70,16 +70,12 @@ class TestLaplaceMsd:
         assert type(laplace_msd(0.1, inputs)) is complex
 
     def test_pole_anywhere_in_array(self):
-        inputs = LatticeMomentInputs(c1=1.0, r000=1.0, gamma=[0.7, 1.9])
+        inputs = LatticeMomentInputs(c1=1.0, gamma=[0.7, 1.9])
         # s = 0, and one axis's h(e_m, s) vanishing
         for pole in (0.0, -1.9):
             s = np.array([0.5, 1.0 + 1.0j, pole, 2.0])
             with pytest.raises(PoleError, match=re.escape(f"s={complex(pole)},")):
                 laplace_msd(s, inputs)
-
-    def test_r000_must_be_positive(self):
-        with pytest.raises(InputError, match=re.escape("K(0,0,0) must be positive, got 0.0")):
-            LatticeMomentInputs(c1=1.0, r000=0.0, gamma=[1.0])
 
 
 class TestClosedFormLaw:
@@ -107,7 +103,7 @@ class TestClosedFormLaw:
         # closed form on t in [0.1, 50] for several decay rates
         ts = np.linspace(0.1, 50, 40)
         for g in (0.5, 1.0, 2.0):
-            inputs = LatticeMomentInputs(c1=1.0, r000=1.0, gamma=[g])
+            inputs = LatticeMomentInputs(c1=1.0, gamma=[g])
             law = LatticeMSDLaw.from_inputs(inputs)
             num = inverse_laplace_numeric(lambda s: laplace_msd(s, inputs), ts)
             exact = msd_inverse_laplace_closed_form(ts, law)
@@ -139,34 +135,34 @@ class TestClosedFormLaw:
 class TestDiffusionConstant:
     def test_worked_example(self):
         # hbar=m=1, v0=1, g(0)-g(e1)=0.5, trace=1: D = 4 / 0.5 = 8
-        inputs = LatticeMomentInputs(c1=1.0, r000=1.0, gamma=[0.5])
-        assert diffusion_constant(inputs, trace=1.0) == pytest.approx(8.0)
+        inputs = LatticeMomentInputs(c1=1.0, gamma=[0.5])
+        assert diffusion_constant(inputs) == pytest.approx(8.0)
 
     def test_ballistic_flag(self):
-        inputs = LatticeMomentInputs(c1=1.0, r000=1.0, gamma=[0.0, 1.0])
-        assert diffusion_constant(inputs, trace=1.0) == BALLISTIC
+        inputs = LatticeMomentInputs(c1=1.0, gamma=[0.0, 1.0])
+        assert diffusion_constant(inputs) == BALLISTIC
 
     def test_quartic_suppression_in_disorder_strength(self, sharp_corr):
         d1 = diffusion_constant(
-            LatticeMomentInputs.point_localized(sharp_corr, ModelParams(v0=1.0, space=Space.LATTICE)), 1.0)
+            LatticeMomentInputs.point_localized(sharp_corr, ModelParams(v0=1.0, space=Space.LATTICE)))
         d2 = diffusion_constant(
-            LatticeMomentInputs.point_localized(sharp_corr, ModelParams(v0=2.0, space=Space.LATTICE)), 1.0)
+            LatticeMomentInputs.point_localized(sharp_corr, ModelParams(v0=2.0, space=Space.LATTICE)))
         assert d2 == pytest.approx(d1 / 4.0, rel=1e-12)
 
     def test_positive_whenever_all_channels_decay(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             gam = rng.uniform(0.01, 3.0, size=3)
-            inputs = LatticeMomentInputs(c1=0.7, r000=2.0, gamma=gam)
-            assert diffusion_constant(inputs, trace=1.0) > 0
+            inputs = LatticeMomentInputs(c1=0.7, gamma=gam)
+            assert diffusion_constant(inputs) > 0
 
 
 def test_law_json_export(point_inputs):
     law = LatticeMSDLaw.from_inputs(point_inputs)
-    payload = law_payload(law, point_inputs, trace=1.0)
+    payload = law_payload(law, point_inputs)
     assert payload["Cd"] == pytest.approx(4.0)
     assert payload["gamma"] == [pytest.approx(1.0)]
     assert payload["D"] == pytest.approx(4.0)
-    flat = LatticeMomentInputs(c1=1.0, r000=1.0, gamma=[0.0])
-    payload2 = law_payload(LatticeMSDLaw.from_inputs(flat), flat, trace=1.0)
+    flat = LatticeMomentInputs(c1=1.0, gamma=[0.0])
+    payload2 = law_payload(LatticeMSDLaw.from_inputs(flat), flat)
     assert payload2["D"] == "ballistic"

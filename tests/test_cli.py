@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from whitenoise_transport import MomentSeries, cli
+from whitenoise_transport import MomentSeries, cli, fit_power_law
 from whitenoise_transport.cli import (DEFAULT_CONFIG, emit_plot_data, load_config, main, run,
                                       save_config)
 from whitenoise_transport.errors import ConfigError, InputError
@@ -168,6 +168,20 @@ def test_classical_route_batches_by_config(tmp_path, monkeypatch):
     assert batch_sizes == [3, 500]
     for data in ("msd_classical.csv", "velocity_variance.csv", "fit.json"):
         assert (tmp_path / "a" / data).read_bytes() == (tmp_path / "b" / data).read_bytes()
+
+
+def test_velocity_variance_csv_names_its_column_and_fits(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, classical={"v0_init": [0.0]}, mc={"n_traj": 40},
+                    time={"t_max": 0.1, "dt": 0.01, "record_every": 1},
+                    fit={"window": [0.01, 0.1]}, out_dir=str(tmp_path / "o"))
+    assert run(cfg, route="classical", threads=1) == 0
+    path = tmp_path / "o" / "velocity_variance.csv"
+    assert path.read_text().startswith("t,vvar\n")
+    capsys.readouterr()
+    assert main(["fit", str(path), "--t-lo", "0.01", "--t-hi", "0.1"]) == 0
+    t, vvar = np.loadtxt(path, delimiter=",", skiprows=1).T
+    want = fit_power_law(t, vvar, window=(0.01, 0.1))
+    assert json.loads(capsys.readouterr().out)["exponent"] == want.exponent
 
 
 def test_numeric_failure_exit_code(tmp_path):

@@ -7,7 +7,8 @@ from whitenoise_transport import (BoxSizeError, GaussianCorrelation, InputError,
                                   LatticeMSDLaw, LatticeMomentInputs, ModelParams, Space,
                                   StabilityError, evolve_full_kernel, evolve_hierarchy,
                                   fit_power_law, msd_inverse_laplace_closed_form)
-from whitenoise_transport.evolve_lattice import _box_axes, _StepOperator, _hierarchy_generator, gamma_on_box
+from whitenoise_transport.core_model import _minimum_image
+from whitenoise_transport.evolve_lattice import _StepOperator, _hierarchy_generator, gamma_on_box
 
 LATTICE = ModelParams(space=Space.LATTICE)
 FREE = ModelParams(v0=0.0, space=Space.LATTICE)
@@ -295,7 +296,7 @@ class TestStepOperatorProperties:
         # the evolution needs a physical kernel (its MSD is nonnegative): a
         # Gaussian in Y, complex when given a momentum
         init = LatticeInitialData.point(dim, side)
-        y_axes = np.stack(np.meshgrid(*[_box_axes(side)] * dim, indexing="ij"), axis=-1)
+        y_axes = np.stack(np.meshgrid(*[_minimum_image(side)] * dim, indexing="ij"), axis=-1)
         q = np.zeros(dim) if real else rng.uniform(-1.0, 1.0, dim)
         init.m0 = np.exp(-np.sum(y_axes**2, axis=-1) / (2.0 * rng.uniform(0.5, 1.5) ** 2)
                          + 1j * (y_axes @ q))
@@ -357,7 +358,7 @@ def _shell_max(arr, dim):
     """Largest |value| of the per-axis blocks ``arr`` on the outermost
     minimum-image shell of the box, one axis at a time."""
     side = arr.shape[-1]
-    on_edge = np.abs(_box_axes(side)) >= side // 2
+    on_edge = np.abs(_minimum_image(side)) >= side // 2
     worst = 0.0
     for ax in range(dim):
         sl = [slice(None)] * arr.ndim
@@ -427,7 +428,7 @@ class TestDiagnostics:
     def test_box_error_names_the_first_breaching_record(self):
         params, corr = _lattice(2)
         init = LatticeInitialData.point(2, 9)
-        y_axes = np.stack(np.meshgrid(*[_box_axes(9)] * 2, indexing="ij"), axis=-1)
+        y_axes = np.stack(np.meshgrid(*[_minimum_image(9)] * 2, indexing="ij"), axis=-1)
         init.m0 = np.exp(-np.sum(y_axes**2, axis=-1) / 3.0).astype(complex)
         times, _, _, _, shell = _diagnostics_oracle(init, corr, params, 0.3, 0.01, 2)
         tol = shell[5]
@@ -451,7 +452,7 @@ def _hierarchy_record_by_record(init, corr, params, t_max, dt, record_every, bou
     n_steps = int(round(t_max / dt))
     record_steps = sorted(set(range(0, n_steps, record_every)) | {n_steps})
     second_idx = (d + 1 + np.arange(d)) * n
-    on_edge = np.abs(_box_axes(side)) == side // 2
+    on_edge = np.abs(_minimum_image(side)) == side // 2
     shell = np.flatnonzero(np.any(on_edge[np.indices((side,) * d).reshape(d, -1)], axis=0))
     shell_idx = np.concatenate([block * n + shell for block in range(1, 2 * d + 1)])
     y = np.concatenate([init.m0.ravel(), init.m1.ravel(), init.m2.ravel()]).astype(complex)

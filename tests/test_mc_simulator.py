@@ -202,19 +202,19 @@ class TestKspaceEdge:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_plane_wave_near_nyquist_and_gaussian_at_rest(self, dim):
         grid = FieldGrid.continuum(dim, 32, 16.0)
-        obs = _Observables(grid, P)
+        obs = _Observables(grid, P, 1, 1)
         axes = tuple(range(1, dim + 1))
         x = grid.axis_coords()
         # along the last axis, mode 15 of spacing 2 pi / L, one below the Nyquist mode 16
         wave = np.broadcast_to(np.exp(1j * 2 * np.pi * 15 / 16.0 * x), grid.shape)
         for psi, expected in ((wave, 1.0), (gaussian_wavepacket(grid, 1.0), 0.0)):
             psi = psi[None].astype(complex)
-            *_, kedge, _ = obs.measure(psi, np.fft.fftn(psi, axes=axes), axes)
-            assert kedge[0] == pytest.approx(expected, abs=1e-9)
+            obs.measure(slice(0, 1), 0, psi, np.fft.fftn(psi, axes=axes))
+            assert obs.kedge[0, 0] == pytest.approx(expected, abs=1e-9)
 
     def test_lattice_has_none(self):
         grid = FieldGrid.lattice(1, 64)
-        assert _Observables(grid, P_LAT).kedge_idx is None
+        assert _Observables(grid, P_LAT, 1, 1).kedge is None
         res = run_lattice(grid, point_state(grid), SHARP, P_LAT, t_max=0.1, dt=0.01, n_traj=2,
                           seed=1, threads=1)
         assert res.kspace_edge_max is None
@@ -258,7 +258,7 @@ def _measure_by_the_formulas(obs, psi, psi_k, axes):
     if obs.kedge_idx is not None:
         kedge = dens_k.reshape(len(dens_k), -1)[:, obs.kedge_idx].sum(axis=1) / total_k
     probes = None
-    if obs.probe_k is not None:
+    if obs.probes is not None:
         probes = np.stack([np.sum(density * wv, axis=axes) * obs.w for wv in obs.probe_waves],
                           axis=1) * 2.0**obs.grid.dim
     return norm, msd, energy, boundary, kedge, probes
@@ -271,31 +271,35 @@ class TestObservables:
         (FieldGrid.lattice(1, 64), P_LAT, [[0.3]]),
     ])
     def test_in_place_measure_is_bit_identical_to_the_formulas(self, grid, params, probe_k):
-        obs = _Observables(grid, params, probe_k=probe_k)
+        obs = _Observables(grid, params, 7, 3, probe_k=probe_k)
         axes = tuple(range(1, grid.dim + 1))
         rng = np.random.default_rng(3)
         psi = rng.normal(size=(5,) + grid.shape) + 1j * rng.normal(size=(5,) + grid.shape)
         psi_k = np.fft.fftn(psi, axes=axes)
-        got = obs.measure(psi, psi_k, axes)
+        obs.measure(slice(2, 7), 1, psi, psi_k)
+        got = (obs.norm, obs.msd, obs.energy, obs.boundary, obs.kedge, obs.probes)
         want = _measure_by_the_formulas(obs, psi, psi_k, axes)
         assert (got[4] is None) == (params.space is Space.LATTICE)
         for g, w in zip(got, want):
             if w is None:
                 assert g is None
             else:
-                np.testing.assert_array_equal(g, w)
+                np.testing.assert_array_equal(g[2:7, ..., 1], w)   # rows 2..6 at record 1
 
 
 def _batch_peak_in_wavefunctions(grid, psi0, corr, params, scheme, batch=32):
     """Traced peak of one ``_simulate_batch`` on this thread, in units of
     the batch's wavefunction array (batch * sites * 16 B)."""
     dt, n_steps = 0.01, 6
-    amplitude, obs = spectral_amplitude(grid, corr, params), _Observables(grid, params)
+    record_steps = _record_steps(n_steps, 3)
+    amplitude = spectral_amplitude(grid, corr, params)
+    obs = _Observables(grid, params, batch, record_steps.size)
+    half = np.exp(-1j * obs.h0 * dt / (2.0 * params.hbar))
 
     def run():
-        mc_simulator._simulate_batch(list(range(batch)), grid, psi0, corr, params, dt, n_steps,
-                                     _record_steps(n_steps, 3), seed=1, amplitude=amplitude,
-                                     scheme=scheme, boundary_tol=1.0, obs=obs)
+        mc_simulator._simulate_batch(list(range(batch)), obs, psi0, half, half * half, dt, n_steps,
+                                     record_steps, seed=1, amplitude=amplitude, params=params,
+                                     scheme=scheme, boundary_tol=1.0)
 
     run()   # NumPy's FFT plan cache fills on the first call
     tracemalloc.start()
@@ -362,10 +366,9 @@ def test_blocks_that_split_a_batch_keep_every_bit(case, monkeypatch):
     assert rows < n_traj
     blocks = []
 
-    def caught(trajs, *args, _simulate=mc_simulator._simulate_batch, **kwargs):
-        out = _simulate(trajs, *args, **kwargs)
-        blocks.append((trajs[0], len(trajs), out))
-        return out
+    def caught(trajs, obs, *args, _simulate=mc_simulator._simulate_batch, **kwargs):
+        _simulate(trajs, obs, *args, **kwargs)
+        blocks.append((trajs[0], len(trajs), obs))
 
     monkeypatch.setattr(mc_simulator, "_simulate_batch", caught)
 
@@ -375,9 +378,13 @@ def test_blocks_that_split_a_batch_keep_every_bit(case, monkeypatch):
         blocks.sort(key=lambda b: b[0])
         lengths = [size for _, size, _ in blocks]
         assert sum(lengths) == n_traj and max(lengths) <= rows
-        per_traj = [np.concatenate([out[i] for _, _, out in blocks]) for i in (0, 1)]
+        # every block filled its own rows of the ensemble's one set of tables
+        obs = blocks[0][2]
+        assert all(b[2] is obs for b in blocks)
+        assert [b[0] for b in blocks] == list(np.cumsum([0] + lengths[:-1]))
+        per_traj = [obs.msd, obs.energy]
         if res.kernel_probe_mean is not None:
-            per_traj.append(np.concatenate([out[2] for _, _, out in blocks]))
+            per_traj.append(obs.probes)
         return per_traj + [res.per_traj_msd, res.msd_mean, res.msd_stderr, res.energy_mean,
                            res.kernel_probe_mean, res.kernel_probe_stderr, res.norm_drift_max,
                            res.boundary_mass_max, res.kspace_edge_max], len(blocks)
