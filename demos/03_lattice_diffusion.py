@@ -23,7 +23,7 @@ corr = GaussianCorrelation([[40.0]])  # g(1) ~ 4e-18: gamma = 1 to machine preci
 
 inputs = LatticeMomentInputs.point_localized(corr, params)
 law = LatticeMSDLaw.from_inputs(inputs)
-print(f"gamma = {inputs.gamma}, Cd = {law.cd}, D = {diffusion_constant(inputs)}")
+print(f"gamma = {inputs.gamma}, Cd = {law.cd}, D = {diffusion_constant(law)}")
 print(f"ballistic below t ~ {law.t_ballistic_below:.3f}, diffusive above t ~ {law.t_diffusive_above:.1f}\n")
 
 # closed form vs numerical inversion of the assembled transform
@@ -46,10 +46,10 @@ print(f"fitted exponent on [10,50]: {late.exponent:.3f} (drifting toward 1 from 
 # a degenerate channel: g(0) = g(1) keeps the motion ballistic
 xs = np.arange(-64, 65) / 16.0
 flat = TabulatedCorrelation(xs, np.cos(np.pi * xs) ** 2)
-flat_inputs = LatticeMomentInputs.point_localized(flat, params)
+flat_law = LatticeMSDLaw.from_inputs(LatticeMomentInputs.point_localized(flat, params))
 print("fully correlated noise on the lattice:",
-      "D ->", diffusion_constant(flat_inputs),
-      "(is ballistic:", diffusion_constant(flat_inputs) == BALLISTIC, ")")
+      "D ->", diffusion_constant(flat_law),
+      "(is ballistic:", diffusion_constant(flat_law) == BALLISTIC, ")")
 deg, _ = evolve_hierarchy(LatticeInitialData.point(1, 9), flat, params,
                           t_max=20.0, dt=0.01, record_every=50)
 m = deg.times > 0

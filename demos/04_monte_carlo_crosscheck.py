@@ -10,8 +10,8 @@ the grids back up to reproduce the full numbers.
 import numpy as np
 
 from whitenoise_transport import (FieldGrid, GaussianCorrelation, GaussianPureState, ModelParams,
-                                  Space, cubic_coefficient, fit_power_law, gaussian_wavepacket,
-                                  msd_closed_form, point_state, run_continuum, run_lattice)
+                                  Space, cubic_coefficient, fit_power_law, msd_closed_form,
+                                  point_state, run_continuum, run_lattice)
 
 params = ModelParams()
 corr = GaussianCorrelation([[1.0]])
@@ -19,7 +19,7 @@ init = GaussianPureState(1.0, dim=1)
 
 print("== continuum: superballistic growth ==")
 grid = FieldGrid.continuum(1, 512, 120.0)
-res = run_continuum(grid, gaussian_wavepacket(grid, 1.0), corr, params,
+res = run_continuum(grid, init.wavefunction(grid), corr, params,
                     t_max=6.0, dt=0.01, n_traj=300, seed=2718, record_every=25,
                     boundary_tol=1e-3)
 cf = msd_closed_form(res.times, init, corr, params)

@@ -8,18 +8,16 @@ happens when the multiplicative noise is interpreted the other way: the
 trace blows up and the deviation is enormous.
 """
 
-from whitenoise_transport import (FieldGrid, GaussianCorrelation, GaussianPureState, ModelParams,
-                                  gaussian_wavepacket)
+from whitenoise_transport import FieldGrid, GaussianCorrelation, GaussianPureState, ModelParams
 from whitenoise_transport.mc_simulator import colored_noise_convergence_study
 
 params = ModelParams()
 corr = GaussianCorrelation([[1.0]])
 grid = FieldGrid.continuum(1, 512, 120.0)
-psi = gaussian_wavepacket(grid, 1.0)
 
 rows = colored_noise_convergence_study(
     nu_list=[0.4, 0.2, 0.1],
-    grid=grid, psi0=psi, init_kernel=GaussianPureState(1.0, dim=1),
+    grid=grid, init=GaussianPureState(1.0, dim=1),
     corr=corr, params=params,
     t_max=3.0, dt=0.0125, n_traj=250, seed=1618, record_every=16,
     include_ito=True, boundary_tol=1e-3)

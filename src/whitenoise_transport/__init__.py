@@ -19,9 +19,9 @@ or a lattice dephasing channel vanishes.
 
 __version__ = "0.1.0"
 
-from .analytic_continuum import (GaussianPureState, MomentSeries, PhaseQuery, cubic_coefficient,
-                                 kernel_hat, laplace_kernel_1d, msd_by_kernel_differences,
-                                 msd_closed_form, phase)
+from .analytic_continuum import (GaussianPureState, MomentSeries, cubic_coefficient, kernel_hat,
+                                 laplace_kernel_1d, msd_by_kernel_differences, msd_closed_form,
+                                 phase)
 from .analytic_lattice import (BALLISTIC, LatticeMSDLaw, LatticeMomentInputs, diffusion_constant,
                                laplace_msd, msd_inverse_laplace_closed_form)
 from .core_model import (GaussianCorrelation, ModelParams, Space, TabulatedCorrelation,
@@ -32,8 +32,7 @@ from .errors import (BoxSizeError, ConfigError, CovarianceError, Error, InputErr
                      TruncationError)
 from .evolve_lattice import LatticeInitialData, evolve_full_kernel, evolve_hierarchy
 from .mc_simulator import (ClassicalResult, EnsembleResult, colored_noise_convergence_study,
-                           gaussian_wavepacket, point_state, run_classical, run_continuum,
-                           run_lattice)
+                           point_state, run_classical, run_continuum, run_lattice)
 from .noise_field import ColoredKernel, FieldGrid, field_increments, spectral_amplitude
 from .transforms_fit import (FitResult, fit_power_law, inverse_laplace_numeric,
                              laplace_transform_numeric)

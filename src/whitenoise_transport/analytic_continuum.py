@@ -26,6 +26,7 @@ see docs/conventions.md.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,9 @@ import numpy as np
 from .core_model import ModelParams, _open_text, _write_csv, laplacian_g_at_zero
 from .errors import InputError, NumericalError
 
+#: absolute tolerance of the quadratures in :func:`phase` and :func:`laplace_kernel_1d`
+_QUAD_TOL = 1e-10
 __all__ = [
-    "PhaseQuery",
     "GaussianPureState",
     "MomentSeries",
     "phase",
@@ -44,25 +46,6 @@ __all__ = [
     "cubic_coefficient",
     "laplace_kernel_1d",
 ]
-
-
-@dataclass(frozen=True)
-class PhaseQuery:
-    """Evaluation point of the phase: Fourier variable k, characteristic
-    offset k0 (defaults to 0) and nonnegative time t."""
-
-    k: np.ndarray
-    t: float
-    k0: np.ndarray = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "k", np.atleast_1d(np.asarray(self.k, dtype=float)))
-        k0 = np.zeros_like(self.k) if self.k0 is None else np.atleast_1d(np.asarray(self.k0, dtype=float))
-        object.__setattr__(self, "k0", k0)
-        if self.k0.shape != self.k.shape:
-            raise InputError(f"k and k0 must have the same shape, got {self.k.shape} vs {self.k0.shape}")
-        if self.t < 0:
-            raise InputError(f"t must be nonnegative, got {self.t}")
 
 
 @dataclass(frozen=True)
@@ -132,6 +115,18 @@ class GaussianPureState:
         expo = -np.sum(Y**2 / (8 * self.sigma**2) + 2 * self.sigma**2 * k**2, axis=-1)
         return self.trace * (2.0**self.dim) * np.exp(expo)
 
+    def wavefunction(self, grid):
+        """The Monte Carlo psi0 on ``grid``: the product Gaussian at unit norm in
+        the grid measure times sqrt(trace), so norm^2 is the closed form's trace."""
+        if grid.dim != self.dim:
+            raise InputError(f"initial state has dim {self.dim}, grid has dim {grid.dim}")
+        axes = np.meshgrid(*[grid.axis_coords()] * grid.dim, indexing="ij")
+        expo = sum(a**2 / (4.0 * s**2) for a, s in zip(axes, self.sigma))
+        psi = np.exp(-expo).astype(complex)
+        w = grid.spacing**grid.dim
+        psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2) * w))
+        return psi * math.sqrt(self.trace)
+
     def free_msd(self, t, params: ModelParams):
         """Free-spreading law sum_j [sigma_j^2 + (hbar t / (2 m sigma_j))^2]."""
         t = np.asarray(t, dtype=float)
@@ -139,17 +134,22 @@ class GaussianPureState:
         return self.trace * (np.sum(self.sigma**2) + np.sum(c) * t**2)
 
 
-def phase(query: PhaseQuery, corr, params: ModelParams, quad_tol=1e-10) -> float:
+def phase(k, t, corr, params: ModelParams, k0=None) -> float:
     """Nonpositive phase controlling decay of the averaged kernel.
 
     phase(k, t) = -(v0/hbar)^2 [g(0) t - integral_0^t g(k0 - (2 hbar s/m) k) ds],
-    with the line integral done by adaptive quadrature (abs tol ``quad_tol``).
-    phase(0, t) = 0 when k0 = 0, and phase <= 0 always (g peaks at 0).
+    with the line integral done by adaptive quadrature (abs tol ``_QUAD_TOL``)
+    and k0 = 0 unless given.  phase(0, t) = 0 when k0 = 0; phase <= 0 (g peaks at 0).
     """
-    if params.v0 == 0.0 or query.t == 0.0:
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    k0 = np.zeros_like(k) if k0 is None else np.atleast_1d(np.asarray(k0, dtype=float))
+    if k0.shape != k.shape:
+        raise InputError(f"k and k0 must have the same shape, got {k.shape} vs {k0.shape}")
+    if t < 0:
+        raise InputError(f"t must be nonnegative, got {t}")
+    if params.v0 == 0.0 or t == 0.0:
         return 0.0
     c = 2.0 * params.hbar / params.mass
-    k, k0, t = query.k, query.k0, query.t
     g0 = float(corr.g(np.zeros_like(k)))
 
     if np.all(k == 0.0) and np.all(k0 == 0.0):
@@ -160,8 +160,8 @@ def phase(query: PhaseQuery, corr, params: ModelParams, quad_tol=1e-10) -> float
 
     from scipy.integrate import quad
 
-    val, err = quad(integrand, 0.0, t, epsabs=quad_tol, epsrel=1e-12, limit=400)
-    if err > max(quad_tol * 10, 1e-8 * abs(val)):
+    val, err = quad(integrand, 0.0, t, epsabs=_QUAD_TOL, epsrel=1e-12, limit=400)
+    if err > max(_QUAD_TOL * 10, 1e-8 * abs(val)):
         raise NumericalError(f"phase quadrature reached only abs error {err:.3e}", achieved=err)
     return -params.coupling * (g0 * t - val)
 
@@ -171,7 +171,7 @@ def kernel_hat(k, Y0, t, init, corr, params: ModelParams) -> complex:
     k = np.atleast_1d(np.asarray(k, dtype=float))
     Y0 = np.atleast_1d(np.asarray(Y0, dtype=float))
     shift = Y0 - (2.0 * params.hbar * t / params.mass) * k
-    ph = phase(PhaseQuery(k=k, t=t, k0=Y0), corr, params)
+    ph = phase(k, t, corr, params, k0=Y0)
     return init.kernel_at(k, shift) * np.exp(ph)
 
 
@@ -235,7 +235,7 @@ def msd_closed_form(times, init, corr, params: ModelParams) -> MomentSeries:
     return MomentSeries(times=times, msd=msd)
 
 
-def msd_by_kernel_differences(times, init, corr, params: ModelParams, fd_base_step=None) -> MomentSeries:
+def msd_by_kernel_differences(times, init, corr, params: ModelParams) -> MomentSeries:
     """Mean-square displacement by pure finite differences of kernel_hat.
 
     Independent of the analytic phase differentiation in
@@ -248,13 +248,13 @@ def msd_by_kernel_differences(times, init, corr, params: ModelParams, fd_base_st
     t_max = float(times.max())
     msd = np.empty_like(times)
     for i, t in enumerate(times):
-        base = fd_base_step if fd_base_step is not None else _fd_base_step(params, t, t_max)
+        base = _fd_base_step(params, t, t_max)
         lap = _laplacian_k(lambda k: kernel_hat(k, np.zeros(d), t, init, corr, params), d, base).real
         msd[i] = -norm * lap
     return MomentSeries(times=times, msd=msd)
 
 
-def laplace_kernel_1d(k, s, init, corr, params: ModelParams, quad_tol=1e-10) -> complex:
+def laplace_kernel_1d(k, s, init, corr, params: ModelParams) -> complex:
     """Laplace transform (in t) of kernel_hat(k, 0, .) in one dimension.
 
     Evaluates the integral representation
@@ -270,15 +270,15 @@ def laplace_kernel_1d(k, s, init, corr, params: ModelParams, quad_tol=1e-10) -> 
     c = 2.0 * params.hbar / params.mass
 
     def f(z):
-        ph = phase(PhaseQuery(k=np.array([k]), t=z), corr, params, quad_tol=quad_tol)
+        ph = phase(k, z, corr, params)
         return np.exp(-s * z + ph) * init.kernel_at(np.array([k]), np.array([-c * k * z]))
 
     from scipy.integrate import quad
 
     upper = min(60.0 / s.real, np.inf)
-    re, re_err = quad(lambda z: f(z).real, 0.0, upper, epsabs=quad_tol, epsrel=1e-11, limit=400)
-    im, im_err = quad(lambda z: f(z).imag, 0.0, upper, epsabs=quad_tol, epsrel=1e-11, limit=400)
-    if re_err + im_err > 1e-7 * max(abs(re + 1j * im), quad_tol):
+    re, re_err = quad(lambda z: f(z).real, 0.0, upper, epsabs=_QUAD_TOL, epsrel=1e-11, limit=400)
+    im, im_err = quad(lambda z: f(z).imag, 0.0, upper, epsabs=_QUAD_TOL, epsrel=1e-11, limit=400)
+    if re_err + im_err > 1e-7 * max(abs(re + 1j * im), _QUAD_TOL):
         raise NumericalError(f"Laplace-kernel quadrature error {re_err + im_err:.3e}",
                              achieved=re_err + im_err)
     return re + 1j * im

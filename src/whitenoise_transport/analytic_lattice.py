@@ -151,20 +151,20 @@ def msd_inverse_laplace_closed_form(t, law: LatticeMSDLaw):
     return result if np.ndim(t) else float(result)
 
 
-def diffusion_constant(inputs: LatticeMomentInputs):
-    """(2 hbar/m)^2 * sum_m 1/Gamma_m, or BALLISTIC if any Gamma_m = 0.
+def diffusion_constant(law: LatticeMSDLaw):
+    """Cd * sum_m 1/Gamma_m = (2 hbar/m)^2 * sum_m 1/Gamma_m, or BALLISTIC if any Gamma_m = 0.
 
     Strictly positive whenever the disorder is on and every axis dephases.
     """
-    gamma = inputs.gamma
+    gamma = law.gamma
     if np.any(gamma <= _ZERO_GAMMA):
         return BALLISTIC
-    return float((2.0 * inputs.c1) ** 2 * np.sum(1.0 / gamma))
+    return float(law.cd * np.sum(1.0 / gamma))
 
 
-def law_payload(law: LatticeMSDLaw, inputs: LatticeMomentInputs) -> dict:
+def law_payload(law: LatticeMSDLaw) -> dict:
     """{Cd, gamma[], D or "ballistic"}, ready for a JSON writer."""
-    d = diffusion_constant(inputs)
+    d = diffusion_constant(law)
     return {
         "Cd": law.cd,
         "gamma": [float(g) for g in law.gamma],

@@ -38,8 +38,8 @@ from .core_model import (GaussianCorrelation, ModelParams, Space, _write_csv, la
 from .errors import ConfigError, Error, InputError, NumericalError
 from .evolve_lattice import LatticeInitialData, evolve_hierarchy
 from .mc_simulator import (DEFAULT_THREADS, SCHEME_ITO_EULER, SCHEME_STRATONOVICH,
-                           colored_noise_convergence_study, gaussian_wavepacket, point_state,
-                           run_classical, run_continuum, run_lattice)
+                           colored_noise_convergence_study, point_state, run_classical,
+                           run_continuum, run_lattice)
 from .noise_field import FieldGrid
 from .rng import STREAM_VERSION
 from .transforms_fit import fit_power_law
@@ -251,11 +251,7 @@ def _build(cfg, route, threads) -> _Setup:
             s.grid = FieldGrid.continuum(params.dim, cfg["grid"]["points"], cfg["grid"]["length"])
         else:
             s.grid = FieldGrid.lattice(params.dim, cfg["lattice_box"]["sites"])
-        if state == "point":
-            s.psi0 = point_state(s.grid)
-        else:
-            # norm^2 = trace: the estimator is the unnormalised second moment
-            s.psi0 = gaussian_wavepacket(s.grid, ini["sigma"]) * math.sqrt(float(ini["trace"]))
+        s.psi0 = point_state(s.grid) if state == "point" else s.state.wavefunction(s.grid)
     if plan in ("mc-continuum", "mc-lattice", "classical", "colored-study", "compare-continuum"):
         s.ensemble = dict(t_max=float(t["t_max"]), dt=float(t["dt"]), n_traj=mc["n_traj"],
                           seed=cfg["seed"], record_every=t["record_every"], threads=threads,
@@ -331,7 +327,7 @@ def _route_analytic_msd(s: _Setup, out_dir):
 def _route_lattice_law(s: _Setup, out_dir):
     inputs = LatticeMomentInputs.point_localized(s.corr, s.params)
     law = LatticeMSDLaw.from_inputs(inputs)
-    payload = law_payload(law, inputs)
+    payload = law_payload(law)
     _write_json(out_dir / "law.json", payload)
     times = s.times[s.times >= 0]
     series = MomentSeries(times=times, msd=msd_inverse_laplace_closed_form(times, law))
@@ -393,8 +389,8 @@ def _route_classical(s: _Setup, out_dir):
 
 
 def _route_colored_study(s: _Setup, out_dir):
-    rows = colored_noise_convergence_study(grid=s.grid, psi0=s.psi0, init_kernel=s.state, corr=s.corr,
-                                           params=s.params, **s.ensemble)
+    rows = colored_noise_convergence_study(grid=s.grid, init=s.state, corr=s.corr, params=s.params,
+                                           **s.ensemble)
     table = [{"label": r.label, "nu": r.nu, "deviation": r.deviation, "stderr": r.stderr,
               "z": r.z_score} for r in rows]
     _write_json(out_dir / "colored_study.json", table)

@@ -355,6 +355,12 @@ class HypothesisReport:
         return "\n".join(lines)
 
 
+def _spectrum_has_negative_mode(smin: float, smax: float) -> bool:
+    """The one sign test of a sampled spectrum (validate and the Monte Carlo
+    spectrum): min below -1e-8 max, or NaN; relative, as v0 carries g's scale."""
+    return not smin >= -1e-8 * max(smax, 1e-300)
+
+
 def _spectrum_grid(corr, params: ModelParams):
     d = params.dim
     if params.space is Space.LATTICE:
@@ -374,9 +380,9 @@ def validate_hypotheses(corr, params: ModelParams) -> HypothesisReport:
 
     Checks, in order: evenness on a random probe set around the origin,
     vanishing gradient at 0, negative-definite Hessian at 0, and
-    nonnegativity of the correlation's sampled Fourier transform on the
-    grid that would be used for field sampling.  Deterministic: the probe
-    set is drawn from a fixed seed.
+    nonnegativity of the sampled Fourier transform of g on a grid spanning g's
+    own extent, not a run's box (a Monte Carlo route checks its own box when
+    it builds its spectrum).  Deterministic: the probes use a fixed seed.
     """
     d = params.dim
     if getattr(corr, "dim", d) != d:
@@ -405,7 +411,7 @@ def validate_hypotheses(corr, params: ModelParams) -> HypothesisReport:
     smax = float(spectrum.max())
     smin = float(spectrum.min())
     ratio = smin / smax if smax > 0 else smin
-    spectrum_ok = smin >= -1e-8 * max(smax, 1.0)
+    spectrum_ok = not _spectrum_has_negative_mode(smin, smax)
 
     return HypothesisReport(
         even=even_ok,

@@ -9,10 +9,10 @@ Two routes share the Y-box machinery (odd side, periodic, minimum-image):
   enters the mean-square displacement.
 
 * :func:`evolve_full_kernel` evolves the transformed kernel at fixed k
-  under the Y-stencil operator with multipliers (exp(+-i k_j) - 1) on the
-  shifted terms and 2(1 - cos k_j) on the diagonal, plus the dephasing
-  decay gamma(Y).  The operator is anti-Hermitian at v0 = 0, so the free
-  evolution is exactly unitary in the Y lattice norm.
+  under the averaged Liouvillian -gamma(Y) + (hbar/m) sum_j sin(k_j) D_j,
+  with D_j = S_j(+1) - S_j(-1) the symmetric Y-difference; the hierarchy's
+  generator is its k-derivatives at k = 0.  D_j is antisymmetric, so the
+  free evolution (v0 = 0) is exactly unitary in the Y lattice norm.
 
 Both use classical RK4 with a fixed step.  Both systems are linear with
 constant coefficients, y' = A y, so one RK4 step is exactly the linear map
@@ -140,9 +140,6 @@ class _Sparse:
         return _Sparse(self.n, np.r_[self.rows, other.rows], np.r_[self.cols, other.cols],
                        np.r_[self.vals, other.vals])
 
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
     def _with_vals(self, vals):
         """The same coalesced structure with other values, not sorted again."""
         out = object.__new__(_Sparse)
@@ -182,12 +179,12 @@ class _Sparse:
         return self._layout
 
 
-def _shift_operator(side: int, dim: int, axis: int, direction: int) -> _Sparse:
-    """S with (S y)[Y] = y[Y + direction e_axis] on the C-order flattened
-    periodic box."""
+def _difference(side: int, dim: int, axis: int) -> _Sparse:
+    """D_j on the C-order flattened periodic box: (D_j y)[Y] = y[Y + e_axis] - y[Y - e_axis]."""
     n = side**dim
-    cols = np.roll(np.arange(n).reshape((side,) * dim), -direction, axis=axis).ravel()
-    return _Sparse(n, np.arange(n), cols, np.ones(n))
+    sites = np.arange(n).reshape((side,) * dim)
+    cols = np.r_[np.roll(sites, -1, axis=axis).ravel(), np.roll(sites, 1, axis=axis).ravel()]
+    return _Sparse(n, np.tile(np.arange(n), 2), cols, np.r_[np.ones(n), -np.ones(n)])
 
 
 def _hierarchy_generator(gamma: np.ndarray, c1: float) -> _Sparse:
@@ -195,13 +192,13 @@ def _hierarchy_generator(gamma: np.ndarray, c1: float) -> _Sparse:
 
     m0' = -gamma m0,  m1_j' = c1 D_j m0 - gamma m1_j,  m2_j' = 2 c1 D_j m1_j - gamma m2_j,
 
-    with D_j = S_j(+1) - S_j(-1) the symmetric Y-difference along axis j.
+    the k-derivatives at k = 0 of :func:`_kernel_generator`'s equation.
     """
     d, side = gamma.ndim, gamma.shape[0]
     decay = _Sparse.diag(-gamma)
     blocks = {(0, 0): decay}
     for j in range(d):
-        diff = _shift_operator(side, d, j, +1) - _shift_operator(side, d, j, -1)
+        diff = _difference(side, d, j)
         blocks[1 + j, 0] = c1 * diff
         blocks[1 + j, 1 + j] = decay
         blocks[1 + d + j, 1 + j] = 2.0 * c1 * diff
@@ -209,14 +206,12 @@ def _hierarchy_generator(gamma: np.ndarray, c1: float) -> _Sparse:
     return _Sparse.blocks(2 * d + 1, blocks)
 
 
-def _kernel_generator(gamma: np.ndarray, c: float, mult_plus, mult_minus, diag: float) -> _Sparse:
-    """Complex generator of the transformed kernel at fixed k over the flattened box:
-    -(gamma + i c diag) - i c sum_j [mult_plus_j S_j(+1) + mult_minus_j S_j(-1)]."""
+def _kernel_generator(gamma: np.ndarray, c: float, k) -> _Sparse:
+    """Real generator of the transformed kernel at fixed k: -gamma + c sum_j sin(k_j) D_j."""
     d, side = gamma.ndim, gamma.shape[0]
-    A = _Sparse.diag(-(gamma + 1j * c * diag))
+    A = _Sparse.diag(-gamma)
     for j in range(d):
-        A = A - 1j * c * (mult_plus[j] * _shift_operator(side, d, j, +1)
-                          + mult_minus[j] * _shift_operator(side, d, j, -1))
+        A = A + (c * np.sin(k[j])) * _difference(side, d, j)
     return A
 
 
@@ -364,16 +359,13 @@ def evolve_full_kernel(k_batch, init_kernel, corr, params: ModelParams, t_max: f
     c = params.hbar / params.mass
 
     for ik, k in enumerate(k_batch):
-        mult_plus = (np.exp(1j * k) - 1.0)
-        mult_minus = (np.exp(-1j * k) - 1.0)
-        diag = 2.0 * np.sum(1.0 - np.cos(k))
-        # explicit scheme stability: RK4 imaginary-axis limit ~ 2.8
-        lam = c * (np.sum(np.abs(mult_plus) + np.abs(mult_minus)) + diag) + gmax
+        # RK4 imaginary-axis limit ~ 2.8; sin(k_j) D_j has spectrum in i [-2|sin k_j|, 2|sin k_j|]
+        lam = gmax + 2.0 * c * np.sum(np.abs(np.sin(k)))
         if lam * dt > 2.5:
             raise StabilityError(f"dt={dt} too large for |k|={np.linalg.norm(k):.3g} (lambda dt = {lam * dt:.3g})")
 
         R = (init_kernel(k) if callable(init_kernel) else np.asarray(init_kernel)).astype(complex).ravel()
-        step = _StepOperator(_kernel_generator(gamma, c, mult_plus, mult_minus, diag), dt)
+        step = _StepOperator(_kernel_generator(gamma, c, k), dt)
         # powers of this P fill the box, so it is applied once per step
         for n, y in step.propagate(R, range(record_steps[-1] + 1)):
             if n in slot:

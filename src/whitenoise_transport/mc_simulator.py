@@ -40,7 +40,6 @@ __all__ = [
     "EnsembleResult",
     "ClassicalResult",
     "StudyRow",
-    "gaussian_wavepacket",
     "point_state",
     "run_continuum",
     "run_lattice",
@@ -103,22 +102,6 @@ class ClassicalResult:
     vvar_stderr: np.ndarray
     n_traj: int
     per_traj_msd: np.ndarray
-
-
-def gaussian_wavepacket(grid: FieldGrid, sigma) -> np.ndarray:
-    """Zero-momentum product Gaussian, unit norm in the grid measure; one
-    ``sigma`` for every axis or one per axis."""
-    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-    if sigma.size not in (1, grid.dim):
-        raise InputError(f"need 1 or {grid.dim} sigmas for a {grid.dim}-D grid, got {sigma.size}")
-    if sigma.size == 1:
-        sigma = np.full(grid.dim, sigma[0])
-    axes = np.meshgrid(*[grid.axis_coords()] * grid.dim, indexing="ij")
-    expo = sum(a**2 / (4.0 * s**2) for a, s in zip(axes, sigma))
-    psi = np.exp(-expo).astype(complex)
-    w = grid.spacing**grid.dim
-    psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2) * w))
-    return psi
 
 
 def point_state(grid: FieldGrid) -> np.ndarray:
@@ -404,7 +387,7 @@ def run_continuum(grid: FieldGrid, psi0, corr, params: ModelParams, t_max, dt, n
     """Ensemble of continuum trajectories under white (or colored) noise.
 
     ``psi0`` is an x-space array on the grid (see
-    :func:`gaussian_wavepacket`).  Each of at most ``threads`` workers
+    ``GaussianPureState.wavefunction``).  Each of at most ``threads`` workers
     takes a batch of ``batch_size`` trajectories at a time and steps it in
     blocks whose wavefunction array stays within 1 MiB (``TRAJ_GROUP``
     rows at least), so a worker's memory follows the grid, not
@@ -576,14 +559,15 @@ class StudyRow:
         return self.deviation / self.stderr if self.stderr > 0 else float("inf")
 
 
-def colored_noise_convergence_study(nu_list, grid, psi0, init_kernel, corr, params, t_max, dt,
+def colored_noise_convergence_study(nu_list, grid, init, corr, params, t_max, dt,
                                     n_traj, seed, record_every=10, window_frac=0.5,
                                     include_ito=False, boundary_tol=1e-4,
                                     threads=DEFAULT_THREADS, batch_size=250):
     """Deviation of colored-noise ensembles from the closed-form law.
 
-    For each correlation half-width nu, runs the continuum ensemble with
-    the triangular-kernel colored potential built from the *same* white
+    For each correlation half-width nu, runs the continuum ensemble from
+    ``init.wavefunction(grid)`` with the triangular-kernel colored potential
+    built from the *same* white
     increments (common random numbers across nu), and measures the
     per-trajectory mean relative deviation of the MSD from
     ``msd_closed_form`` over the trailing ``window_frac`` of the time
@@ -591,10 +575,11 @@ def colored_noise_convergence_study(nu_list, grid, psi0, init_kernel, corr, para
     decreasing nu, then optionally the Euler-Maruyama negative control.
     """
     rows = []
+    psi0 = init.wavefunction(grid)
 
     def deviation_row(label, nu, result):
         mask = result.times >= (1.0 - window_frac) * t_max
-        ref = msd_closed_form(result.times[mask], init_kernel, corr, params).msd
+        ref = msd_closed_form(result.times[mask], init, corr, params).msd
         rel = (result.per_traj_msd[:, mask] - ref) / ref
         dev_per_traj = rel.mean(axis=1)
         dev = float(dev_per_traj.mean())

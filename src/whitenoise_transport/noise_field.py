@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import ModelParams, _minimum_image
+from .core_model import ModelParams, _minimum_image, _spectrum_has_negative_mode
 from .errors import CovarianceError, InputError, ResolutionError
 from .rng import KIND_FIELD, KIND_FIELD_COLORED, normals
 
@@ -98,10 +98,10 @@ def spectral_amplitude(grid: FieldGrid, corr, params: ModelParams) -> np.ndarray
 
     The covariance sequence is ``v0^2 g`` sampled at minimum-image
     separations (for correlations short compared to the box this equals the
-    periodised covariance).  A spectral value below ``-1e-8 * max`` is a
-    hard error naming the offending mode; small negative roundoff is
-    clipped to zero.  A correlation of another dimension than the grid's
-    is an :class:`InputError`.
+    periodised covariance).  A spectral value below ``-1e-8 * max``
+    (``core_model._spectrum_has_negative_mode``) is a hard error naming the
+    offending mode; small negative roundoff is clipped to zero.  A
+    correlation of another dimension than the grid's is an :class:`InputError`.
     """
     if corr.dim != grid.dim:
         raise InputError(f"correlation has dim {corr.dim}, grid has dim {grid.dim}")
@@ -109,7 +109,7 @@ def spectral_amplitude(grid: FieldGrid, corr, params: ModelParams) -> np.ndarray
     spec = np.fft.fftn(cov).real
     smax = float(spec.max())
     smin = float(spec.min())
-    if smin < -1e-8 * max(smax, 1e-300):
+    if _spectrum_has_negative_mode(smin, smax):
         mode = np.unravel_index(int(np.argmin(spec)), spec.shape)
         raise CovarianceError(
             f"negative spectral density {smin:.3e} at mode {mode} "

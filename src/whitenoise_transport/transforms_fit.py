@@ -25,6 +25,8 @@ __all__ = [
 
 #: power-law fits drop values below this floor to avoid log singularities
 FIT_FLOOR = 1e-12
+#: how often a disagreeing Talbot time may double its node count (24 -> 48 -> 96 by default)
+_MAX_DOUBLINGS = 2
 
 
 @dataclass(frozen=True)
@@ -194,7 +196,7 @@ def _talbot(F, t, n_nodes):
     return (r / M) * np.array([math.fsum(row) for row in parts.tolist()]), roundoff
 
 
-def inverse_laplace_numeric(F, t_list, n_nodes=24, rtol=1e-9, atol=1e-11, max_doublings=2):
+def inverse_laplace_numeric(F, t_list, n_nodes=24, rtol=1e-9, atol=1e-11):
     """Invert a Laplace transform on positive times via the Talbot contour.
 
     ``F`` must be analytic to the right of (and on) the contour; rational
@@ -210,7 +212,7 @@ def inverse_laplace_numeric(F, t_list, n_nodes=24, rtol=1e-9, atol=1e-11, max_do
     Each time is cross-checked against an evaluation with 4 fewer nodes,
     which sits at the same optimum; a 16-node cross-check can carry
     ~1e-11 of truncation error of its own.  On disagreement the count is
-    doubled, for the disagreeing times only, up to ``max_doublings`` times,
+    doubled, for the disagreeing times only, up to ``_MAX_DOUBLINGS`` times,
     each doubled value cross-checked against the previous one.  A time
     whose gap does not shrink on doubling is past the roundoff optimum and
     stops there, keeping its best (smallest-gap) value; a time that ends
@@ -239,7 +241,7 @@ def inverse_laplace_numeric(F, t_list, n_nodes=24, rtol=1e-9, atol=1e-11, max_do
     todo = np.flatnonzero(_outside(val, gap))
     last = int(np.argmax(t_arr))
     check = None if last in todo else last
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         if todo.size == 0 and check is None:
             break
         M *= 2

@@ -23,12 +23,11 @@ from whitenoise_transport import (BALLISTIC, FieldGrid, GaussianCorrelation,
                                   GaussianPureState, LatticeInitialData, LatticeMSDLaw,
                                   LatticeMomentInputs, ModelParams, Space, TabulatedCorrelation,
                                   cubic_coefficient, diffusion_constant, evolve_hierarchy,
-                                  fit_power_law, gaussian_wavepacket, inverse_laplace_numeric,
+                                  fit_power_law, inverse_laplace_numeric,
                                   kernel_hat, laplace_msd, msd_closed_form,
                                   msd_inverse_laplace_closed_form, phase, point_state,
                                   run_classical, run_continuum, run_lattice,
                                   validate_hypotheses)
-from whitenoise_transport.analytic_continuum import PhaseQuery
 from whitenoise_transport.mc_simulator import colored_noise_convergence_study
 
 from conftest import ols_line
@@ -68,7 +67,7 @@ def continuum_mc():
     <1e-6 configuration needs 2048 points and is exercised separately).
     """
     grid = FieldGrid.continuum(1, 1024, 192.0)
-    psi = gaussian_wavepacket(grid, 1.0)
+    psi = INIT.wavefunction(grid)
     return run_continuum(grid, psi, CORR, P, t_max=10.0, dt=0.01, n_traj=2000, seed=SEED,
                          record_every=10, boundary_tol=1e-2)
 
@@ -211,7 +210,7 @@ class TestCriterion4BallisticLimits:
         xs = np.arange(-64, 65) / 16.0
         flat = TabulatedCorrelation(xs, np.cos(np.pi * xs) ** 2)
         inputs = LatticeMomentInputs.point_localized(flat, P_LAT)
-        d = diffusion_constant(inputs)
+        d = diffusion_constant(LatticeMSDLaw.from_inputs(inputs))
         ok_flag = d == BALLISTIC
 
         series, _ = evolve_hierarchy(LatticeInitialData.point(1, 9), flat, P_LAT,
@@ -251,9 +250,8 @@ class TestCriterion5LaplaceMachinery:
 @pytest.fixture(scope="module")
 def study():
     grid = FieldGrid.continuum(1, 512, 120.0)
-    psi = gaussian_wavepacket(grid, 1.0)
     return colored_noise_convergence_study(
-        [0.4, 0.2, 0.1], grid, psi, INIT, CORR, P, t_max=4.0, dt=0.0125,
+        [0.4, 0.2, 0.1], grid, INIT, CORR, P, t_max=4.0, dt=0.0125,
         n_traj=800, seed=SEED, record_every=16, include_ito=True, boundary_tol=1e-3)
 
 
@@ -296,9 +294,9 @@ class TestCriterion7PropertySuites:
         h = 1e-5
         ok = True
         for t in (1.0, 10.0, 100.0):
-            ok &= phase(PhaseQuery(k=[0.0], t=t), CORR, P) == 0.0
-            fd = (phase(PhaseQuery(k=[h], t=t), CORR, P)
-                  - phase(PhaseQuery(k=[-h], t=t), CORR, P)) / (2 * h)
+            ok &= phase([0.0], t, CORR, P) == 0.0
+            fd = (phase([h], t, CORR, P)
+                  - phase([-h], t, CORR, P)) / (2 * h)
             ok &= abs(fd) < 1e-9
         report("7 (phase)", ok, "phase(0,t) = 0 and grad_k phase(0,t) = 0 (step 1e-5, bound 1e-9)")
         assert ok
@@ -310,7 +308,7 @@ class TestCriterion7PropertySuites:
 
     def test_rng_reproducibility_across_threads(self):
         grid = FieldGrid.continuum(1, 256, 60.0)
-        psi = gaussian_wavepacket(grid, 1.0)
+        psi = INIT.wavefunction(grid)
         kw = dict(t_max=0.5, dt=0.01, n_traj=16, seed=SEED, record_every=10, boundary_tol=1e-3)
         a = run_continuum(grid, psi, CORR, P, threads=1, batch_size=16, **kw)
         b = run_continuum(grid, psi, CORR, P, threads=4, batch_size=4, **kw)
@@ -320,7 +318,7 @@ class TestCriterion7PropertySuites:
 
     def test_stderr_scaling(self):
         grid = FieldGrid.continuum(1, 256, 60.0)
-        psi = gaussian_wavepacket(grid, 1.0)
+        psi = INIT.wavefunction(grid)
         kw = dict(t_max=1.0, dt=0.02, record_every=25, boundary_tol=1e-3)
         small = run_continuum(grid, psi, CORR, P, n_traj=60, seed=SEED, **kw)
         big = run_continuum(grid, psi, CORR, P, n_traj=240, seed=SEED, **kw)

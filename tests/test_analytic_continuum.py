@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whitenoise_transport import (EnsembleResult, GaussianCorrelation, GaussianPureState, InputError,
-                                  ModelParams, MomentSeries, PhaseQuery, cubic_coefficient, fit_power_law,
+                                  ModelParams, MomentSeries, cubic_coefficient, fit_power_law,
                                   kernel_hat, laplace_kernel_1d, laplace_transform_numeric,
                                   msd_by_kernel_differences, msd_closed_form, phase)
 
@@ -26,15 +26,15 @@ def gauss_legendre_integral(f, a, b, order=64):
 class TestPhase:
     def test_zero_at_k_zero(self, gaussian_corr, params):
         for t in (0.5, 2.0, 50.0):
-            assert phase(PhaseQuery(k=[0.0], t=t), gaussian_corr, params) == 0.0
+            assert phase([0.0], t, gaussian_corr, params) == 0.0
 
     def test_zero_disorder(self, gaussian_corr):
         p0 = ModelParams(v0=0.0)
-        assert phase(PhaseQuery(k=[0.3], t=2.0), gaussian_corr, p0) == 0.0
+        assert phase([0.3], 2.0, gaussian_corr, p0) == 0.0
 
     def test_against_gauss_quadrature_oracle(self, gaussian_corr, params):
         # d=1, g=exp(-x^2), hbar=m=V0=1, k=0.3, t=2
-        got = phase(PhaseQuery(k=[0.3], t=2.0), gaussian_corr, params)
+        got = phase([0.3], 2.0, gaussian_corr, params)
         integral = gauss_legendre_integral(lambda s: np.exp(-((2 * s * 0.3) ** 2)), 0.0, 2.0)
         oracle = -(1.0 * 2.0 - integral)
         assert got == pytest.approx(oracle, rel=1e-8)
@@ -48,21 +48,25 @@ class TestPhase:
         params = ModelParams(dim=dim)
         vec = st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)
         k, k0 = data.draw(vec, label="k"), data.draw(vec, label="k0")
-        assert phase(PhaseQuery(k=k, t=t, k0=k0), corr, params) <= 1e-14
-        assert phase(PhaseQuery(k=k, t=t), corr, params) <= 1e-14
-        assert phase(PhaseQuery(k=[0.0] * dim, t=t), corr, params) == 0.0
+        assert phase(k, t, corr, params, k0=k0) <= 1e-14
+        assert phase(k, t, corr, params) <= 1e-14
+        assert phase([0.0] * dim, t, corr, params) == 0.0
 
     def test_gradient_vanishes_at_k_zero(self, gaussian_corr, params):
         # evenness of g makes the phase stationary at k = 0
         h = 1e-5
         for t in (1.0, 10.0, 100.0):
-            fd = (phase(PhaseQuery(k=[h], t=t), gaussian_corr, params)
-                  - phase(PhaseQuery(k=[-h], t=t), gaussian_corr, params)) / (2 * h)
+            fd = (phase([h], t, gaussian_corr, params)
+                  - phase([-h], t, gaussian_corr, params)) / (2 * h)
             assert abs(fd) < 1e-9
 
-    def test_negative_time_rejected(self):
+    def test_negative_time_rejected(self, gaussian_corr, params):
         with pytest.raises(InputError, match="t must be nonnegative, got -1.0"):
-            PhaseQuery(k=[0.1], t=-1.0)
+            phase([0.1], -1.0, gaussian_corr, params)
+
+    def test_offset_of_another_shape_rejected(self, gaussian_corr, params):
+        with pytest.raises(InputError, match=r"k and k0 must have the same shape, got \(1,\) vs \(2,\)"):
+            phase([0.1], 1.0, gaussian_corr, params, k0=[0.0, 0.0])
 
 
 class TestKernelHat:
@@ -261,7 +265,7 @@ class TestMomentSeries:
 def test_phase_nonpositive_property(k, t):
     corr = GaussianCorrelation([[1.0]])
     p = ModelParams(v0=1.3)
-    assert phase(PhaseQuery(k=[k], t=t), corr, p) <= 1e-12
+    assert phase([k], t, corr, p) <= 1e-12
 
 
 def test_units_stay_symbolic():

@@ -136,17 +136,14 @@ class TestDiffusionConstant:
     def test_worked_example(self):
         # hbar=m=1, v0=1, g(0)-g(e1)=0.5, trace=1: D = 4 / 0.5 = 8
         inputs = LatticeMomentInputs(c1=1.0, gamma=[0.5])
-        assert diffusion_constant(inputs) == pytest.approx(8.0)
+        assert diffusion_constant(LatticeMSDLaw.from_inputs(inputs)) == pytest.approx(8.0)
 
     def test_ballistic_flag(self):
-        inputs = LatticeMomentInputs(c1=1.0, gamma=[0.0, 1.0])
-        assert diffusion_constant(inputs) == BALLISTIC
+        assert diffusion_constant(LatticeMSDLaw(cd=4.0, gamma=[0.0, 1.0])) == BALLISTIC
 
     def test_quartic_suppression_in_disorder_strength(self, sharp_corr):
-        d1 = diffusion_constant(
-            LatticeMomentInputs.point_localized(sharp_corr, ModelParams(v0=1.0, space=Space.LATTICE)))
-        d2 = diffusion_constant(
-            LatticeMomentInputs.point_localized(sharp_corr, ModelParams(v0=2.0, space=Space.LATTICE)))
+        d1, d2 = (diffusion_constant(LatticeMSDLaw.from_inputs(LatticeMomentInputs.point_localized(
+            sharp_corr, ModelParams(v0=v0, space=Space.LATTICE)))) for v0 in (1.0, 2.0))
         assert d2 == pytest.approx(d1 / 4.0, rel=1e-12)
 
     def test_positive_whenever_all_channels_decay(self):
@@ -154,15 +151,15 @@ class TestDiffusionConstant:
         for _ in range(20):
             gam = rng.uniform(0.01, 3.0, size=3)
             inputs = LatticeMomentInputs(c1=0.7, gamma=gam)
-            assert diffusion_constant(inputs) > 0
+            assert diffusion_constant(LatticeMSDLaw.from_inputs(inputs)) > 0
 
 
 def test_law_json_export(point_inputs):
     law = LatticeMSDLaw.from_inputs(point_inputs)
-    payload = law_payload(law, point_inputs)
+    payload = law_payload(law)
     assert payload["Cd"] == pytest.approx(4.0)
     assert payload["gamma"] == [pytest.approx(1.0)]
     assert payload["D"] == pytest.approx(4.0)
     flat = LatticeMomentInputs(c1=1.0, gamma=[0.0])
-    payload2 = law_payload(LatticeMSDLaw.from_inputs(flat), flat)
+    payload2 = law_payload(LatticeMSDLaw.from_inputs(flat))
     assert payload2["D"] == "ballistic"

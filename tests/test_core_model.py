@@ -163,7 +163,7 @@ def test_lattice_correlation_data(sharp_corr):
     inputs = LatticeMomentInputs.point_localized(sharp_corr, params)
     assert inputs.gamma[0] == pytest.approx(1.0, abs=1e-15)
     assert dephasing_rate(sharp_corr, params, 2 * np.eye(1))[0] == pytest.approx(1.0, abs=1e-15)
-    assert diffusion_constant(inputs) is not BALLISTIC
+    assert diffusion_constant(LatticeMSDLaw.from_inputs(inputs)) is not BALLISTIC
 
 
 def test_lattice_ballistic_channel_flagged():
@@ -173,7 +173,7 @@ def test_lattice_ballistic_channel_flagged():
     params = ModelParams(space=Space.LATTICE)
     inputs = LatticeMomentInputs.point_localized(table, params)
     assert inputs.gamma[0] == pytest.approx(0.0, abs=1e-12)
-    assert diffusion_constant(inputs) is BALLISTIC
+    assert diffusion_constant(LatticeMSDLaw.from_inputs(inputs)) is BALLISTIC
 
 
 @pytest.mark.parametrize("v0", [1e-8, 1e-7])
@@ -182,7 +182,7 @@ def test_weak_disorder_axis_is_ballistic_on_every_route(sharp_corr, v0):
     # rates, the diffusion constant and the closed-form law all call it ballistic
     inputs = LatticeMomentInputs.point_localized(sharp_corr, ModelParams(v0=v0, space=Space.LATTICE))
     assert 0.0 < inputs.gamma[0] <= _ZERO_GAMMA
-    assert diffusion_constant(inputs) is BALLISTIC
+    assert diffusion_constant(LatticeMSDLaw.from_inputs(inputs)) is BALLISTIC
     law = LatticeMSDLaw.from_inputs(inputs)
     t = np.array([0.0, 1.0, 10.0, 1e4])
     np.testing.assert_array_equal(msd_inverse_laplace_closed_form(t, law), law.cd * 0.5 * t**2)

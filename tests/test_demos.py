@@ -1,3 +1,5 @@
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -16,3 +18,15 @@ def test_demo_runs(tmp_path, demo):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_imports_resolve(demo):
+    # not every demo runs above: a name a demo imports from the package must
+    # still exist, or that demo breaks unseen
+    tree = ast.parse((ROOT / "demos" / demo).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "whitenoise_transport":
+            module = importlib.import_module(node.module)
+            missing = [alias.name for alias in node.names if not hasattr(module, alias.name)]
+            assert missing == [], f"{demo}: {node.module} has no {missing}"

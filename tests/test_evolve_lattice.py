@@ -143,9 +143,43 @@ class TestFullKernel:
         assert fd == pytest.approx(target, rel=1e-3)
 
     def test_cfl_guard(self, sharp_corr, point_init):
-        with pytest.raises(StabilityError, match=r"dt=1.0 too large for \|k\|=3.14"):
-            evolve_full_kernel(np.array([[np.pi]]), point_init.m0, sharp_corr, LATTICE,
+        # sin(pi/2) = 1 maximises the hopping part of the bound (at k = pi it vanishes)
+        with pytest.raises(StabilityError, match=r"dt=1.0 too large for \|k\|=1.57"):
+            evolve_full_kernel(np.array([[np.pi / 2]]), point_init.m0, sharp_corr, LATTICE,
                                t_max=1.0, dt=1.0)
+
+    @pytest.mark.parametrize("dim, side, n_x", [(1, 31, 48), (2, 25, 36)])
+    def test_free_evolution_is_the_exact_density_matrix_evolution(self, dim, side, n_x):
+        # rho(t) = U rho0 U^dagger with the lattice dispersion -(hbar^2/m) sum_j cos q_j
+        # of the Monte Carlo route; no generator of the kernel enters the reference
+        hbar, mass, t = 0.7, 1.3, 0.6
+        params = ModelParams(hbar=hbar, mass=mass, v0=0.0, dim=dim, space=Space.LATTICE)
+        k = np.array([0.7, -0.4][:dim])
+        sites = np.indices((n_x,) * dim).reshape(dim, -1).T
+        rng = np.random.default_rng(5)
+        # a mixed state of three columns, each supported on the 3^d sites around the centre
+        near = np.all(np.abs(sites - n_x // 2) <= 1, axis=1)
+        cols = (rng.normal(size=(near.size, 3)) + 1j * rng.normal(size=(near.size, 3))) * near[:, None]
+        rho0 = cols @ cols.conj().T
+        q = np.stack(np.meshgrid(*[2 * np.pi * np.fft.fftfreq(n_x)] * dim, indexing="ij"))
+        energy = -(hbar**2 / mass) * np.cos(q).sum(axis=0)
+        fourier = np.exp(-1j * (2 * np.pi / n_x) * (sites @ sites.T))  # DFT over the d-D lattice
+        u = fourier.conj().T @ (np.exp(-1j * energy.ravel() * t / hbar)[:, None] * fourier) / n_x**dim
+        rho_t = u @ rho0 @ u.conj().T
+
+        def kernel(rho):
+            # K(k, Y) = sum_X exp(i k.X) <x|rho|x'>, X = x + x', Y = x - x'
+            Y = sites[:, None, :] - sites[None, :, :]
+            X = sites[:, None, :] + sites[None, :, :]
+            keep = np.all(np.abs(Y) <= side // 2, axis=-1)
+            out = np.zeros((side,) * dim, dtype=complex)
+            np.add.at(out, tuple((Y[keep] % side).T), np.exp(1j * (X[keep] @ k)) * rho[keep])
+            return out
+
+        _, snaps = evolve_full_kernel(k[None], kernel(rho0), GaussianCorrelation(40.0 * np.eye(dim)),
+                                      params, t_max=t, dt=0.002)
+        ref = kernel(rho_t)
+        assert np.max(np.abs(snaps[0, -1] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def _shift(arr, axis, direction):
@@ -187,13 +221,10 @@ def _rk4_hierarchy_loop(init, gamma, c1, t_max, dt, record_every):
 
 def _rk4_kernel_loop(k, R, gamma, c, dt, record_steps):
     """Plain per-step RK4 of the transformed kernel at one k (reference)."""
-    mult_plus, mult_minus = np.exp(1j * k) - 1.0, np.exp(-1j * k) - 1.0
-    diag = 2.0 * np.sum(1.0 - np.cos(k))
-
     def rhs(y):
-        acc = -(gamma + 1j * c * diag) * y
+        acc = -gamma * y
         for j in range(len(k)):
-            acc = acc - 1j * c * (mult_plus[j] * _shift(y, j, +1) + mult_minus[j] * _shift(y, j, -1))
+            acc = acc + c * np.sin(k[j]) * (_shift(y, j, +1) - _shift(y, j, -1))
         return acc
 
     out = [R] if record_steps[0] == 0 else []
@@ -305,6 +336,33 @@ class TestStepOperatorProperties:
         assert info["trace_drift"] == 0.0
         if real:
             assert info["max_imag_residue"] == 0.0
+
+
+class TestFullKernelProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(dim=st.integers(1, 2), k=st.lists(st.floats(-np.pi, np.pi), min_size=2, max_size=2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_hermiticity(self, dim, k, seed):
+        # rho = rho^dagger gives conj K(k, Y, t) = K(-k, -Y, t); the start at -k
+        # is the mirrored conjugate of the start at k, so the two evolutions must
+        # stay mirrored conjugates
+        params = ModelParams(hbar=0.7, mass=1.3, v0=0.8, dim=dim, space=Space.LATTICE)
+        corr = GaussianCorrelation(0.5 * np.eye(dim))
+        k = np.array(k[:dim])
+        rng = np.random.default_rng(seed)
+        shape = (9,) * dim
+        start = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        _, plus = evolve_full_kernel(k[None], start, corr, params, t_max=0.5, dt=0.01)
+        _, minus = evolve_full_kernel(-k[None], np.conj(_mirror(start)), corr, params, t_max=0.5, dt=0.01)
+        np.testing.assert_allclose(np.conj(_mirror(plus[0, -1])), minus[0, -1], rtol=0.0,
+                                   atol=1e-12 * np.max(np.abs(plus[0, -1])))
+
+
+def _mirror(arr):
+    """arr(-Y) on the minimum-image layout (index 0 is Y = 0)."""
+    for ax in range(arr.ndim):
+        arr = np.roll(np.flip(arr, axis=ax), 1, axis=ax)
+    return arr
 
 
 # the messages of step_count and the record_every check

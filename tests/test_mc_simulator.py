@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from whitenoise_transport import (BoxSizeError, ColoredKernel, FieldGrid, GaussianCorrelation,
                                   GaussianPureState, InputError, ModelParams, Space, StabilityError,
-                                  gaussian_wavepacket, kernel_hat, msd_closed_form, point_state,
+                                  kernel_hat, msd_closed_form, point_state,
                                   run_classical, run_continuum, run_lattice)
 from whitenoise_transport import mc_simulator, noise_field
 from whitenoise_transport.core_model import _record_steps
@@ -26,6 +27,11 @@ CORR = GaussianCorrelation([[1.0]])
 SHARP = GaussianCorrelation([[40.0]])
 
 
+def _packet(grid, sigma=1.0):
+    """The unit-norm Gaussian start on ``grid``."""
+    return GaussianPureState(sigma, dim=grid.dim).wavefunction(grid)
+
+
 @pytest.fixture(scope="module")
 def small_grid():
     return FieldGrid.continuum(1, 512, 120.0)
@@ -33,7 +39,7 @@ def small_grid():
 
 @pytest.fixture(scope="module")
 def packet(small_grid):
-    return gaussian_wavepacket(small_grid, 1.0)
+    return _packet(small_grid)
 
 
 class TestContinuum:
@@ -45,7 +51,7 @@ class TestContinuum:
 
     def test_norm_conserved_over_many_steps(self):
         grid = FieldGrid.continuum(1, 128, 40.0)
-        psi = gaussian_wavepacket(grid, 1.0)
+        psi = _packet(grid)
         res = run_continuum(grid, psi, CORR, P, t_max=2.0, dt=2e-4, n_traj=1, seed=3,
                             record_every=1000, boundary_tol=1e-3)
         assert res.norm_drift_max < 1e-10  # 10^4 unitary steps
@@ -154,7 +160,7 @@ class TestContinuum:
 
     def test_boundary_abort(self):
         grid = FieldGrid.continuum(1, 128, 12.0)  # box far too small
-        psi = gaussian_wavepacket(grid, 1.0)
+        psi = _packet(grid)
         with pytest.raises(BoxSizeError, match=r"of trajectory 0 at t=0\.75 exceeds mc\.boundary_tol"
                                                r"=1\.0e-06; enlarge the box \(grid\.length\)"):
             run_continuum(grid, psi, CORR, P, t_max=6.0, dt=0.01, n_traj=2, seed=2,
@@ -165,7 +171,7 @@ class TestContinuum:
         # x > nan is always False: a NaN tolerance would turn the monitor off
         grid = FieldGrid.continuum(1, 64, 16.0)
         with pytest.raises(InputError, match="boundary_tol must be nonnegative"):
-            run_continuum(grid, gaussian_wavepacket(grid, 1.0), CORR, P, t_max=3.0, dt=0.05,
+            run_continuum(grid, _packet(grid), CORR, P, t_max=3.0, dt=0.05,
                           n_traj=4, seed=1, boundary_tol=tol, threads=1, batch_size=4)
 
     def test_kspace_edge_mass_grows_on_a_coarse_grid(self):
@@ -174,7 +180,7 @@ class TestContinuum:
         edge = {}
         for n in (64, 128):
             grid = FieldGrid.continuum(1, n, 32.0)
-            edge[n] = run_continuum(grid, gaussian_wavepacket(grid, 1.0), CORR, P, **kw).kspace_edge_max
+            edge[n] = run_continuum(grid, _packet(grid), CORR, P, **kw).kspace_edge_max
         assert edge[64] > 10.0 * edge[128]
 
     def test_ito_control_violates_trace_and_msd(self, small_grid, packet):
@@ -207,7 +213,7 @@ class TestKspaceEdge:
         x = grid.axis_coords()
         # along the last axis, mode 15 of spacing 2 pi / L, one below the Nyquist mode 16
         wave = np.broadcast_to(np.exp(1j * 2 * np.pi * 15 / 16.0 * x), grid.shape)
-        for psi, expected in ((wave, 1.0), (gaussian_wavepacket(grid, 1.0), 0.0)):
+        for psi, expected in ((wave, 1.0), (_packet(grid), 0.0)):
             psi = psi[None].astype(complex)
             obs.measure(slice(0, 1), 0, psi, np.fft.fftn(psi, axes=axes))
             assert obs.kedge[0, 0] == pytest.approx(expected, abs=1e-9)
@@ -323,7 +329,7 @@ def test_batch_peaks_at_most_3_6_wavefunction_arrays(space, scheme):
         peak = _batch_peak_in_wavefunctions(grid, point_state(grid), SHARP, P_LAT, scheme)
     else:
         grid = FieldGrid.continuum(1, 1024, 192.0)
-        peak = _batch_peak_in_wavefunctions(grid, gaussian_wavepacket(grid, 1.0), CORR, P, scheme)
+        peak = _batch_peak_in_wavefunctions(grid, _packet(grid), CORR, P, scheme)
     assert peak <= 3.6
 
 
@@ -350,7 +356,7 @@ def _block_split_case(case):
         extra = {"probe_k": [[0.2]]}
         if case == "ito-1024":
             extra["scheme"] = SCHEME_ITO_EULER
-    psi = gaussian_wavepacket(grid, 1.0)
+    psi = _packet(grid)
 
     def run(**kw):
         return run_continuum(grid, psi, corr, params, t_max=3 * dt, dt=dt, n_traj=n_traj, seed=47,
@@ -404,7 +410,7 @@ def test_blocks_that_split_a_batch_keep_every_bit(case, monkeypatch):
     (FieldGrid.continuum(1, 512, 120.0), 0.0125, ColoredKernel(0.2)),    # q = 16
 ])
 def test_ensemble_peak_follows_the_block_not_the_batch(grid, dt, colored):
-    psi = gaussian_wavepacket(grid, 1.0)
+    psi = _packet(grid)
     rows = mc_simulator._block_rows(psi.size)
 
     def run(batch_size):
@@ -469,7 +475,7 @@ def test_stratonovich_norm_is_conserved(dim, space, log2_n, spacing, width, sigm
         psi = point_state(grid)
     else:
         grid, drive = FieldGrid.continuum(dim, n, n * spacing), run_continuum
-        psi = gaussian_wavepacket(grid, sigma * grid.side_length)
+        psi = _packet(grid, sigma * grid.side_length)
     corr = GaussianCorrelation(np.eye(dim) / (width * grid.side_length) ** 2)
     res = drive(grid, psi, corr, ModelParams(v0=v0, dim=dim, space=space), t_max=n_steps * dt,
                 dt=dt, n_traj=2, seed=seed, record_every=max(1, n_steps // 4), boundary_tol=1.0,
@@ -493,7 +499,7 @@ def test_lattice_any_batch_split_matches_one_batch(n_traj, batch_size, threads):
 @given(n_traj=st.integers(1, 23), batch_size=st.integers(1, 25), threads=st.sampled_from([1, 2]))
 def test_colored_any_batch_split_matches_one_batch(n_traj, batch_size, threads):
     grid = FieldGrid.continuum(1, 64, 32.0)
-    psi = gaussian_wavepacket(grid, 1.0)
+    psi = _packet(grid)
     kw = dict(t_max=0.1, dt=0.0125, seed=41, record_every=4, boundary_tol=1.0,
               colored=ColoredKernel(0.05))
     a = run_continuum(grid, psi, CORR, P, n_traj=n_traj, threads=threads, batch_size=batch_size, **kw)
@@ -552,9 +558,26 @@ def test_unknown_scheme_refused_before_any_batch(small_grid, packet, monkeypatch
 
 def test_wavepacket_needs_one_sigma_or_one_per_axis():
     grid = FieldGrid.continuum(2, 16, 8.0)
-    with pytest.raises(InputError, match="need 1 or 2 sigmas for a 2-D grid, got 3"):
-        gaussian_wavepacket(grid, [1.0, 1.0, 1.0])
-    np.testing.assert_array_equal(gaussian_wavepacket(grid, [0.8, 0.8]), gaussian_wavepacket(grid, 0.8))
+    with pytest.raises(InputError, match="initial state has dim 3, grid has dim 2"):
+        GaussianPureState([1.0, 1.0, 1.0], dim=2).wavefunction(grid)
+    np.testing.assert_array_equal(GaussianPureState([0.8, 0.8]).wavefunction(grid),
+                                  GaussianPureState(0.8, dim=2).wavefunction(grid))
+
+
+@pytest.mark.parametrize("dim, points, length, sigma, trace", [
+    (1, 256, 60.0, 1.0, 1.0), (1, 128, 40.0, 0.7, 2.0), (2, 32, 16.0, [0.8, 1.3], 0.9)])
+def test_wavefunction_is_the_scaled_unit_gaussian_bit_for_bit(dim, points, length, sigma, trace):
+    # the formula the Monte Carlo psi0 has always had, written out
+    grid = FieldGrid.continuum(dim, points, length)
+    sig = np.broadcast_to(np.asarray(sigma, dtype=float), (dim,))
+    axes = np.meshgrid(*[grid.axis_coords()] * dim, indexing="ij")
+    psi = np.exp(-sum(a**2 / (4.0 * s**2) for a, s in zip(axes, sig))).astype(complex)
+    psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2) * grid.spacing**dim))
+    got = GaussianPureState(sigma, dim=dim, trace=trace).wavefunction(grid)
+    np.testing.assert_array_equal(got, psi * math.sqrt(trace))
+    assert np.sum(np.abs(got) ** 2) * grid.spacing**dim == pytest.approx(trace, rel=1e-14)
+    with pytest.raises(InputError, match=f"initial state has dim {dim}, grid has dim {3 - dim}"):
+        GaussianPureState(sigma, dim=dim).wavefunction(FieldGrid.continuum(3 - dim, 16, 8.0))
 
 
 class TestClassical:
@@ -708,7 +731,7 @@ def test_colored_study_smoke(small_grid, packet):
     # per-trajectory deviations are skewed, so the smoke run needs a
     # moderate ensemble for the z-statistics to mean anything
     rows = colored_noise_convergence_study(
-        [0.4, 0.2], small_grid, packet, GaussianPureState(1.0, dim=1), CORR, P,
+        [0.4, 0.2], small_grid, GaussianPureState(1.0, dim=1), CORR, P,
         t_max=2.0, dt=0.0125, n_traj=150, seed=77, record_every=20, include_ito=True,
         boundary_tol=1e-3)
     labels = [r.label for r in rows]
@@ -722,7 +745,7 @@ def test_colored_study_smoke(small_grid, packet):
 def test_free_spreading_with_nonunit_constants():
     p = ModelParams(hbar=2.0, mass=0.5, v0=0.0)
     grid = FieldGrid.continuum(1, 512, 160.0)
-    psi = gaussian_wavepacket(grid, 1.0)
+    psi = _packet(grid)
     res = run_continuum(grid, psi, CORR, p, t_max=3.0, dt=0.01, n_traj=2, seed=1,
                         record_every=50)
     exact = 1 + (2.0 * res.times / (2 * 0.5)) ** 2

@@ -6,7 +6,7 @@ import pytest
 
 from whitenoise_transport import (ColoredKernel, CovarianceError, FieldGrid, GaussianCorrelation,
                                   InputError, ModelParams, ResolutionError, TabulatedCorrelation,
-                                  field_increments, rng, spectral_amplitude)
+                                  field_increments, rng, spectral_amplitude, validate_hypotheses)
 from whitenoise_transport import noise_field
 from whitenoise_transport.noise_field import (_COLORED_STEP_OFFSET, ColoredStream, HalfSpectrum,
                                               _filter_white_batch)
@@ -91,6 +91,26 @@ def test_negative_spectrum_raises_covariance_error(params):
     grid = FieldGrid.continuum(1, 256, 16.0)
     with pytest.raises(CovarianceError, match=r"negative spectral density .* at mode \("):
         spectral_amplitude(grid, table, params)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-10])
+def test_spectrum_sign_test_is_relative(params, scale):
+    # g's scale is arbitrary (v0 carries it): the hard cutoff is refused at
+    # any scale, by validate and by the Monte Carlo spectrum alike
+    xs = np.linspace(-8, 8, 129)
+    table = TabulatedCorrelation(xs, scale * np.where(np.abs(xs) <= 1.0, 1.0, 0.0))
+    assert not validate_hypotheses(table, params).spectrum_nonnegative
+    with pytest.raises(CovarianceError, match="negative spectral density"):
+        spectral_amplitude(FieldGrid.continuum(1, 256, 16.0), table, params)
+
+
+def test_validate_checks_g_extent_not_the_run_box(params):
+    # validate samples g on a grid of g's own extent; a box too short for g
+    # is refused only when a Monte Carlo route builds its spectrum there
+    corr = GaussianCorrelation([[1.0]])
+    assert validate_hypotheses(corr, params).spectrum_nonnegative
+    with pytest.raises(CovarianceError, match=r"min/max = -1.57\de-03"):
+        spectral_amplitude(FieldGrid.continuum(1, 64, 4.0), corr, params)
 
 
 def test_dimension_mismatch_raises_input_error(params):
