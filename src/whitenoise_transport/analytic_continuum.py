@@ -73,12 +73,26 @@ class MomentSeries:
 
     @classmethod
     def from_csv(cls, path_or_buf):
-        """Read ``t,msd,...`` back: columns 0 and 1, whatever their names."""
-        with _open_text(path_or_buf, "r") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            rows = [[float(v) for v in row] for row in reader if row]
-        data = np.asarray(rows, dtype=float)
+        """Read ``t,msd,...`` back: columns 0 and 1, whatever their names.
+
+        An unreadable file, a non-numeric or non-finite cell, a row of fewer
+        than two columns or no data row is an ``InputError`` naming the source."""
+        try:
+            with _open_text(path_or_buf, "r") as fh:
+                reader = csv.reader(fh)
+                next(reader, None)
+                rows = [[float(v) for v in row] for row in reader if row]
+        except OSError as exc:
+            raise InputError(f"cannot read series {path_or_buf}: {exc}") from None
+        except ValueError as exc:
+            raise InputError(f"series {path_or_buf}: {exc}") from None
+        if not rows:
+            raise InputError(f"series {path_or_buf}: no data rows")
+        if min(len(row) for row in rows) < 2:
+            raise InputError(f"series {path_or_buf}: every row needs two columns, t and msd")
+        data = np.asarray([row[:2] for row in rows], dtype=float)
+        if not np.all(np.isfinite(data)):
+            raise InputError(f"series {path_or_buf}: a t or msd cell is not finite")
         return cls(times=data[:, 0], msd=data[:, 1])
 
 
@@ -95,6 +109,8 @@ class GaussianPureState:
         sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
         if dim is not None and sigma.size == 1:
             sigma = np.full(dim, sigma[0])
+        if dim is not None and sigma.size != dim:
+            raise InputError(f"sigma must have 1 or dim = {dim} entries, got {sigma.size}")
         if np.any(sigma <= 0):
             raise InputError(f"sigma must be positive, got {sigma}")
         if not trace > 0:

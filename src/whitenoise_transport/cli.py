@@ -35,7 +35,7 @@ from .analytic_lattice import (LatticeMSDLaw, LatticeMomentInputs, law_payload,
                                msd_inverse_laplace_closed_form)
 from .core_model import (GaussianCorrelation, ModelParams, Space, _write_csv, laplacian_g_at_zero,
                          load_correlation_csv, step_count, validate_hypotheses)
-from .errors import ConfigError, Error, InputError, NumericalError
+from .errors import ConfigError, InputError, NumericalError
 from .evolve_lattice import LatticeInitialData, evolve_hierarchy
 from .mc_simulator import (DEFAULT_THREADS, SCHEME_ITO_EULER, SCHEME_STRATONOVICH,
                            colored_noise_convergence_study, point_state, run_classical,
@@ -44,7 +44,7 @@ from .noise_field import FieldGrid
 from .rng import STREAM_VERSION
 from .transforms_fit import fit_power_law
 
-__all__ = ["DEFAULT_CONFIG", "load_config", "save_config", "run", "emit_plot_data", "main"]
+__all__ = ["DEFAULT_CONFIG", "load_config", "run", "main"]
 
 
 DEFAULT_CONFIG = {
@@ -181,10 +181,6 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def save_config(cfg: dict, path):
-    _write_json(path, cfg)
-
-
 # ------------------------------------------------------------- objects
 
 
@@ -251,6 +247,8 @@ def _build(cfg, route, threads) -> _Setup:
             s.grid = FieldGrid.continuum(params.dim, cfg["grid"]["points"], cfg["grid"]["length"])
         else:
             s.grid = FieldGrid.lattice(params.dim, cfg["lattice_box"]["sites"])
+    # the colored study builds its psi0 from s.state
+    if plan in ("mc-continuum", "mc-lattice", "compare-continuum"):
         s.psi0 = point_state(s.grid) if state == "point" else s.state.wavefunction(s.grid)
     if plan in ("mc-continuum", "mc-lattice", "classical", "colored-study", "compare-continuum"):
         s.ensemble = dict(t_max=float(t["t_max"]), dt=float(t["dt"]), n_traj=mc["n_traj"],
@@ -287,7 +285,7 @@ def _write_manifest(out_dir: Path, cfg, route):
         "rng_stream_version": STREAM_VERSION,
         "rerun": f"wnt {route} --config config.json --seed {cfg['seed']}",
     })
-    save_config(cfg, out_dir / "config.json")
+    _write_json(out_dir / "config.json", cfg)
 
 
 def _write_ratio(path, names, times, a, b) -> np.ndarray:
@@ -528,99 +526,6 @@ def run(config_path, route=None, seed=None, out_dir=None, threads=DEFAULT_THREAD
     return code
 
 
-# ------------------------------------------------------------ plot data
-
-
-def emit_plot_data(series_list, labels, out_prefix, fits=None):
-    """Write a gnuplot-ready .dat table and a log-log SVG chart.
-
-    Columns come in (t, value) pairs per series; rows beyond a series'
-    length carry the token ``NA``.  The SVG annotates each series with its
-    fitted slope when ``fits`` is given.
-    """
-    if not series_list:
-        raise InputError("emit_plot_data needs at least one series")
-    series_list = list(series_list)
-    labels = list(labels)
-    if len(labels) != len(series_list):
-        raise InputError("labels must match series")
-
-    dat_path = Path(f"{out_prefix}.dat")
-    svg_path = Path(f"{out_prefix}.svg")
-    n_rows = max(s.times.size for s in series_list)
-    with open(dat_path, "w", newline="\n") as fh:
-        fh.write("# " + "  ".join(f"t_{lbl} {lbl}" for lbl in labels) + "\n")
-        for i in range(n_rows):
-            cells = []
-            for s in series_list:
-                if i < s.times.size:
-                    cells += [f"{s.times[i]:.17g}", f"{s.msd[i]:.17g}"]
-                else:
-                    cells += ["NA", "NA"]
-            fh.write(" ".join(cells) + "\n")
-
-    _write_loglog_svg(svg_path, series_list, labels, fits)
-    return dat_path, svg_path
-
-
-_SVG_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
-
-
-def _write_loglog_svg(path, series_list, labels, fits=None):
-    width, height = 640, 480
-    ml, mr, mt, mb = 70, 20, 20, 50
-    pts = []
-    for s in series_list:
-        mask = (s.times > 0) & (s.msd > 0)
-        pts.append((np.log10(s.times[mask]), np.log10(s.msd[mask])))
-    xs = np.concatenate([p[0] for p in pts if p[0].size])
-    ys = np.concatenate([p[1] for p in pts if p[1].size])
-    if xs.size == 0:
-        raise InputError("no positive data to plot on log-log axes")
-    x0, x1 = float(xs.min()), float(xs.max())
-    y0, y1 = float(ys.min()), float(ys.max())
-    x1 = x0 + 1.0 if x1 <= x0 else x1
-    y1 = y0 + 1.0 if y1 <= y0 else y1
-
-    def sx(x):
-        return ml + (x - x0) / (x1 - x0) * (width - ml - mr)
-
-    def sy(y):
-        return height - mb - (y - y0) / (y1 - y0) * (height - mt - mb)
-
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-           f'viewBox="0 0 {width} {height}" font-family="monospace" font-size="12">',
-           f'<rect width="{width}" height="{height}" fill="white"/>',
-           f'<rect x="{ml}" y="{mt}" width="{width - ml - mr}" height="{height - mt - mb}" '
-           'fill="none" stroke="black"/>']
-    for dec in range(math.floor(x0), math.ceil(x1) + 1):
-        if x0 <= dec <= x1:
-            out.append(f'<line x1="{sx(dec):.1f}" y1="{height - mb}" x2="{sx(dec):.1f}" '
-                       f'y2="{mt}" stroke="#dddddd"/>')
-            out.append(f'<text x="{sx(dec):.1f}" y="{height - mb + 18}" text-anchor="middle">'
-                       f'1e{dec}</text>')
-    for dec in range(math.floor(y0), math.ceil(y1) + 1):
-        if y0 <= dec <= y1:
-            out.append(f'<line x1="{ml}" y1="{sy(dec):.1f}" x2="{width - mr}" '
-                       f'y2="{sy(dec):.1f}" stroke="#dddddd"/>')
-            out.append(f'<text x="{ml - 6}" y="{sy(dec) + 4:.1f}" text-anchor="end">1e{dec}</text>')
-    out.append(f'<text x="{(ml + width - mr) / 2}" y="{height - 12}" text-anchor="middle">t</text>')
-    out.append(f'<text x="16" y="{(mt + height - mb) / 2}" text-anchor="middle" '
-               f'transform="rotate(-90 16 {(mt + height - mb) / 2})">msd</text>')
-
-    for i, ((lx, ly), lbl) in enumerate(zip(pts, labels)):
-        color = _SVG_COLORS[i % len(_SVG_COLORS)]
-        if lx.size:
-            path_d = " ".join(f"{sx(a):.1f},{sy(b):.1f}" for a, b in zip(lx, ly))
-            out.append(f'<polyline points="{path_d}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        note = lbl
-        if fits is not None and fits[i] is not None:
-            note += f" slope {fits[i].exponent:.3f}"
-        out.append(f'<text x="{ml + 10}" y="{mt + 18 + 16 * i}" fill="{color}">{note}</text>')
-    out.append("</svg>")
-    Path(path).write_text("\n".join(out) + "\n")
-
-
 # ------------------------------------------------------------------ main
 
 
@@ -635,22 +540,6 @@ def _route_fit(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "fit.json", fit.to_dict())
-    return 0
-
-
-def _route_plot(args) -> int:
-    series = [MomentSeries.from_csv(p) for p in args.csv]
-    labels = [Path(p).stem for p in args.csv]
-    fits = []
-    for s in series:
-        try:
-            fits.append(fit_power_law(s))
-        except Error:
-            fits.append(None)
-    out = Path(args.out) if args.out else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
-    dat, svg = emit_plot_data(series, labels, out / "series", fits=fits)
-    print(f"wrote {dat} and {svg}")
     return 0
 
 
@@ -677,16 +566,10 @@ def main(argv=None) -> int:
     p_fit.add_argument("--t-hi", type=float, default=None)
     p_fit.add_argument("--out", default=None)
 
-    p_plot = sub.add_parser("plot", help="emit gnuplot .dat and log-log .svg for series CSVs")
-    p_plot.add_argument("csv", nargs="+")
-    p_plot.add_argument("--out", default=None)
-
     args = parser.parse_args(argv)
     try:
         if args.command == "fit":
             return _route_fit(args)
-        if args.command == "plot":
-            return _route_plot(args)
         return run(args.config, route=args.command, seed=args.seed, out_dir=args.out,
                    threads=args.threads)
     except (ConfigError, InputError) as exc:

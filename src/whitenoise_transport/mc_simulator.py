@@ -192,7 +192,10 @@ class _Observables:
         if probe_k is not None:
             pk = np.atleast_2d(np.asarray(probe_k, dtype=float))
             coords = np.stack(axes, axis=-1)
-            # estimator of the transformed kernel: 2^d * E int e^{2ik.x} rho(x,x) dx
+            # estimator of the transformed kernel K(k, 0, t): E int e^{2ik.x} rho(x,x) dx
+            # times the continuum's volume factor 2^d (dX = 2^d dx); the lattice
+            # sum over X = 2x has none (docs/conventions.md)
+            self.probe_factor = 2.0**grid.dim if params.space is Space.CONTINUUM else 1.0
             self.probe_waves = np.stack(
                 [np.exp(2j * np.einsum("...i,i->...", coords, k)) for k in pk]
             )
@@ -219,7 +222,7 @@ class _Observables:
         if self.probes is not None:
             self.probes[rows, :, pos] = (
                 np.stack([np.sum(density * wv, axis=axes) * self.w for wv in self.probe_waves], axis=1)
-                * 2.0**self.grid.dim
+                * self.probe_factor
             )
         density *= self.r2
         self.msd[rows, pos] = np.sum(density, axis=axes) * self.w

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,14 @@ class TestKernelHat:
         density = lambda x: np.exp(-x**2 / (2 * sigma**2)) / np.sqrt(2 * np.pi * sigma**2)
         val = gauss_legendre_integral(density, -12, 12, order=128)
         assert val == pytest.approx(state.trace, abs=1e-10)
+
+    def test_gaussian_state_needs_one_sigma_or_one_per_axis(self):
+        assert GaussianPureState(0.8, dim=3).dim == 3
+        assert GaussianPureState([0.8, 1.2], dim=2).dim == 2
+        assert GaussianPureState([0.8, 1.2, 1.5]).dim == 3
+        for sigma in ([1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]):
+            with pytest.raises(InputError, match=f"sigma must have 1 or dim = 2 entries, got {len(sigma)}"):
+                GaussianPureState(sigma, dim=2)
 
 
 class TestMsdClosedForm:
@@ -245,6 +254,22 @@ class TestMomentSeries:
         buf = io.StringIO("t,msd_mc,msd_closed_form,ratio\n1,2,4,0.5\n2,3,6,0.5\n")
         back = MomentSeries.from_csv(buf)
         np.testing.assert_array_equal(back.msd, [2.0, 3.0])
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read series {path}"),
+        ("t,msd\n0,1\n1,x\n", "series {path}: could not convert string to float: 'x'"),
+        ("t,msd\n", "series {path}: no data rows"),
+        ("", "series {path}: no data rows"),
+        ("t,msd\n0,1\n1\n", "series {path}: every row needs two columns"),
+        ("t,msd\n0,1\n1,inf\n", "series {path}: a t or msd cell is not finite"),
+        ("t,msd\nnan,1\n1,2\n", "series {path}: a t or msd cell is not finite"),
+    ], ids=["missing", "non-numeric", "header-only", "empty", "one-column", "infinite", "nan"])
+    def test_bad_csv_is_an_input_error_naming_the_file(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(InputError, match=re.escape(message.format(path=path))):
+            MomentSeries.from_csv(path)
 
     def test_seventeen_digit_precision(self):
         val = 1.2345678901234567

@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 
 from whitenoise_transport import MomentSeries, cli, fit_power_law
-from whitenoise_transport.cli import (DEFAULT_CONFIG, emit_plot_data, load_config, main, run,
-                                      save_config)
-from whitenoise_transport.errors import ConfigError, InputError
+from whitenoise_transport.cli import DEFAULT_CONFIG, load_config, main, run
+from whitenoise_transport.errors import ConfigError
 
 
 def write_cfg(tmp_path, name="cfg.json", **overrides):
@@ -30,7 +29,7 @@ def test_config_round_trip(tmp_path):
     path = write_cfg(tmp_path, model={"v0": 2.0}, seed=7)
     cfg = load_config(path)
     saved = tmp_path / "resolved.json"
-    save_config(cfg, saved)
+    cli._write_json(saved, cfg)
     assert load_config(saved) == cfg
 
 
@@ -434,27 +433,28 @@ def test_fit_subcommand(tmp_path, capsys):
     assert out["coefficient"] == pytest.approx(2.5, rel=1e-10)
 
 
-def test_plot_outputs(tmp_path):
-    t1 = np.linspace(1, 10, 10)
-    t2 = np.linspace(1, 10, 8)
-    s1 = MomentSeries(times=t1, msd=t1**3)
-    s2 = MomentSeries(times=t2, msd=2 * t2**2)
-    from whitenoise_transport import fit_power_law
-
-    fits = [fit_power_law(s1), fit_power_law(s2)]
-    dat, svg = emit_plot_data([s1, s2], ["cubic", "square"], tmp_path / "demo", fits=fits)
-    lines = Path(dat).read_text().splitlines()
-    assert len(lines) == 1 + 10
-    assert lines[-1].split()[2:] == ["NA", "NA"]  # shorter series padded
-    svg_text = Path(svg).read_text()
-    assert svg_text.startswith("<svg")
-    assert f"slope {fits[0].exponent:.3f}" in svg_text
-    assert f"slope {fits[1].exponent:.3f}" in svg_text
+@pytest.mark.parametrize("text", [None, "t,msd\n0,1\n1,x\n", "t,msd\n"],
+                         ids=["missing", "non-numeric", "header-only"])
+def test_fit_of_a_bad_csv_exits_2_without_a_traceback(tmp_path, capsys, text):
+    csv = tmp_path / "s.csv"
+    if text is not None:
+        csv.write_text(text)
+    assert main(["fit", str(csv)]) == 2
+    err = capsys.readouterr().err
+    assert str(csv) in err
+    assert "Traceback" not in err
 
 
-def test_plot_requires_series():
-    with pytest.raises(InputError, match="needs at least one series"):
-        emit_plot_data([], [], "x")
+def test_readme_lists_every_subcommand(capsys):
+    # the `wnt ...` lines of the README's "Command line" block against the
+    # subcommands that `wnt --help` offers
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    listed = [line.split()[1] for line in block.splitlines() if line.startswith("wnt ")]
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    offered = re.search(r"\{([a-z,-]+)\}", capsys.readouterr().out).group(1).split(",")
+    assert sorted(listed) == sorted(offered)
 
 
 def test_console_entry_point(tmp_path):

@@ -251,7 +251,7 @@ class TestPotentialPhase:
         assert np.isfinite(out[1])
 
 
-def _measure_by_the_formulas(obs, psi, psi_k, axes):
+def _measure_by_the_formulas(obs, psi, psi_k, axes, space):
     """``_Observables.measure`` written out with a temporary per product."""
     density = np.abs(psi) ** 2
     norm = np.sum(density, axis=axes) * obs.w
@@ -265,8 +265,10 @@ def _measure_by_the_formulas(obs, psi, psi_k, axes):
         kedge = dens_k.reshape(len(dens_k), -1)[:, obs.kedge_idx].sum(axis=1) / total_k
     probes = None
     if obs.probes is not None:
+        # K(0, 0, 0) is 2^d Tr rho0 on the continuum and Tr rho0 on the lattice
+        volume = 2.0**obs.grid.dim if space is Space.CONTINUUM else 1.0
         probes = np.stack([np.sum(density * wv, axis=axes) * obs.w for wv in obs.probe_waves],
-                          axis=1) * 2.0**obs.grid.dim
+                          axis=1) * volume
     return norm, msd, energy, boundary, kedge, probes
 
 
@@ -284,7 +286,7 @@ class TestObservables:
         psi_k = np.fft.fftn(psi, axes=axes)
         obs.measure(slice(2, 7), 1, psi, psi_k)
         got = (obs.norm, obs.msd, obs.energy, obs.boundary, obs.kedge, obs.probes)
-        want = _measure_by_the_formulas(obs, psi, psi_k, axes)
+        want = _measure_by_the_formulas(obs, psi, psi_k, axes, params.space)
         assert (got[4] is None) == (params.space is Space.LATTICE)
         for g, w in zip(got, want):
             if w is None:
@@ -458,6 +460,15 @@ class TestLattice:
         np.testing.assert_array_equal(a.per_traj_msd, b.per_traj_msd)
         np.testing.assert_array_equal(a.msd_mean, b.msd_mean)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_kernel_probe_at_k0_is_the_trace(self, dim):
+        # on the lattice K(0, 0, t) = Tr rho(t): the sum over X carries no 2^d
+        grid = FieldGrid.lattice(dim, 32)
+        params = ModelParams(dim=dim, space=Space.LATTICE)
+        res = run_lattice(grid, point_state(grid), GaussianCorrelation(40.0 * np.eye(dim)), params,
+                          t_max=1.0, dt=0.05, n_traj=3, seed=5, record_every=5, probe_k=[[0.0] * dim])
+        np.testing.assert_allclose(res.kernel_probe_mean[0], 1.0, rtol=1e-12, atol=1e-12)
+
 
 @settings(max_examples=40, deadline=None)
 @given(dim=st.sampled_from([1, 2]), space=st.sampled_from(list(Space)), log2_n=st.integers(3, 6),
@@ -559,7 +570,7 @@ def test_unknown_scheme_refused_before_any_batch(small_grid, packet, monkeypatch
 def test_wavepacket_needs_one_sigma_or_one_per_axis():
     grid = FieldGrid.continuum(2, 16, 8.0)
     with pytest.raises(InputError, match="initial state has dim 3, grid has dim 2"):
-        GaussianPureState([1.0, 1.0, 1.0], dim=2).wavefunction(grid)
+        GaussianPureState([1.0, 1.0, 1.0]).wavefunction(grid)
     np.testing.assert_array_equal(GaussianPureState([0.8, 0.8]).wavefunction(grid),
                                   GaussianPureState(0.8, dim=2).wavefunction(grid))
 
