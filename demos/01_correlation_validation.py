@@ -11,7 +11,7 @@ import io
 import numpy as np
 
 from whitenoise_transport import (GaussianCorrelation, ModelParams, TabulatedCorrelation,
-                                  laplacian_g_at_zero, validate_hypotheses)
+                                  laplacian_g_at_zero, load_correlation_csv, validate_hypotheses)
 
 params = ModelParams(dim=2)
 
@@ -33,7 +33,6 @@ buf = io.StringIO()
 for x in xs:
     buf.write(f"{x},{np.exp(-x * x)}\n")
 buf.seek(0)
-rows = np.loadtxt(buf, delimiter=",")
-table2 = TabulatedCorrelation(rows[:, 0], rows[:, 1])
+table2 = load_correlation_csv(buf)
 report = validate_hypotheses(table2, ModelParams())
 print("CSV-loaded Gaussian kernel passes:", report.passed)

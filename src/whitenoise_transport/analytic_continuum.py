@@ -25,13 +25,12 @@ see docs/conventions.md.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import ModelParams, _open_text, _write_csv, laplacian_g_at_zero
+from .core_model import ModelParams, _read_csv, _write_csv, laplacian_g_at_zero
 from .errors import InputError, NumericalError
 
 #: absolute tolerance of the quadratures in :func:`phase` and :func:`laplace_kernel_1d`
@@ -73,26 +72,8 @@ class MomentSeries:
 
     @classmethod
     def from_csv(cls, path_or_buf):
-        """Read ``t,msd,...`` back: columns 0 and 1, whatever their names.
-
-        An unreadable file, a non-numeric or non-finite cell, a row of fewer
-        than two columns or no data row is an ``InputError`` naming the source."""
-        try:
-            with _open_text(path_or_buf, "r") as fh:
-                reader = csv.reader(fh)
-                next(reader, None)
-                rows = [[float(v) for v in row] for row in reader if row]
-        except OSError as exc:
-            raise InputError(f"cannot read series {path_or_buf}: {exc}") from None
-        except ValueError as exc:
-            raise InputError(f"series {path_or_buf}: {exc}") from None
-        if not rows:
-            raise InputError(f"series {path_or_buf}: no data rows")
-        if min(len(row) for row in rows) < 2:
-            raise InputError(f"series {path_or_buf}: every row needs two columns, t and msd")
-        data = np.asarray([row[:2] for row in rows], dtype=float)
-        if not np.all(np.isfinite(data)):
-            raise InputError(f"series {path_or_buf}: a t or msd cell is not finite")
+        """Read ``t,msd,...`` back: columns 0 and 1, whatever their names (see ``core_model._read_csv``)."""
+        data = _read_csv(path_or_buf, "series", ("t", "msd"), header=True)
         return cls(times=data[:, 0], msd=data[:, 1])
 
 

@@ -70,9 +70,6 @@ class LatticeMomentInputs:
     def point_localized(cls, corr, params: ModelParams):
         """Particle initially at one site: K(0, Y, 0) = delta(Y), trace 1."""
         gamma = dephasing_rate(corr, params, np.eye(params.dim))
-        g0 = float(corr.g(np.zeros(params.dim)))
-        if np.any(gamma < -1e-13 * max(abs(g0), 1.0)):
-            raise InputError("g(0) < g(e_m): correlation increases away from the origin")
         return cls(c1=params.hbar / params.mass, gamma=np.maximum(gamma, 0.0))
 
 

@@ -12,7 +12,7 @@ scipy versions and the random-stream version, sufficient to re-run the
 experiment exactly; outputs carry no timestamps so identical config +
 seed produce byte-identical files.
 
-Exit codes: 0 ok, 2 configuration error, 3 numerical error.
+Exit codes: 0 ok, 2 configuration or input error, 3 numerical error.
 """
 
 from __future__ import annotations
@@ -163,6 +163,10 @@ def load_config(path) -> dict:
         if len(cfg[section][key]) not in (1, dim):
             raise ConfigError(f"config.{section}.{key}: must have 1 or model.dim = {dim} entries, "
                               f"got {len(cfg[section][key])}")
+    rows = [len(row) for row in cfg["correlation"]["matrix"]]
+    if cfg["correlation"]["kind"] == "gaussian" and rows != [dim] * dim:
+        raise ConfigError(f"config.correlation.matrix: must be model.dim x model.dim = {dim} x {dim}, "
+                          f"got rows of lengths {rows}")
     window, t = cfg["fit"]["window"], cfg["time"]
     if len(window) != 2:
         raise ConfigError(f"config.fit.window: must have 2 entries, got {len(window)}")
@@ -231,7 +235,7 @@ def _build(cfg, route, threads) -> _Setup:
     else:
         try:
             corr = load_correlation_csv(c["path"], dim=params.dim)
-        except OSError as exc:
+        except InputError as exc:
             raise ConfigError(f"config.correlation.path: {exc}") from None
 
     times = np.linspace(t["t_min"], t["t_max"], t["n_points"])
@@ -572,8 +576,8 @@ def main(argv=None) -> int:
             return _route_fit(args)
         return run(args.config, route=args.command, seed=args.seed, out_dir=args.out,
                    threads=args.threads)
-    except (ConfigError, InputError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except InputError as exc:
+        print(f"{'config' if isinstance(exc, ConfigError) else 'input'} error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -103,6 +103,35 @@ def _open_text(path_or_buf, mode):
     return contextlib.nullcontext(path_or_buf)
 
 
+def _read_csv(path_or_buf, what, names, header):
+    """Columns 0 and 1 of a numeric CSV, whatever the columns after them, as
+    an (n, 2) array, from a path or an open text buffer.
+
+    ``header`` skips the first row; blank rows and rows whose first cell
+    starts with ``#`` are skipped.  An unreadable file, a non-numeric or
+    non-finite cell, a row of fewer than two columns or no data row is an
+    :class:`InputError` naming the ``what`` read and its two column ``names``.
+    """
+    try:
+        with _open_text(path_or_buf, "r") as fh:
+            reader = csv.reader(fh)
+            if header:
+                next(reader, None)
+            rows = [[float(v) for v in row] for row in reader if row and not row[0].strip().startswith("#")]
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path_or_buf}: {exc}") from None
+    except ValueError as exc:
+        raise InputError(f"{what} {path_or_buf}: {exc}") from None
+    if not rows:
+        raise InputError(f"{what} {path_or_buf}: no data rows")
+    if min(len(row) for row in rows) < 2:
+        raise InputError(f"{what} {path_or_buf}: every row needs two columns, {names[0]} and {names[1]}")
+    data = np.asarray([row[:2] for row in rows], dtype=float)
+    if not np.all(np.isfinite(data)):
+        raise InputError(f"{what} {path_or_buf}: a {names[0]} or {names[1]} cell is not finite")
+    return data
+
+
 def _write_csv(path_or_buf, header, columns):
     """The CSV of ``columns`` under the names ``header``: 17-significant-digit
     decimals and LF line ends, to a path or an open text buffer."""
@@ -154,14 +183,20 @@ class ModelParams:
 class GaussianCorrelation:
     """g(x) = exp(-x^T A x) for a symmetric positive-definite matrix A.
 
-    Gradient and Hessian are analytic.  The Fourier transform is a Gaussian,
-    hence positive, so this family always defines a valid correlation.
+    Gradient and Hessian at the origin are analytic.  The Fourier transform
+    is a Gaussian, hence positive, so this family always defines a valid
+    correlation.
     """
 
     def __init__(self, matrix):
-        A = np.atleast_2d(np.asarray(matrix, dtype=float))
+        try:
+            A = np.atleast_2d(np.asarray(matrix, dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"correlation matrix must be a rectangular array of numbers: {exc}") from None
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise InputError(f"correlation matrix must be square, got shape {A.shape}")
+        if not np.all(np.isfinite(A)):
+            raise InputError("correlation matrix must be finite")
         if not np.allclose(A, A.T, atol=1e-12):
             raise InputError("correlation matrix must be symmetric")
         eigvals = np.linalg.eigvalsh(A)
@@ -171,27 +206,20 @@ class GaussianCorrelation:
         self.dim = A.shape[0]
         self._eigvals = eigvals
 
-    def _as_points(self, x):
+    def g(self, x):
         x = np.asarray(x, dtype=float)
         if self.dim == 1 and (x.ndim == 0 or x.shape[-1] != 1):
             x = x[..., None]  # scalars / flat batches in one dimension
-        return x
-
-    def g(self, x):
-        x = self._as_points(x)
         quad = np.einsum("...i,ij,...j->...", x, self.matrix, x)
         return np.exp(-quad)
 
-    def grad(self, x):
-        x = self._as_points(x)
-        ax = x @ self.matrix.T
-        return -2.0 * ax * self.g(x)[..., None]
+    def grad0(self):
+        """The gradient of g at the origin: zero, as g is even."""
+        return np.zeros(self.dim)
 
-    def hess(self, x):
-        x = self._as_points(x)
-        ax = x @ self.matrix.T
-        outer = ax[..., :, None] * ax[..., None, :]
-        return (-2.0 * self.matrix + 4.0 * outer) * self.g(x)[..., None, None]
+    def hess0(self):
+        """The Hessian of g at the origin, -2 A."""
+        return -2.0 * self.matrix
 
     def correlation_length(self) -> float:
         return 1.0 / np.sqrt(self._eigvals.min())
@@ -207,8 +235,8 @@ class TabulatedCorrelation:
     The table is symmetrised (g <- (g(x) + g(-x)) / 2) before interpolation;
     the largest change this makes is recorded in ``symmetrization_delta``.
     Evaluation uses a cubic spline in ``r = |x|`` with an even extension, so
-    g(-x) = g(x) holds exactly.  Gradient and Hessian come from central
-    finite differences on the interpolant.
+    g(-x) = g(x) holds exactly.  The Hessian at the origin comes from a
+    central second difference on the interpolant.
     """
 
     def __init__(self, x, values, dim=1):
@@ -216,6 +244,8 @@ class TabulatedCorrelation:
         values = np.asarray(values, dtype=float)
         if x.ndim != 1 or x.shape != values.shape or x.size < 4:
             raise InputError("tabulated correlation needs matching 1-d arrays with >= 4 samples")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(values))):
+            raise InputError("tabulated correlation samples must be finite")
         order = np.argsort(x)
         x, values = x[order], values[order]
         dx = np.diff(x)
@@ -255,35 +285,16 @@ class TabulatedCorrelation:
         r = np.sqrt(np.sum(x * x, axis=-1)) if x.ndim and x.shape[-1] == self.dim else np.abs(x)
         return self._radial(r)
 
-    def grad(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        h = self._fd_step
-        out = np.empty_like(x, dtype=float)
-        for j in range(self.dim):
-            e = np.zeros(self.dim)
-            e[j] = h
-            out[..., j] = (self.g(x + e) - self.g(x - e)) / (2 * h)
-        return out
+    def grad0(self):
+        """The gradient of g at the origin: zero, as the evaluation is radial."""
+        return np.zeros(self.dim)
 
-    def hess(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+    def hess0(self):
+        """The Hessian of g at the origin: g is radial, so every axis has the
+        same central second difference and the mixed ones vanish."""
         h = self._fd_step
-        d = self.dim
-        out = np.empty(x.shape[:-1] + (d, d)) if x.shape[-1:] == (d,) else np.empty((d, d))
-        g0 = self.g(x)
-        for i in range(d):
-            ei = np.zeros(d)
-            ei[i] = h
-            out[..., i, i] = (self.g(x + ei) - 2 * g0 + self.g(x - ei)) / h**2
-            for j in range(i + 1, d):
-                ej = np.zeros(d)
-                ej[j] = h
-                mixed = (
-                    self.g(x + ei + ej) - self.g(x + ei - ej) - self.g(x - ei + ej) + self.g(x - ei - ej)
-                ) / (4 * h**2)
-                out[..., i, j] = mixed
-                out[..., j, i] = mixed
-        return out
+        second = (self._radial(h) - 2 * self._radial(0.0) + self._radial(h)) / h**2
+        return np.diag(np.full(self.dim, second))
 
     def correlation_length(self) -> float:
         # scale over which the table drops by 1/e, fallback to table extent
@@ -295,30 +306,27 @@ class TabulatedCorrelation:
         return float(self._rmax)
 
 
-def load_correlation_csv(path, dim=1) -> TabulatedCorrelation:
-    """Load a two-column (x, g) CSV into a tabulated correlation."""
-    xs, vs = [], []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            try:
-                xs.append(float(row[0]))
-                vs.append(float(row[1]))
-            except (ValueError, IndexError) as exc:
-                raise InputError(f"{path}: malformed correlation row {row!r}") from exc
-    if len(xs) < 4:
-        raise InputError(f"{path}: need at least 4 samples, got {len(xs)}")
-    return TabulatedCorrelation(xs, vs, dim=dim)
+def load_correlation_csv(path_or_buf, dim=1) -> TabulatedCorrelation:
+    """Load a two-column (x, g) CSV with no header (see ``_read_csv``) into a tabulated correlation."""
+    table = _read_csv(path_or_buf, "correlation table", ("x", "g"), header=False)
+    return TabulatedCorrelation(table[:, 0], table[:, 1], dim=dim)
 
 
 def dephasing_rate(corr, params: ModelParams, Y):
     """Dephasing rate (v0/hbar)^2 [g(0) - g(Y)] at the points ``Y`` (trailing axis of length d).
 
-    An axis m whose rate at Y = e_m vanishes is ballistic on the lattice.
+    An axis m whose rate at Y = e_m vanishes is ballistic on the lattice.  A
+    correlation of another dimension than the model's, or a rate below
+    -1e-13 max(|g(0)|, 1) (g rising away from the origin), is an
+    :class:`InputError`.
     """
+    if corr.dim != params.dim:
+        raise InputError(f"model has dim {params.dim}, correlation has dim {corr.dim}")
     g0 = float(corr.g(np.zeros(params.dim)))
-    return params.coupling * (g0 - np.asarray(corr.g(Y), dtype=float))
+    rate = params.coupling * (g0 - np.asarray(corr.g(Y), dtype=float))
+    if np.any(rate < -1e-13 * max(abs(g0), 1.0)):
+        raise InputError("g(0) < g(Y) at some Y: correlation increases away from the origin")
+    return rate
 
 
 @dataclass(frozen=True)
@@ -385,7 +393,7 @@ def validate_hypotheses(corr, params: ModelParams) -> HypothesisReport:
     it builds its spectrum).  Deterministic: the probes use a fixed seed.
     """
     d = params.dim
-    if getattr(corr, "dim", d) != d:
+    if corr.dim != d:
         raise InputError(f"correlation has dim {corr.dim}, model has dim {d}")
     rng = np.random.default_rng(20240117)
     scale = min(corr.correlation_length(), corr.table_extent() / 2.0)
@@ -397,11 +405,10 @@ def validate_hypotheses(corr, params: ModelParams) -> HypothesisReport:
     g0 = float(corr.g(np.zeros(d)))
     even_ok = max_asym <= 1e-10 * max(abs(g0), 1.0)
 
-    grad0 = np.asarray(corr.grad(np.zeros(d)), dtype=float).reshape(d)
-    grad_norm = float(np.linalg.norm(grad0))
+    grad_norm = float(np.linalg.norm(corr.grad0()))
     grad_ok = grad_norm <= 1e-10
 
-    hess0 = np.asarray(corr.hess(np.zeros(d)), dtype=float).reshape(d, d)
+    hess0 = corr.hess0()
     eigvals = np.linalg.eigvalsh(0.5 * (hess0 + hess0.T))
     hess_ok = bool(np.all(eigvals < -1e-12))
 
@@ -432,6 +439,4 @@ def validate_hypotheses(corr, params: ModelParams) -> HypothesisReport:
 
 def laplacian_g_at_zero(corr) -> float:
     """Trace of the Hessian of g at the origin (negative for admissible g)."""
-    d = corr.dim
-    hess0 = np.asarray(corr.hess(np.zeros(d)), dtype=float).reshape(d, d)
-    return float(np.trace(hess0))
+    return float(np.trace(corr.hess0()))

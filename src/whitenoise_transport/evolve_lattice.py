@@ -57,8 +57,6 @@ MSD_KLAPLACIAN_FACTOR = 0.25
 
 def gamma_on_box(corr, params: ModelParams, side: int) -> np.ndarray:
     """Dephasing rate (v0/hbar)^2 [g(0) - g(Y)] over the Y-box."""
-    if getattr(corr, "dim", params.dim) != params.dim:
-        raise InputError(f"model has dim {params.dim}, correlation has dim {corr.dim}")
     axes = np.meshgrid(*[_minimum_image(side)] * params.dim, indexing="ij")
     return dephasing_rate(corr, params, np.stack(axes, axis=-1).astype(float))
 
@@ -332,9 +330,11 @@ def evolve_full_kernel(k_batch, init_kernel, corr, params: ModelParams, t_max: f
                        record_times=None):
     """Evolve the transformed kernel at each k in ``k_batch`` independently.
 
-    ``init_kernel`` is a complex array over the Y-box (shared by all k) or
-    a callable k -> array.  Returns (record_times, snapshots) with
-    snapshots of shape (len(k_batch), len(record_times)) + box.
+    ``init_kernel`` is a complex array over the Y-box, shared by all k.
+    Each of ``record_times`` (default: t_max) must be a whole number of
+    steps dt in [0, t_max], else an :class:`InputError`.  Returns
+    (record_times, snapshots) with snapshots of shape
+    (len(k_batch), len(record_times)) + box.
     """
     n_steps = step_count(t_max, dt)
     k_batch = np.atleast_2d(np.asarray(k_batch, dtype=float))
@@ -342,20 +342,24 @@ def evolve_full_kernel(k_batch, init_kernel, corr, params: ModelParams, t_max: f
     if k_batch.shape[1] != d:
         raise InputError(f"k vectors must have dim {d}")
 
-    probe = init_kernel(k_batch[0]) if callable(init_kernel) else np.asarray(init_kernel)
-    if probe.ndim != d:
-        raise InputError(f"model has dim {d}, initial kernel has dim {probe.ndim}")
-    side = probe.shape[0]
+    init = np.asarray(init_kernel)
+    if init.ndim != d:
+        raise InputError(f"model has dim {d}, initial kernel has dim {init.ndim}")
+    side = init.shape[0]
     gamma = gamma_on_box(corr, params, side)
     gmax = float(gamma.max())
 
-    if record_times is None:
-        record_times = np.array([t_max])
-    record_times = np.asarray(record_times, dtype=float)
-    record_steps = np.unique(np.clip(np.round(record_times / dt).astype(int), 0, n_steps))
+    times = np.atleast_1d(np.asarray(t_max if record_times is None else record_times, dtype=float))
+    ratio = times / dt
+    steps = np.round(ratio)
+    off = ~(np.abs(ratio - steps) <= 1e-9 * np.abs(ratio)) | (steps < 0) | (steps > n_steps)
+    if np.any(off):
+        raise InputError(f"record time {times[off][0]!r} is not a whole number of steps dt = {dt!r} "
+                         f"in [0, t_max = {t_max!r}]")
+    record_steps = np.unique(steps.astype(int))
 
     slot = {n: pos for pos, n in enumerate(record_steps.tolist())}
-    out = np.empty((k_batch.shape[0], record_steps.size) + probe.shape, dtype=complex)
+    out = np.empty((k_batch.shape[0], record_steps.size) + init.shape, dtype=complex)
     c = params.hbar / params.mass
 
     for ik, k in enumerate(k_batch):
@@ -364,12 +368,11 @@ def evolve_full_kernel(k_batch, init_kernel, corr, params: ModelParams, t_max: f
         if lam * dt > 2.5:
             raise StabilityError(f"dt={dt} too large for |k|={np.linalg.norm(k):.3g} (lambda dt = {lam * dt:.3g})")
 
-        R = (init_kernel(k) if callable(init_kernel) else np.asarray(init_kernel)).astype(complex).ravel()
         step = _StepOperator(_kernel_generator(gamma, c, k), dt)
         # powers of this P fill the box, so it is applied once per step
-        for n, y in step.propagate(R, range(record_steps[-1] + 1)):
+        for n, y in step.propagate(init.astype(complex).ravel(), range(record_steps[-1] + 1)):
             if n in slot:
-                out[ik, slot[n]] = y.reshape(probe.shape)
+                out[ik, slot[n]] = y.reshape(init.shape)
 
     return record_steps * dt, out
 

@@ -374,11 +374,28 @@ MISUSE = {
                                "config.initial.trace"),
     "point-trace-compare-lattice": ("compare", dict(LATTICE, initial={"kind": "point", "trace": 2.0}),
                                     "config.initial.trace"),
+    # the correlation: a ragged matrix, a matrix of another dimension than
+    # the model (every route must refuse it, lattice-law included) and
+    # non-finite table cells
+    "matrix-ragged": ("validate", {"correlation": {"matrix": [[1.0], [0.0, 1.0]]}}, "config.correlation.matrix"),
+    "matrix-2x2-dim-1-lattice-law": ("lattice-law",
+                                     dict(LATTICE, correlation={"matrix": [[1.0, 0.0], [0.0, 1.0]]}),
+                                     "config.correlation.matrix"),
+    "matrix-1x1-dim-2-lattice-law": ("lattice-law", dict(LATTICE, model={"space": "lattice", "dim": 2}),
+                                     "config.correlation.matrix"),
+    "table-nan": ("validate", {"correlation": {"kind": "table", "path": "nan.csv"}}, "config.correlation.path"),
+    "table-inf": ("validate", {"correlation": {"kind": "table", "path": "inf.csv"}}, "config.correlation.path"),
 }
+# the tables the MISUSE rows name, written to the working directory
+TABLES = {"nan.csv": "-2,0\n-1,0.5\n0,1\n1,nan\n2,0\n",
+          "inf.csv": "-2,0\n-1,0.5\n0,inf\n1,0.5\n2,0\n"}
 
 
 @pytest.mark.parametrize("route, overrides, key", MISUSE.values(), ids=MISUSE.keys())
-def test_misuse_is_a_named_config_error(tmp_path, capsys, route, overrides, key):
+def test_misuse_is_a_named_config_error(tmp_path, monkeypatch, capsys, route, overrides, key):
+    monkeypatch.chdir(tmp_path)
+    for name, text in TABLES.items():
+        (tmp_path / name).write_text(text)
     cfg_path = write_cfg(tmp_path, out_dir=str(tmp_path / "o"), **overrides)
     with pytest.raises(ConfigError, match=re.escape(key)):
         run(cfg_path, route=route)
@@ -441,7 +458,7 @@ def test_fit_of_a_bad_csv_exits_2_without_a_traceback(tmp_path, capsys, text):
         csv.write_text(text)
     assert main(["fit", str(csv)]) == 2
     err = capsys.readouterr().err
-    assert str(csv) in err
+    assert err.startswith("input error: ") and str(csv) in err
     assert "Traceback" not in err
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -21,13 +23,11 @@ class OddContamination:
         v = x[..., 0] if x.ndim and x.shape[-1] == 1 else x
         return np.exp(-(v**2)) + 0.1 * v
 
-    def grad(self, x):
-        v = np.asarray(x, dtype=float)
-        return -2 * v * np.exp(-(v**2)) + 0.1
+    def grad0(self):
+        return np.array([0.1])
 
-    def hess(self, x):
-        v = np.asarray(x, dtype=float)
-        return np.atleast_2d((4 * v**2 - 2) * np.exp(-(v**2)))
+    def hess0(self):
+        return np.array([[-2.0]])
 
     def correlation_length(self):
         return 1.0
@@ -98,26 +98,50 @@ def test_laplacian_at_zero_examples():
     assert laplacian_g_at_zero(aniso) == pytest.approx(fd, rel=1e-6)
 
 
-def test_gaussian_derivatives_match_fd_at_random_points():
-    rng = np.random.default_rng(7)
-    A = np.array([[1.3, 0.2], [0.2, 0.9]])
-    corr = GaussianCorrelation(A)
-    h = 1e-4
-    for _ in range(100):
-        x = rng.uniform(-1.5, 1.5, size=2)
-        grad = corr.grad(x)
-        hess = corr.hess(x)
-        for j in range(2):
-            e = np.zeros(2)
-            e[j] = h
-            fd = (float(corr.g(x + e)) - float(corr.g(x - e))) / (2 * h)
-            assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
-        fd_hess = np.empty((2, 2))
-        for i in range(2):
-            ei = np.zeros(2)
-            ei[i] = h
-            fd_hess[i, i] = (float(corr.g(x + ei)) - 2 * float(corr.g(x)) + float(corr.g(x - ei))) / h**2
-        np.testing.assert_allclose(np.diag(hess), np.diag(fd_hess), rtol=1e-6, atol=1e-7)
+def _gaussian_formulas_at_zero(corr):
+    """GaussianCorrelation's gradient and Hessian at a general point x, evaluated at x = 0."""
+    x = np.zeros(corr.dim)
+    ax = x @ corr.matrix.T
+    g = corr.g(x)
+    outer = ax[..., :, None] * ax[..., None, :]
+    return -2.0 * ax * g[..., None], (-2.0 * corr.matrix + 4.0 * outer) * g[..., None, None]
+
+
+def _table_differences_at_zero(corr):
+    """TabulatedCorrelation's central-difference gradient and Hessian at a general point x,
+    mixed derivatives included, evaluated at x = 0."""
+    d, h = corr.dim, corr._fd_step
+    x = np.zeros(d)
+    grad, hess = np.empty(d), np.empty((d, d))
+    g0 = corr.g(x)
+    for i in range(d):
+        ei = np.zeros(d)
+        ei[i] = h
+        grad[i] = (corr.g(x + ei) - corr.g(x - ei)) / (2 * h)
+        hess[i, i] = (corr.g(x + ei) - 2 * g0 + corr.g(x - ei)) / h**2
+        for j in range(i + 1, d):
+            ej = np.zeros(d)
+            ej[j] = h
+            hess[i, j] = hess[j, i] = (corr.g(x + ei + ej) - corr.g(x + ei - ej) - corr.g(x - ei + ej)
+                                       + corr.g(x - ei - ej)) / (4 * h**2)
+    return grad, hess
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_origin_derivatives_are_the_general_formulas_at_zero(dim):
+    # the origin methods give exactly what the general-point formulas give
+    # at x = 0 (signed zeros aside), for both classes
+    rng = np.random.default_rng(dim)
+    root = rng.normal(size=(dim, dim))
+    xs = np.linspace(-6, 6, 241)
+    cases = [(GaussianCorrelation(root @ root.T + dim * np.eye(dim)), _gaussian_formulas_at_zero),
+             (TabulatedCorrelation(xs, np.exp(-(xs**2)), dim=dim), _table_differences_at_zero),
+             (TabulatedCorrelation(xs, np.exp(-(xs**2)) + 0.05 * xs, dim=dim), _table_differences_at_zero)]
+    for corr, formulas in cases:
+        grad, hess = formulas(corr)
+        assert corr.grad0().shape == (dim,) and corr.hess0().shape == (dim, dim)
+        np.testing.assert_array_equal(corr.grad0(), grad)
+        np.testing.assert_array_equal(corr.hess0(), hess)
 
 
 def test_validation_is_deterministic(gaussian_corr, params):
@@ -156,6 +180,23 @@ def test_load_correlation_csv(tmp_path):
     assert float(corr.g(np.array(1.0))) == pytest.approx(np.exp(-1.0), rel=1e-6)
     report = validate_hypotheses(corr, ModelParams())
     assert report.passed
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read correlation table {path}"),
+    ("0,1\n1,x\n", "correlation table {path}: could not convert string to float: 'x'"),
+    ("# x, g\n", "correlation table {path}: no data rows"),
+    ("0,1\n1\n", "correlation table {path}: every row needs two columns, x and g"),
+    ("0,1\n1,nan\n", "correlation table {path}: a x or g cell is not finite"),
+    ("-inf,1\n1,0\n", "correlation table {path}: a x or g cell is not finite"),
+], ids=["missing", "non-numeric", "comment-only", "one-column", "nan", "infinite"])
+def test_bad_correlation_csv_is_an_input_error_naming_the_file(tmp_path, text, message):
+    # tables and series share one reader: the same refusals, no header row
+    path = tmp_path / "g.csv"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(InputError, match=re.escape(message.format(path=path))):
+        load_correlation_csv(path)
 
 
 def test_lattice_correlation_data(sharp_corr):
@@ -208,8 +249,49 @@ def test_dephasing_rate_is_the_rate_of_both_lattice_routes():
 def test_point_localized_refuses_a_correlation_rising_away_from_the_origin():
     xs = np.arange(-64, 65) / 16.0
     rising = TabulatedCorrelation(xs, 1.0 + 0.01 * xs**2)
-    with pytest.raises(InputError, match=r"g\(0\) < g\(e_m\)"):
+    with pytest.raises(InputError, match=r"g\(0\) < g\(Y\)"):
         LatticeMomentInputs.point_localized(rising, ModelParams(space=Space.LATTICE))
+
+
+def test_dephasing_rate_refuses_a_correlation_of_another_dim(sharp_corr):
+    with pytest.raises(InputError, match="model has dim 2, correlation has dim 1"):
+        dephasing_rate(sharp_corr, ModelParams(dim=2, space=Space.LATTICE), np.eye(2))
+    # the lattice law reads its rates at e_m through dephasing_rate
+    with pytest.raises(InputError, match="model has dim 1, correlation has dim 2"):
+        LatticeMomentInputs.point_localized(GaussianCorrelation(np.eye(2)), ModelParams(space=Space.LATTICE))
+
+
+def test_dephasing_rate_refuses_g_above_g0_anywhere_on_the_box():
+    # g(1) < g(0) but g(2) = 1.54 > g(0) = 1: the law's rates at e_m pass,
+    # the evolution's Y-box does not
+    xs = np.arange(-64, 65) / 8.0
+    bowl = TabulatedCorrelation(xs, np.exp(-(xs**2)) + 0.38 * xs**2)
+    params = ModelParams(space=Space.LATTICE)
+    assert LatticeMomentInputs.point_localized(bowl, params).gamma[0] > 0
+    with pytest.raises(InputError, match=r"g\(0\) < g\(Y\)"):
+        dephasing_rate(bowl, params, np.array([[2.0]]))
+    with pytest.raises(InputError, match=r"g\(0\) < g\(Y\)"):
+        gamma_on_box(bowl, params, 9)
+
+
+@pytest.mark.parametrize("matrix, message", [([[1.0], [0.0, 1.0]], "a rectangular array of numbers"),
+                                             ([[1.0, np.nan], [np.nan, 1.0]], "finite"),
+                                             ([[np.inf]], "finite")], ids=["ragged", "nan", "inf"])
+def test_gaussian_correlation_refuses_a_ragged_or_non_finite_matrix(matrix, message):
+    with pytest.raises(InputError, match=f"correlation matrix must be {message}"):
+        GaussianCorrelation(matrix)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_tabulated_correlation_refuses_non_finite_samples(bad):
+    xs = np.linspace(-4, 4, 33)
+    values = np.exp(-(xs**2))
+    values[5] = bad
+    with pytest.raises(InputError, match="samples must be finite"):
+        TabulatedCorrelation(xs, values)
+    xs[3] = bad
+    with pytest.raises(InputError, match="samples must be finite"):
+        TabulatedCorrelation(xs, np.exp(-(np.linspace(-4, 4, 33)**2)))
 
 
 @pytest.mark.parametrize("n_steps, every, steps", [(10, 5, [0, 5, 10]), (10, 4, [0, 4, 8, 10]),

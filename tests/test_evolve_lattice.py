@@ -386,6 +386,15 @@ class TestTimeInputs:
                                t_max=t_max, dt=dt)
 
 
+    @pytest.mark.parametrize("record_times", [[0.015], [0.5, 7.0], [-0.01], [float("nan")]],
+                             ids=["between-steps", "past-t-max", "negative", "nan"])
+    def test_full_kernel_refuses_a_record_time_off_the_step_grid(self, sharp_corr, point_init, record_times):
+        # a rounded or clipped time would record a snapshot at a time the caller did not ask for
+        with pytest.raises(InputError, match="is not a whole number of steps dt = 0.01 in \\[0, t_max = 1.0\\]"):
+            evolve_full_kernel(np.array([[0.1]]), point_init.m0, sharp_corr, LATTICE, t_max=1.0, dt=0.01,
+                               record_times=record_times)
+
+
 class TestModelInputs:
     def test_correlation_of_another_dim_rejected(self, point_init):
         corr_2d = GaussianCorrelation(40.0 * np.eye(2))
