@@ -6,8 +6,8 @@ below.  Writing h(Y, s) = s + gamma(Y) with the dephasing rate
 gamma(Y) = (v0/hbar)^2 [g(0) - g(Y)] (h(0, s) = s exactly), the chain
 
     h(Y, s) M0 = K(0, Y, 0)
-    h(Y, s) M1_m = c1 [M0(Y + e_m) - M0(Y - e_m)] + d_m K(0, Y, 0)
-    s       M2_m(0) = 2 c1 [M1_m(e_m) - M1_m(-e_m)] + d_m^2 K(0, 0, 0)
+    h(Y, s) M1_m = c1 [M0(Y - e_m) - M0(Y + e_m)] + d_m K(0, Y, 0)
+    s       M2_m(0) = 2 c1 [M1_m(-e_m) - M1_m(e_m)] + d_m^2 K(0, 0, 0)
 
 closes after two steps (c1 = hbar/m).  Every route starts the particle on
 one unit-norm site, K(0, Y, 0) = delta(Y): the chain's other initial
@@ -76,7 +76,7 @@ class LatticeMomentInputs:
 def laplace_msd(s, inputs: LatticeMomentInputs):
     """-sum_m d^2/dk_m^2 of the transformed kernel at (k, Y) = (0, 0).
 
-    The point-start chain: M1_m(e_m) - M1_m(-e_m) = -2 c1 / (s h(e_m, s))
+    The point-start chain: M1_m(-e_m) - M1_m(e_m) = -2 c1 / (s h(e_m, s))
     and s M2_m(0) is 2 c1 times that.  Real at real s.  Poles:
     s = 0 and s = -Gamma_m.
 

@@ -33,8 +33,8 @@ from . import __version__
 from .analytic_continuum import GaussianPureState, MomentSeries, cubic_coefficient, msd_closed_form
 from .analytic_lattice import (LatticeMSDLaw, LatticeMomentInputs, law_payload,
                                msd_inverse_laplace_closed_form)
-from .core_model import (GaussianCorrelation, ModelParams, Space, _write_csv, laplacian_g_at_zero,
-                         load_correlation_csv, step_count, validate_hypotheses)
+from .core_model import (GaussianCorrelation, ModelParams, Space, _record_steps, _write_csv,
+                         laplacian_g_at_zero, load_correlation_csv, step_count, validate_hypotheses)
 from .errors import ConfigError, InputError, NumericalError
 from .evolve_lattice import LatticeInitialData, evolve_hierarchy
 from .mc_simulator import (DEFAULT_THREADS, SCHEME_ITO_EULER, SCHEME_STRATONOVICH,
@@ -42,7 +42,7 @@ from .mc_simulator import (DEFAULT_THREADS, SCHEME_ITO_EULER, SCHEME_STRATONOVIC
                            run_continuum, run_lattice)
 from .noise_field import FieldGrid
 from .rng import STREAM_VERSION
-from .transforms_fit import fit_power_law
+from .transforms_fit import MIN_FIT_POINTS, _in_window, fit_power_law
 
 __all__ = ["DEFAULT_CONFIG", "load_config", "run", "main"]
 
@@ -90,6 +90,7 @@ _RANGES = {"config.model.hbar": _POSITIVE,
            "config.evolve.y_box": ("odd and at least 5", lambda v: v % 2 == 1 and v >= 5),
            "config.evolve.dt": _POSITIVE,
            "config.evolve.record_every": _COUNT,
+           "config.time.t_min": _NONNEGATIVE,
            "config.time.dt": _POSITIVE,
            "config.time.record_every": _COUNT,
            "config.time.n_points": _COUNT,
@@ -265,6 +266,15 @@ def _build(cfg, route, threads) -> _Setup:
             s.ensemble.update(cfg["colored"], boundary_tol=mc["boundary_tol"])
         else:
             s.ensemble.update(boundary_tol=mc["boundary_tol"], scheme=mc["scheme"])
+    if plan not in ("validate", "lattice-law", "colored-study"):
+        # the times the route will fit, counted with the fit's own mask before it runs
+        drive = s.evolve or s.ensemble
+        fit_times = times if drive is None else (
+            _record_steps(step_count(drive["t_max"], drive["dt"]), drive["record_every"]) * drive["dt"])
+        n_fit = int(np.count_nonzero(_in_window(fit_times, *s.window)))
+        if n_fit < MIN_FIT_POINTS:
+            raise ConfigError(f"config.fit.window: {route} would fit {n_fit} of its times in "
+                              f"{list(s.window)}, fewer than the {MIN_FIT_POINTS} a fit needs")
     return s
 
 
@@ -331,8 +341,7 @@ def _route_lattice_law(s: _Setup, out_dir):
     law = LatticeMSDLaw.from_inputs(inputs)
     payload = law_payload(law)
     _write_json(out_dir / "law.json", payload)
-    times = s.times[s.times >= 0]
-    series = MomentSeries(times=times, msd=msd_inverse_laplace_closed_form(times, law))
+    series = MomentSeries(times=s.times, msd=msd_inverse_laplace_closed_form(s.times, law))
     series.to_csv(out_dir / "msd_lattice_law.csv")
     print(f"Cd {law.cd:.6g}, gamma {payload['gamma']}, D {payload['D']}")
     return 0

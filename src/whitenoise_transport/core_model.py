@@ -369,18 +369,22 @@ def _spectrum_has_negative_mode(smin: float, smax: float) -> bool:
     return not smin >= -1e-8 * max(smax, 1e-300)
 
 
-def _spectrum_grid(corr, params: ModelParams):
-    d = params.dim
+def _spectrum_samples(corr, params: ModelParams):
+    """g on a periodic cube holding the ball |x| <= table_extent() (of that
+    half-side on the continuum, of unit spacing and >= 64 sites on the lattice),
+    zero outside the ball, where g is negligible or, for a table, unknown."""
+    d, extent = params.dim, corr.table_extent()
     if params.space is Space.LATTICE:
-        n = 64
+        n = max(64, 2 * int(extent) + 2)
         spacing = 1.0
     else:
         n = {1: 512, 2: 128}.get(d, 32)
-        extent = corr.table_extent()
-        # keep grid corners inside the evaluable radius of tabulated g
-        spacing = 2.0 * extent / (n * np.sqrt(d))
-    axes = np.meshgrid(*[_minimum_image(n) * spacing] * d, indexing="ij")
-    return np.stack(axes, axis=-1), (n,) * d
+        spacing = 2.0 * extent / n
+    coords = np.stack(np.meshgrid(*[_minimum_image(n) * spacing] * d, indexing="ij"), axis=-1)
+    inside = np.sum(coords**2, axis=-1) <= extent**2
+    samples = np.zeros((n,) * d)
+    samples[inside] = corr.g(coords[inside])
+    return samples
 
 
 def validate_hypotheses(corr, params: ModelParams) -> HypothesisReport:
@@ -388,7 +392,7 @@ def validate_hypotheses(corr, params: ModelParams) -> HypothesisReport:
 
     Checks, in order: evenness on a random probe set around the origin,
     vanishing gradient at 0, negative-definite Hessian at 0, and
-    nonnegativity of the sampled Fourier transform of g on a grid spanning g's
+    nonnegativity of the sampled Fourier transform of g on the ball of g's
     own extent, not a run's box (a Monte Carlo route checks its own box when
     it builds its spectrum).  Deterministic: the probes use a fixed seed.
     """
@@ -412,9 +416,7 @@ def validate_hypotheses(corr, params: ModelParams) -> HypothesisReport:
     eigvals = np.linalg.eigvalsh(0.5 * (hess0 + hess0.T))
     hess_ok = bool(np.all(eigvals < -1e-12))
 
-    coords, shape = _spectrum_grid(corr, params)
-    samples = np.asarray(corr.g(coords), dtype=float).reshape(shape)
-    spectrum = np.fft.fftn(samples).real
+    spectrum = np.fft.fftn(_spectrum_samples(corr, params)).real
     smax = float(spectrum.max())
     smin = float(spectrum.min())
     ratio = smin / smax if smax > 0 else smin

@@ -10,9 +10,12 @@ Two routes share the Y-box machinery (odd side, periodic, minimum-image):
 
 * :func:`evolve_full_kernel` evolves the transformed kernel at fixed k
   under the averaged Liouvillian -gamma(Y) + (hbar/m) sum_j sin(k_j) D_j,
-  with D_j = S_j(+1) - S_j(-1) the symmetric Y-difference; the hierarchy's
+  with D_j = S_j(-1) - S_j(+1) the symmetric Y-difference; the hierarchy's
   generator is its k-derivatives at k = 0.  D_j is antisymmetric, so the
   free evolution (v0 = 0) is exactly unitary in the Y lattice norm.
+
+Both read K(k, Y) = sum_X exp(i k.X) <x'|rho|x> with Y = x - x', the
+orientation of docs/conventions.md and ``kernel_hat``; D_j alone fixes it.
 
 Both use classical RK4 with a fixed step.  Both systems are linear with
 constant coefficients, y' = A y, so one RK4 step is exactly the linear map
@@ -43,7 +46,6 @@ from .core_model import ModelParams, _minimum_image, _on_some_axis, _record_step
 from .errors import BoxSizeError, InputError, StabilityError
 
 __all__ = [
-    "LatticeState",
     "LatticeInitialData",
     "gamma_on_box",
     "evolve_hierarchy",
@@ -82,19 +84,6 @@ class LatticeInitialData:
         m0[(0,) * dim] = 1.0  # index 0 is Y = 0 in minimum-image layout
         return cls(m0=m0, m1=np.zeros((dim,) + shape, dtype=complex),
                    m2=np.zeros((dim,) + shape, dtype=complex), side=side, dim=dim)
-
-
-@dataclass
-class LatticeState:
-    """Moment hierarchy snapshot during evolution."""
-
-    side: int
-    dim: int
-    m0: np.ndarray
-    m1: np.ndarray
-    m2: np.ndarray
-    t: float
-    dt: float
 
 
 class _Sparse:
@@ -178,10 +167,10 @@ class _Sparse:
 
 
 def _difference(side: int, dim: int, axis: int) -> _Sparse:
-    """D_j on the C-order flattened periodic box: (D_j y)[Y] = y[Y + e_axis] - y[Y - e_axis]."""
+    """D_j on the C-order flattened periodic box: (D_j y)[Y] = y[Y - e_axis] - y[Y + e_axis]."""
     n = side**dim
     sites = np.arange(n).reshape((side,) * dim)
-    cols = np.r_[np.roll(sites, -1, axis=axis).ravel(), np.roll(sites, 1, axis=axis).ravel()]
+    cols = np.r_[np.roll(sites, 1, axis=axis).ravel(), np.roll(sites, -1, axis=axis).ravel()]
     return _Sparse(n, np.tile(np.arange(n), 2), cols, np.r_[np.ones(n), -np.ones(n)])
 
 
@@ -272,10 +261,10 @@ def evolve_hierarchy(init: LatticeInitialData, corr, params: ModelParams, t_max:
     |value| exceeds ``boundary_tol`` (``inf`` turns it off).
     The trace m0(Y=0) is conserved exactly (gamma(0) = 0 identically);
     ``info`` carries the drift actually observed, the largest imaginary
-    residue of the extracted MSD, and the boundary mass seen.
+    residue of the extracted MSD, the boundary mass seen, and the final
+    moments as a ``LatticeInitialData`` "state" that a run can restart from.
     """
-    n_steps = step_count(t_max, dt)
-    record_steps = _record_steps(n_steps, record_every)
+    record_steps = _record_steps(step_count(t_max, dt), record_every)
     d, side = init.dim, init.side
     if d != params.dim:
         raise InputError(f"model has dim {params.dim}, initial data has dim {d}")
@@ -321,22 +310,21 @@ def evolve_hierarchy(init: LatticeInitialData, corr, params: ModelParams, t_max:
         "trace_drift": float(drift.max(initial=0.0)),
         "max_imag_residue": float(np.abs(second.imag).max()),
         "max_boundary_mass": float(shell_mass.max(initial=0.0)),
-        "state": LatticeState(side=side, dim=d, m0=m0, m1=m1, m2=m2, t=n_steps * dt, dt=dt),
+        "state": LatticeInitialData(m0=m0, m1=m1, m2=m2, side=side, dim=d),
     }
     return series, info
 
 
 def evolve_full_kernel(k_batch, init_kernel, corr, params: ModelParams, t_max: float, dt: float,
-                       record_times=None):
+                       record_every: int = 1):
     """Evolve the transformed kernel at each k in ``k_batch`` independently.
 
     ``init_kernel`` is a complex array over the Y-box, shared by all k.
-    Each of ``record_times`` (default: t_max) must be a whole number of
-    steps dt in [0, t_max], else an :class:`InputError`.  Returns
-    (record_times, snapshots) with snapshots of shape
-    (len(k_batch), len(record_times)) + box.
+    Records every ``record_every`` steps and at t_max, as the other
+    drivers do.  Returns (record times, snapshots) with snapshots of shape
+    (len(k_batch), number of records) + box.
     """
-    n_steps = step_count(t_max, dt)
+    record_steps = _record_steps(step_count(t_max, dt), record_every)
     k_batch = np.atleast_2d(np.asarray(k_batch, dtype=float))
     d = params.dim
     if k_batch.shape[1] != d:
@@ -349,16 +337,6 @@ def evolve_full_kernel(k_batch, init_kernel, corr, params: ModelParams, t_max: f
     gamma = gamma_on_box(corr, params, side)
     gmax = float(gamma.max())
 
-    times = np.atleast_1d(np.asarray(t_max if record_times is None else record_times, dtype=float))
-    ratio = times / dt
-    steps = np.round(ratio)
-    off = ~(np.abs(ratio - steps) <= 1e-9 * np.abs(ratio)) | (steps < 0) | (steps > n_steps)
-    if np.any(off):
-        raise InputError(f"record time {times[off][0]!r} is not a whole number of steps dt = {dt!r} "
-                         f"in [0, t_max = {t_max!r}]")
-    record_steps = np.unique(steps.astype(int))
-
-    slot = {n: pos for pos, n in enumerate(record_steps.tolist())}
     out = np.empty((k_batch.shape[0], record_steps.size) + init.shape, dtype=complex)
     c = params.hbar / params.mass
 
@@ -368,11 +346,13 @@ def evolve_full_kernel(k_batch, init_kernel, corr, params: ModelParams, t_max: f
         if lam * dt > 2.5:
             raise StabilityError(f"dt={dt} too large for |k|={np.linalg.norm(k):.3g} (lambda dt = {lam * dt:.3g})")
 
-        step = _StepOperator(_kernel_generator(gamma, c, k), dt)
+        P = _StepOperator(_kernel_generator(gamma, c, k), dt).power(1)
+        y = init.astype(complex).ravel()
         # powers of this P fill the box, so it is applied once per step
-        for n, y in step.propagate(init.astype(complex).ravel(), range(record_steps[-1] + 1)):
-            if n in slot:
-                out[ik, slot[n]] = y.reshape(init.shape)
+        for pos, gap in enumerate(np.diff(record_steps, prepend=0)):
+            for _ in range(gap):
+                y = P @ y
+            out[ik, pos] = y.reshape(init.shape)
 
     return record_steps * dt, out
 

@@ -25,6 +25,8 @@ __all__ = [
 
 #: power-law fits drop values below this floor to avoid log singularities
 FIT_FLOOR = 1e-12
+#: the fewest points a power-law fit takes
+MIN_FIT_POINTS = 8
 #: how often a disagreeing Talbot time may double its node count (24 -> 48 -> 96 by default)
 _MAX_DOUBLINGS = 2
 
@@ -52,6 +54,11 @@ class FitResult:
         return json.dumps(self.to_dict(), **kwargs)
 
 
+def _in_window(times, t_lo, t_hi):
+    """The times a fit on the window [t_lo, t_hi] uses: the positive ones in it."""
+    return (times >= t_lo) & (times <= t_hi) & (times > 0)
+
+
 def fit_power_law(times, values=None, window=None) -> FitResult:
     """Least-squares fit of values ~ coefficient * t**exponent on a window.
 
@@ -71,15 +78,15 @@ def fit_power_law(times, values=None, window=None) -> FitResult:
     t_lo, t_hi = float(window[0]), float(window[1])
     if not t_lo < t_hi:
         raise InputError(f"fit window must have t_lo < t_hi, got {window}")
-    mask = (times >= t_lo) & (times <= t_hi) & (times > 0)
+    mask = _in_window(times, t_lo, t_hi)
     t, y = times[mask], values[mask]
     if np.any(y <= 0):
         raise InputError("nonpositive values inside the fit window")
     keep = y >= FIT_FLOOR
     t, y = t[keep], y[keep]
     n = t.size
-    if n < 8:
-        raise InputError(f"need at least 8 points in the fit window, got {n}")
+    if n < MIN_FIT_POINTS:
+        raise InputError(f"need at least {MIN_FIT_POINTS} points in the fit window, got {n}")
 
     x, z = np.log(t), np.log(y)
     xbar = x.mean()

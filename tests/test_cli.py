@@ -85,6 +85,27 @@ def test_validate_route_exit_codes(tmp_path, capsys):
     assert run(bad, route="validate") == 2
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_validate_samples_a_lattice_table_only_within_its_range(tmp_path, capsys, dim):
+    # exp(-40 x^2) tabulated to r = 8, beyond any Y-box it serves; validate
+    # once evaluated it at r = 32 (r = 45.25 in d = 2) and refused it
+    xs = np.linspace(-8.0, 8.0, 321)
+    table = tmp_path / "sharp.csv"
+    table.write_text("".join(f"{x:.17g},{np.exp(-40.0 * x * x):.17g}\n" for x in xs))
+    cfg = write_cfg(tmp_path, model={"space": "lattice", "dim": dim},
+                    correlation={"kind": "table", "path": str(table)}, out_dir=str(tmp_path / "v"))
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert "[PASS] sampled spectrum nonnegative" in capsys.readouterr().out
+
+
+def test_validate_passes_the_3d_gaussian(tmp_path, capsys):
+    # the 32^3 cube once spanned +-3.46 correlation lengths and read -5.9e-7
+    cfg = write_cfg(tmp_path, model={"dim": 3}, correlation={"matrix": np.eye(3).tolist()},
+                    out_dir=str(tmp_path / "v"))
+    assert main(["validate", "--config", str(cfg)]) == 0
+    assert "[PASS] sampled spectrum nonnegative" in capsys.readouterr().out
+
+
 def test_lattice_law_route(tmp_path):
     cfg = write_cfg(tmp_path, model={"space": "lattice"},
                     correlation={"kind": "gaussian", "matrix": [[40.0]]},
@@ -187,8 +208,8 @@ def test_numeric_failure_exit_code(tmp_path):
     cfg = write_cfg(tmp_path, model={"space": "lattice"},
                     correlation={"kind": "gaussian", "matrix": [[40.0]]},
                     initial={"kind": "point"},
-                    evolve={"t_max": 1.8, "dt": 0.9, "record_every": 1, "y_box": 9},
-                    out_dir=str(tmp_path / "bad"))
+                    evolve={"t_max": 9.0, "dt": 0.9, "record_every": 1, "y_box": 9},
+                    fit={"window": [0.9, 9.0]}, out_dir=str(tmp_path / "bad"))
     code = main(["evolve-lattice", "--config", str(cfg)])
     assert code == 3
 
@@ -354,6 +375,15 @@ MISUSE = {
                                "config.lattice_box.sites"),
     "y-box-even": ("evolve-lattice", dict(LATTICE, evolve={"y_box": 8}), "config.evolve.y_box"),
     "y-box-below-5": ("evolve-lattice", dict(LATTICE, evolve={"y_box": 3}), "config.evolve.y_box"),
+    # a negative t_min gave "msd must be nonnegative", or its times were dropped
+    "t-min-negative": ("analytic-msd", {"time": {"t_min": -5.0}}, "config.time.t_min"),
+    "t-min-negative-lattice-law": ("lattice-law", dict(LATTICE, time={"t_min": -5.0}), "config.time.t_min"),
+    # a fit window with fewer than 8 of the route's times failed only after the run
+    "fit-window-short-mc-continuum": ("mc-continuum", {"mc": {"n_traj": 1}, "time": {"t_max": 0.1},
+                                                       "grid": {"points": 128, "length": 40.0},
+                                                       "fit": {"window": [0.01, 0.1]}}, "config.fit.window"),
+    "fit-window-short-evolve-lattice": ("evolve-lattice", dict(LATTICE, evolve={"t_max": 1.0},
+                                                               fit={"window": [0.5, 1.0]}), "config.fit.window"),
     # the route and the config disagree
     "mc-continuum-on-lattice": ("mc-continuum", LATTICE, "config.model.space"),
     "mc-lattice-on-continuum": ("mc-lattice", {"initial": {"kind": "point"}}, "config.model.space"),
